@@ -35,9 +35,12 @@ class _Parser(argparse.ArgumentParser):
 def _parse_deltas(text):
     try:
         a, b, num = text.split(":")
-        return np.linspace(float(a), float(b), int(num))
+        start, stop, num = float(a), float(b), int(num)
     except ValueError:
         raise _UsageError(f"--deltas expects start:stop:num, got {text!r}")
+    if not (np.isfinite(start) and np.isfinite(stop)) or num < 1:
+        raise _UsageError(f"--deltas needs finite start and stop and num >= 1, got {text!r}")
+    return np.linspace(start, stop, num)
 
 
 def _outdir(args):
@@ -110,6 +113,8 @@ def cmd_nagy(args):
 
 
 def cmd_af_check(args):
+    if (args.i is None) != (args.j is None):
+        raise _UsageError("--i and --j must be given together")
     manifest = hio.RunManifest("af-check", {"body": args.body, "i": args.i, "j": args.j})
     body, _ = hio.load_body(args.body)
     n = body.n
@@ -170,7 +175,7 @@ def cmd_hersch(args):
                                             "n_deltas": args.n_deltas})
     dom = hio.load_domain(args.domain)
     table = build_parallel_table(dom, grid_res=args.grid_res, n_deltas=args.n_deltas)
-    bound = hersch_bound(dom, args.p, table=table)
+    bound = hersch_bound(table, args.p)
     payload = {"hersch_bound": bound, "delta0": table.delta0,
                "r": table.r_match, "R": table.R_match}
     _emit(args, manifest, "hersch", payload,
@@ -185,15 +190,11 @@ def cmd_rfk(args):
                                             "grid_res": args.grid_res,
                                             "n_deltas": args.n_deltas})
     dom = hio.load_domain(args.domain)
-    report = rfk_verdict(dom, args.p, h_mesh=args.h_mesh, grid_res=args.grid_res,
-                         n_deltas=args.n_deltas)
+    table = build_parallel_table(dom, grid_res=args.grid_res, n_deltas=args.n_deltas)
+    report = rfk_verdict(dom, args.p, table, h_mesh=args.h_mesh)
     payload = hio.rfk_report_payload(report)
-
-    def csv_writer(out):
-        table = build_parallel_table(dom, grid_res=args.grid_res, n_deltas=args.n_deltas)
-        hio.write_parallel_table_csv(table, out / "parallels.csv")
-
-    _emit(args, manifest, "rfk", payload, csv_writer=csv_writer)
+    _emit(args, manifest, "rfk", payload,
+          csv_writer=lambda out: hio.write_parallel_table_csv(table, out / "parallels.csv"))
     print(f"tau(domain) = {report.tau_omega:.10g} <= bound = {report.hersch_bound:.10g}"
           f" <= tau(annulus) = {report.tau_annulus:.10g}  chain_ok = {report.chain_ok}")
     return 0 if report.chain_ok else 2

@@ -69,16 +69,6 @@ def sinh_pow(r, k):
     return math.sinh(r) ** k
 
 
-def cosh_pow(r, k):
-    """cosh(r)**k, log-space above the overflow threshold."""
-    if k == 0:
-        return 1.0
-    if k * r > _LOG_SPACE_THRESHOLD:
-        log_cosh = r + math.log1p(math.exp(-2.0 * r)) - math.log(2.0)
-        return math.exp(k * log_cosh)
-    return math.cosh(r) ** k
-
-
 def sinh_power_integral(m, r, dtype=float):
     """integral_0^r sinh(t)**m dt.
 
@@ -301,17 +291,6 @@ def mobius_shift(z, c):
 def chart_radius(rho):
     """Euclidean chart radius of a point at hyperbolic distance rho from 0."""
     return np.tanh(np.asarray(rho, dtype=float) / 2.0)
-
-
-def hyperbolic_radius(t):
-    """Inverse of chart_radius."""
-    return 2.0 * np.arctanh(np.asarray(t, dtype=float))
-
-
-def conformal_factor(z):
-    """Metric weight lambda = 2/(1-|z|^2) of the Poincare disk at z."""
-    z = np.asarray(z)
-    return 2.0 / (1.0 - np.abs(z) ** 2)
 
 
 def geodesic_step(z0, direction, delta):

@@ -198,15 +198,13 @@ def build_mesh(dom, h_mesh):
     raise NumericError("mesh quality targets not reached; domain too distorted")
 
 
-def _conformal_weight_sq(x, y):
-    return (2.0 / (1.0 - (x * x + y * y))) ** 2
-
-
 _MID_PAIRS = ((0, 1), (1, 2), (2, 0))
 _MID_PHI = (np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.0, 0.5]))
 
 
-def _element_geometry(mesh):
+def _element_quadrature(mesh):
+    """Areas, P1 gradient coefficients (b, c) and the metric weight lambda at
+    the three edge midpoints (columns in _MID_PAIRS order) of every element."""
     v = mesh.vertices
     t = mesh.triangles
     x = v[t, 0]
@@ -216,21 +214,23 @@ def _element_geometry(mesh):
     if np.any(det == 0.0):
         raise NumericError("degenerate triangle in mesh")
     area = 0.5 * np.abs(det)
+    lam = np.empty((len(area), 3))
+    for q, (i, j) in enumerate(_MID_PAIRS):
+        mx = 0.5 * (x[:, i] + x[:, j])
+        my = 0.5 * (y[:, i] + y[:, j])
+        lam[:, q] = 2.0 / (1.0 - (mx * mx + my * my))
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], 1) / det[:, None]
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], 1) / det[:, None]
-    return x, y, area, b, c
+    return area, b, c, lam
 
 
 def assemble_p2(mesh):
     """Flat stiffness matrix and lambda^2-weighted mass matrix."""
-    x, y, area, b, c = _element_geometry(mesh)
+    area, b, c, lam = _element_quadrature(mesh)
     ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * area[:, None, None]
     me = np.zeros_like(ke)
-    for q, (i, j) in enumerate(_MID_PAIRS):
-        mx = 0.5 * (x[:, i] + x[:, j])
-        my = 0.5 * (y[:, i] + y[:, j])
-        w = _conformal_weight_sq(mx, my) * (area / 3.0)
-        phi = _MID_PHI[q]
+    for q, phi in enumerate(_MID_PHI):
+        w = lam[:, q] ** 2 * (area / 3.0)
         me += w[:, None, None] * (phi[:, None] * phi[None, :])[None, :, :]
     t = mesh.triangles
     ii = np.repeat(t, 3, axis=1).ravel()
@@ -265,18 +265,36 @@ def hyperbolic_area(mesh):
     return float(M.sum())
 
 
+def richardson_extrapolate(coarse, fine):
+    """(h, h/2) Richardson extrapolation of a second-order accurate value."""
+    return fine + (fine - coarse) / 3.0
+
+
+def _dirichlet_system(mesh):
+    """K and M on the free (non-hole) nodes, with the sparse LU of K.
+
+    The one P1 assembly and factorization a mesh needs: the p = 2
+    eigensolver inverts K, and the general-p descent preconditions with it.
+    """
+    K, M = assemble_p2(mesh)
+    free = np.setdiff1d(np.arange(mesh.vertices.shape[0]), mesh.inner_nodes)
+    Kf = K[np.ix_(free, free)].tocsc()
+    Mf = M[np.ix_(free, free)].tocsr()
+    return free, Kf, Mf, splu(Kf)
+
+
 def eigen_p2(mesh, max_iter=400):
     """Smallest eigenvalue of (K, M) with inner-Dirichlet elimination.
 
     Shifted (at zero) inverse power iteration on a sparse LU factorization,
     stopping on ||K u - tau M u|| <= 1e-10 ||M u||.
     """
-    K, M = assemble_p2(mesh)
+    return _inverse_iteration(mesh, _dirichlet_system(mesh), max_iter)
+
+
+def _inverse_iteration(mesh, system, max_iter=400):
+    free, Kf, Mf, lu = system
     nv = mesh.vertices.shape[0]
-    free = np.setdiff1d(np.arange(nv), mesh.inner_nodes)
-    Kf = K[np.ix_(free, free)].tocsc()
-    Mf = M[np.ix_(free, free)].tocsr()
-    lu = splu(Kf)
     u = np.ones(len(free))
     u /= math.sqrt(u @ (Mf @ u))
     tau = float(u @ (Kf @ u))
@@ -308,18 +326,14 @@ class _RayleighP:
     def __init__(self, mesh, p):
         self.mesh = mesh
         self.p = p
-        x, y, area, b, c = _element_geometry(mesh)
-        self.b, self.c = b, c
+        area, self.b, self.c, lam = _element_quadrature(mesh)
         self.t = mesh.triangles
         self.nv = mesh.vertices.shape[0]
+        w = area / 3.0
         self.nu = np.zeros(len(area))
-        self.mass_w = np.zeros((len(area), 3))
-        for q, (i, j) in enumerate(_MID_PAIRS):
-            mx = 0.5 * (x[:, i] + x[:, j])
-            my = 0.5 * (y[:, i] + y[:, j])
-            lam = 2.0 / (1.0 - (mx * mx + my * my))
-            self.nu += (area / 3.0) * lam ** (2.0 - p)
-            self.mass_w[:, q] = (area / 3.0) * lam ** 2
+        for q in range(3):
+            self.nu += w * lam[:, q] ** (2.0 - p)
+        self.mass_w = w[:, None] * lam ** 2
 
     def value_and_grad(self, u):
         p = self.p
@@ -358,11 +372,10 @@ def eigen_p_general(mesh, p, max_iter=2000):
         raise DomainValidationError(f"exponent p must exceed 1, got {p}")
     rq = _RayleighP(mesh, p)
     nv = rq.nv
-    free = np.setdiff1d(np.arange(nv), mesh.inner_nodes)
-    K, _ = assemble_p2(mesh)
-    lu = splu(K[np.ix_(free, free)].tocsc())
+    system = _dirichlet_system(mesh)
+    free, _, _, lu = system
 
-    p2 = eigen_p2(mesh)
+    p2 = _inverse_iteration(mesh, system)
     starts = {"p2_eigenvector": np.abs(p2.u), "constant": None}
     const = np.zeros(nv)
     const[free] = 1.0

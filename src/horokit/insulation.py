@@ -32,6 +32,7 @@ from .fem2d import (
     assemble_p2,
     boundary_mass_outer,
     build_mesh,
+    richardson_extrapolate,
 )
 from .errors import DomainValidationError, PreconditionError
 
@@ -60,29 +61,30 @@ class InsulationSpec:
         return self.body.n
 
 
-def _closed_form_energy(weight_fn, span, boundary_weight, p, n_quad=384):
-    """Energy of the constant-flux minimizer for a general 1-D weight.
+def _closed_form_energy(q, boundary_weight, p):
+    """Energy of the constant-flux minimizer of a 1-D weighted p-energy.
 
-    With Q = int_0^span w^{-1/(p-1)} and W_b the Robin weight, the flux
-    scale is s = W_b^{1/(p-1)} / (1 + W_b^{1/(p-1)} Q) and the energy is
-    s^{p-1}.  Q is integrated by Gauss-Legendre (the weights in use are
-    analytic).
+    With Q = int_0^span w^{-1/(p-1)} for the shell weight w and W_b the
+    Robin weight, the flux scale is s = W_b^{1/(p-1)} / (1 + W_b^{1/(p-1)} Q)
+    and the energy is s^{p-1}.
     """
-    x, gw = np.polynomial.legendre.leggauss(n_quad)
-    t = 0.5 * span * (1.0 + x)
-    w = weight_fn(t)
-    q = 0.5 * span * float(np.sum(gw * w ** (-1.0 / (p - 1.0))))
     wb = boundary_weight ** (1.0 / (p - 1.0))
     s = wb / (1.0 + wb * q)
     return float(s ** (p - 1.0))
 
 
 def radial_energy_closed_form(n, p, r, delta, beta):
-    """Closed-form shell energy for a ball core of radius r."""
+    """Closed-form shell energy for a ball core of radius r.
+
+    The flux integral Q of _closed_form_energy is taken by 384-node
+    Gauss-Legendre (the weight is analytic).
+    """
     om = sphere_measure(n - 1)
-    span = delta
-    wb = beta * om * math.sinh(r + delta) ** (n - 1)
-    return _closed_form_energy(lambda t: om * np.sinh(r + t) ** (n - 1), span, wb, p)
+    x, gw = np.polynomial.legendre.leggauss(384)
+    t = 0.5 * delta * (1.0 + x)
+    w = om * np.sinh(r + t) ** (n - 1)
+    q = 0.5 * delta * float(np.sum(gw * w ** (-1.0 / (p - 1.0))))
+    return _closed_form_energy(q, beta * om * math.sinh(r + delta) ** (n - 1), p)
 
 
 def _interval_weights(n, r, R, grid):
@@ -215,9 +217,7 @@ def parallel_bound_energy(body, p, delta, beta, n_grid=1024):
     s = np.linspace(0.0, delta, n_grid)
     L = np.array([parallel_perimeter_direct(body, sv, profile=prof) for sv in s])
     q = float(np.trapezoid(L ** (-1.0 / (p - 1.0)), s))
-    wb = (beta * L[-1]) ** (1.0 / (p - 1.0))
-    flux_scale = wb / (1.0 + wb * q)
-    return float(flux_scale ** (p - 1.0))
+    return _closed_form_energy(q, beta * L[-1], p)
 
 
 def insulation_domain(body, delta, n_samples=8192):
@@ -310,7 +310,7 @@ def insulation_verdict(spec, h_mesh=0.005, equality_rtol=1e-4):
         elif spec.p == 2.0:
             e_h = fem_energy_p2(body, spec.delta, spec.beta, h_mesh=h_mesh)
             e_h2 = fem_energy_p2(body, spec.delta, spec.beta, h_mesh=h_mesh / 2.0)
-            e_body = e_h2 + (e_h2 - e_h) / 3.0
+            e_body = richardson_extrapolate(e_h, e_h2)
         else:
             e_body = parallel_bound_energy(body, spec.p, spec.delta, spec.beta)
             one_sided = True

@@ -9,7 +9,7 @@ run manifest that carries timing lives in a separate sidecar file.
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -191,17 +191,7 @@ def write_nagy_csv(report, path):
 
 
 def rfk_report_payload(report):
-    return {
-        "tau_omega": report.tau_omega,
-        "hersch_bound": report.hersch_bound,
-        "tau_annulus": report.tau_annulus,
-        "r": report.r,
-        "R": report.R,
-        "chain_ok": report.chain_ok,
-        "equality_detected": report.equality_detected,
-        "p": report.p,
-        "meta": report.meta,
-    }
+    return asdict(report)
 
 
 def write_parallel_table_csv(table, path):
@@ -214,12 +204,4 @@ def write_profile_csv(result, path):
 
 
 def insulation_report_payload(report):
-    return {
-        "energy_body": report.energy_body,
-        "energy_ball": report.energy_ball,
-        "margin": report.margin,
-        "r_star": report.r_star,
-        "equality_detected": report.equality_detected,
-        "one_sided": report.one_sided,
-        "meta": report.meta,
-    }
+    return asdict(report)

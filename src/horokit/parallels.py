@@ -18,7 +18,13 @@ from scipy.interpolate import PchipInterpolator
 
 from .core import ball_perimeter
 from .bodies import boundary_measures, convexity_report
-from .fem2d import AnnularDomain2D, build_mesh, eigen_p2, eigen_p_general
+from .fem2d import (
+    AnnularDomain2D,
+    build_mesh,
+    eigen_p2,
+    eigen_p_general,
+    richardson_extrapolate,
+)
 from .shell import ShellSpec, shell_eigen
 from .errors import DomainValidationError, PreconditionError, DataFormatError
 
@@ -311,8 +317,7 @@ def comparison_functions(table, coords, n_beta=2048):
     return beta, G, Gt
 
 
-def hersch_bound(dom, p, shell_result=None, table=None, grid_res=DEFAULT_GRID_RES,
-                 n_deltas=DEFAULT_N_DELTAS):
+def hersch_bound(table, p, shell_result=None):
     """Rayleigh quotient of the transplanted annulus eigenfunction.
 
     The test function is u = f(M(d(x, hole))) capped at f(Mtilde_star) with
@@ -321,8 +326,6 @@ def hersch_bound(dom, p, shell_result=None, table=None, grid_res=DEFAULT_GRID_RE
     int_0^{Mtilde_star} |f'|^p dbeta and the p-norm splits into the interior
     part plus the capped tail.
     """
-    if table is None:
-        table = build_parallel_table(dom, grid_res=grid_res, n_deltas=n_deltas)
     r, R = table.r_match, table.R_match
     if shell_result is None:
         shell_result = shell_eigen(ShellSpec(n=2, p=p, r=r, R=R))
@@ -370,38 +373,32 @@ class RFKReport:
     meta: dict = field(default_factory=dict)
 
 
-def rfk_verdict(dom, p, h_mesh=0.01, grid_res=DEFAULT_GRID_RES,
-                n_deltas=DEFAULT_N_DELTAS, richardson=True, table=None):
-    """Assemble the full ordering chain for one domain.
+def rfk_verdict(dom, p, table, h_mesh=0.01, richardson=True):
+    """Assemble the full ordering chain for one domain on its parallel table.
 
     tau(domain) comes from the p = 2 generalized eigensolver (Richardson
     extrapolated over h and h/2 by default) or the descent solver for
     general p; tau(annulus) from the radial shooting solver; the middle
-    term from the transplanted test function.  A precomputed parallel
-    table may be passed to reuse an existing distance field.
+    term from the transplanted test function.
     """
-    if table is None:
-        table = build_parallel_table(dom, grid_res=grid_res, n_deltas=n_deltas)
     r, R = table.r_match, table.R_match
     shell_res = shell_eigen(ShellSpec(n=2, p=p, r=r, R=R))
     tau_annulus = shell_res.tau1
-    bound = hersch_bound(dom, p, shell_result=shell_res, table=table)
+    bound = hersch_bound(table, p, shell_result=shell_res)
 
     mesh = build_mesh(dom, h_mesh)
     if p == 2.0:
-        tau_h = eigen_p2(mesh).tau1
+        tau_omega = eigen_p2(mesh).tau1
         if richardson:
-            tau_h2 = eigen_p2(build_mesh(dom, h_mesh / 2.0)).tau1
-            tau_omega = tau_h2 + (tau_h2 - tau_h) / 3.0
-        else:
-            tau_omega = tau_h
+            tau_fine = eigen_p2(build_mesh(dom, h_mesh / 2.0)).tau1
+            tau_omega = richardson_extrapolate(tau_omega, tau_fine)
     else:
         tau_omega = eigen_p_general(mesh, p).tau1
 
     tol = CHAIN_RTOL * tau_annulus
     chain_ok = bool(tau_omega <= bound + tol and bound <= tau_annulus + tol)
     equality = bool(abs(tau_omega - tau_annulus) <= EQUALITY_RTOL * tau_annulus)
-    meta = {"h_mesh": h_mesh, "grid_res": grid_res, "n_deltas": n_deltas,
+    meta = {"h_mesh": h_mesh, "grid_res": table.grid_res, "n_deltas": len(table.deltas),
             "delta0": table.delta0, "richardson": richardson}
     return RFKReport(tau_omega=float(tau_omega), hersch_bound=float(bound),
                      tau_annulus=float(tau_annulus), r=r, R=R,

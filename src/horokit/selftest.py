@@ -19,7 +19,7 @@ from .bodies import (
 )
 from .nagy import isoperimetric_check_2d, nagy_table
 from .shell import ShellSpec, shell_eigen, rayleigh_quotient_radial
-from .fem2d import AnnularDomain2D, build_mesh, eigen_p2
+from .fem2d import AnnularDomain2D, build_mesh, eigen_p2, richardson_extrapolate
 from .insulation import radial_energy, radial_energy_closed_form
 
 
@@ -76,7 +76,7 @@ def run(verbose=True):
 
     e1 = radial_energy(2, 2.0, 1.0, 1.0, 1.0, n_cells=1024)
     e2 = radial_energy(2, 2.0, 1.0, 1.0, 1.0, n_cells=2048)
-    e_ext = e2 + (e2 - e1) / 3.0
+    e_ext = richardson_extrapolate(e1, e2)
     e_cf = radial_energy_closed_form(2, 2.0, 1.0, 1.0, 1.0)
     check("insulation 1-D vs closed form", abs(e_ext - e_cf) <= 1e-8 * e_cf,
           f"rel={abs(e_ext - e_cf) / e_cf:.2e}")

@@ -199,3 +199,23 @@ def test_cli_hersch(tmp_path):
     assert code == 0
     doc = json.loads((out / "hersch.json").read_text())
     assert doc["hersch_bound"] == pytest.approx(1.3576, rel=2e-3)
+
+
+def test_cli_nagy_empty_delta_grid_is_usage_error(tmp_path):
+    # an empty grid would pass the comparison vacuously
+    body = write(tmp_path, "b.json", BALL_SPEC)
+    assert run_command(["nagy", "--body", body, "--deltas", "0:1:0"]) == 1
+
+
+def test_cli_nagy_nonfinite_deltas_is_usage_error(tmp_path):
+    body = write(tmp_path, "b.json", BALL_SPEC)
+    assert run_command(["nagy", "--body", body, "--deltas", "0:nan:3"]) == 1
+    assert run_command(["nagy", "--body", body, "--deltas", "0:inf:3"]) == 1
+
+
+def test_cli_af_check_needs_both_indices(tmp_path):
+    spec = {"schema": 1, "kind": "revolution", "n": 3,
+            "params": {"a0": 1.0, "cos_even": [0.05]}}
+    body = write(tmp_path, "rev.json", spec)
+    assert run_command(["af-check", "--body", body, "--i", "0"]) == 1
+    assert run_command(["af-check", "--body", body, "--j", "1"]) == 1

@@ -223,15 +223,18 @@ def test_hersch_bound_rejects_mismatched_profile(concentric_field):
     table = build_parallel_table(CONCENTRIC, fld=concentric_field, n_deltas=64)
     wrong = shell_eigen(ShellSpec(n=2, p=2.0, r=0.3, R=1.1))
     with pytest.raises(DataFormatError):
-        hersch_bound(CONCENTRIC, 2.0, shell_result=wrong, table=table)
+        hersch_bound(table, 2.0, shell_result=wrong)
 
 
-def test_rfk_verdict_low_resolution_smoke():
-    report = rfk_verdict(CONCENTRIC, 2.0, h_mesh=0.02, grid_res=384,
-                         n_deltas=128, richardson=False)
+def test_rfk_verdict_low_resolution_smoke(concentric_field):
+    table = build_parallel_table(CONCENTRIC, fld=concentric_field, n_deltas=64)
+    report = rfk_verdict(CONCENTRIC, 2.0, table=table, h_mesh=0.02, richardson=False)
     assert report.chain_ok
     assert report.equality_detected
     assert report.r == pytest.approx(0.5, rel=1e-6)
+    # the reported resolutions are those of the table the chain ran on
+    assert report.meta["n_deltas"] == 64
+    assert report.meta["grid_res"] == table.grid_res == 512
 
 
 def test_rfk_chain_general_p(rfk_domains, rfk_tables):
