@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import legendre
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
 from .errors import DomainValidationError, ConsistencyError, SearchError
@@ -26,7 +28,25 @@ _LOG_SPACE_THRESHOLD = 700.0 * math.log(2.0)
 
 @lru_cache(maxsize=32)
 def gauss_legendre_nodes(n_nodes):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and cached.
+
+    numpy's leggauss with its dense companion-matrix eigensolve replaced by
+    the symmetric tridiagonal (Jacobi) one, which costs O(n^2) instead of
+    O(n^3); the Newton polish and the weight formula are numpy's.
+    """
+    k = np.arange(1.0, n_nodes)
+    x = eigvalsh_tridiagonal(np.zeros(n_nodes), k / np.sqrt(4.0 * k * k - 1.0))
+    c = np.zeros(n_nodes + 1)
+    c[-1] = 1.0
+    df = legendre.legval(x, legendre.legder(c))
+    x -= legendre.legval(x, c) / df
+    fm = legendre.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1.0 / (fm * df)
+    w = (w + w[::-1]) / 2.0
+    x = (x - x[::-1]) / 2.0
+    w *= 2.0 / w.sum()
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -2,9 +2,12 @@
 
 At p = 2 the Dirichlet integral is conformally invariant in two dimensions,
 so the stiffness matrix is the flat one and only the mass matrix carries the
-metric weight lambda(x)^2 = (2/(1-|x|^2))^2.  General p is handled by
-minimizing the discrete Rayleigh quotient directly with a stiffness-
-preconditioned (Sobolev) gradient and Armijo backtracking.
+metric weight lambda(x)^2 = (2/(1-|x|^2))^2.  The stiffness matrix on the
+free nodes is symmetric positive definite; it is factored once per mesh by
+a sparse LU under a symmetric minimum-degree ordering, and the p = 2
+eigenpair comes from shift-invert Lanczos on that factor.  General p is
+handled by minimizing the discrete Rayleigh quotient directly with a
+stiffness-preconditioned (Sobolev) gradient and Armijo backtracking.
 
 Meshes are structured polar triangulations between two boundary curves that
 are star-shaped about the inner base point; the construction is intrinsic
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .core import chart_radius, mobius_shift
 from .bodies import Body2D
@@ -29,6 +32,9 @@ MIN_ANGLE_DEG = 20.0
 EIG_RESIDUAL_RTOL = 1e-10
 DESCENT_WINDOW = 50
 DESCENT_DECREASE = 1e-10
+# P1 systems are SPD: minimum degree on A + A^T keeps the factor about half
+# as full as the default COLAMD column ordering, which ignores the symmetry
+SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A"}
 
 
 @dataclass(frozen=True)
@@ -280,43 +286,50 @@ def _dirichlet_system(mesh):
     free = np.setdiff1d(np.arange(mesh.vertices.shape[0]), mesh.inner_nodes)
     Kf = K[np.ix_(free, free)].tocsc()
     Mf = M[np.ix_(free, free)].tocsr()
-    return free, Kf, Mf, splu(Kf)
+    return free, Kf, Mf, splu(Kf, **SPLU_OPTIONS)
 
 
-def eigen_p2(mesh, max_iter=400):
+def eigen_p2(mesh):
     """Smallest eigenvalue of (K, M) with inner-Dirichlet elimination.
 
-    Shifted (at zero) inverse power iteration on a sparse LU factorization,
-    stopping on ||K u - tau M u|| <= 1e-10 ||M u||.
+    Shift-invert Lanczos (ARPACK, shift 0) on the sparse LU of K, started
+    from the constant vector so that repeated runs agree to the last bit;
+    the eigenpair must satisfy ||K u - tau M u|| <= 1e-10 ||M u||.
     """
-    return _inverse_iteration(mesh, _dirichlet_system(mesh), max_iter)
+    return _shift_invert_eigenpair(mesh, _dirichlet_system(mesh))
 
 
-def _inverse_iteration(mesh, system, max_iter=400):
+def _shift_invert_eigenpair(mesh, system):
     free, Kf, Mf, lu = system
     nv = mesh.vertices.shape[0]
-    u = np.ones(len(free))
+    solves = 0
+
+    def solve(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
+
+    v0 = np.ones(len(free))
+    v0 /= math.sqrt(v0 @ (Mf @ v0))
+    try:
+        _, vecs = eigsh(Kf, k=1, M=Mf, sigma=0.0, which="LM", v0=v0,
+                        OPinv=LinearOperator(Kf.shape, matvec=solve, dtype=float))
+    except ArpackError as exc:
+        raise NumericError(f"shift-invert Lanczos failed: {exc}") from exc
+    u = vecs[:, 0]
     u /= math.sqrt(u @ (Mf @ u))
     tau = float(u @ (Kf @ u))
-    res = np.inf
-    for it in range(max_iter):
-        z = lu.solve(Mf @ u)
-        z /= math.sqrt(z @ (Mf @ z))
-        tau = float(z @ (Kf @ z))
-        resid = Kf @ z - tau * (Mf @ z)
-        res = float(np.linalg.norm(resid) / np.linalg.norm(Mf @ z))
-        u = z
-        if res <= EIG_RESIDUAL_RTOL:
-            break
-    else:
-        raise NumericError(f"inverse iteration stalled at residual {res:.2e}")
+    Mu = Mf @ u
+    res = float(np.linalg.norm(Kf @ u - tau * Mu) / np.linalg.norm(Mu))
+    if not res <= EIG_RESIDUAL_RTOL:
+        raise NumericError(f"shift-invert Lanczos stopped at residual {res:.2e}")
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u
     full = np.zeros(nv)
     full[free] = u
     residuals = {"eig_residual": res, "dirichlet_trace": float(np.max(np.abs(full[mesh.inner_nodes])))}
     meta = {"n_vertices": nv, "n_triangles": mesh.triangles.shape[0],
-            "h_mesh": mesh.h_mesh, "iterations": it + 1, "p": 2.0}
+            "h_mesh": mesh.h_mesh, "iterations": solves, "p": 2.0}
     return EigResult(tau1=tau, residuals=residuals, meta=meta, u=full)
 
 
@@ -375,48 +388,18 @@ def eigen_p_general(mesh, p, max_iter=2000):
     system = _dirichlet_system(mesh)
     free, _, _, lu = system
 
-    p2 = _inverse_iteration(mesh, system)
-    starts = {"p2_eigenvector": np.abs(p2.u), "constant": None}
+    p2 = _shift_invert_eigenpair(mesh, system)
     const = np.zeros(nv)
     const[free] = 1.0
-    starts["constant"] = const
+    starts = {"p2_eigenvector": np.abs(p2.u), "constant": const}
 
     best = None
     for label, u0 in starts.items():
-        u = u0.copy()
-        num, den, _, _ = rq.value_and_grad(u)
-        u /= den ** (1.0 / p)
-        history = []
-        value = num / den
-        iterations = 0
-        for it in range(max_iter):
-            num, den, g_num, g_den = rq.value_and_grad(u)
-            value = num / den
-            grad = (g_num - value * g_den) / den
-            grad[mesh.inner_nodes] = 0.0
-            z = np.zeros(nv)
-            z[free] = lu.solve(grad[free])
-            slope = float(grad @ z)
-            if slope <= 0.0:
-                break
-            step, ok = 1.0, False
-            for _ in range(50):
-                trial = u - step * z
-                t_num, t_den, _, _ = rq.value_and_grad(trial)
-                if t_num / t_den < value - 1e-4 * step * slope:
-                    ok = True
-                    break
-                step *= 0.5
-            if not ok:
-                break
-            u = trial / t_den ** (1.0 / p)
-            value = t_num / t_den
-            history.append(value)
-            iterations = it + 1
-            if len(history) > DESCENT_WINDOW and \
-                    history[-DESCENT_WINDOW - 1] - value < DESCENT_DECREASE * value:
-                break
-        if best is None or value < best[0]:
+        value, u, iterations = _descend(rq, u0, lu, free, mesh.inner_nodes, max_iter)
+        # both starts often settle on the same quotient to the last bit; the
+        # p = 2 start is kept unless the other is lower by more than the
+        # descent's own stopping decrease, so the label never rests on round-off
+        if best is None or best[0] - value > DESCENT_DECREASE * best[0]:
             best = (value, u, label, iterations)
 
     value, u, label, iterations = best
@@ -426,6 +409,47 @@ def eigen_p_general(mesh, p, max_iter=2000):
     meta = {"n_vertices": nv, "h_mesh": mesh.h_mesh, "p": p, "start": label,
             "iterations": iterations, "upper_bound_only": True}
     return EigResult(tau1=float(value), residuals=residuals, meta=meta, u=u)
+
+
+def _descend(rq, u0, lu, free, inner_nodes, max_iter):
+    """Armijo descent of the Rayleigh quotient from u0, preconditioned by the
+    stiffness factor lu; returns (quotient, p-normalized u, steps taken)."""
+    p = rq.p
+    nv = rq.nv
+    u = u0.copy()
+    num, den, _, _ = rq.value_and_grad(u)
+    u /= den ** (1.0 / p)
+    history = []
+    value = num / den
+    iterations = 0
+    for it in range(max_iter):
+        num, den, g_num, g_den = rq.value_and_grad(u)
+        value = num / den
+        grad = (g_num - value * g_den) / den
+        grad[inner_nodes] = 0.0
+        z = np.zeros(nv)
+        z[free] = lu.solve(grad[free])
+        slope = float(grad @ z)
+        if slope <= 0.0:
+            break
+        step, ok = 1.0, False
+        for _ in range(50):
+            trial = u - step * z
+            t_num, t_den, _, _ = rq.value_and_grad(trial)
+            if t_num / t_den < value - 1e-4 * step * slope:
+                ok = True
+                break
+            step *= 0.5
+        if not ok:
+            break
+        u = trial / t_den ** (1.0 / p)
+        value = t_num / t_den
+        history.append(value)
+        iterations = it + 1
+        if len(history) > DESCENT_WINDOW and \
+                history[-DESCENT_WINDOW - 1] - value < DESCENT_DECREASE * value:
+            break
+    return value, u, iterations
 
 
 # ---------------------------------------------------------------------------

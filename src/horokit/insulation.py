@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
-from .core import sphere_measure, geodesic_step
+from .core import gauss_legendre_nodes, sphere_measure, geodesic_step
 from .bodies import (
     Body2D,
     convexity_report,
@@ -27,6 +27,7 @@ from .bodies import (
 )
 from .nagy import equivalent_ball
 from .fem2d import (
+    SPLU_OPTIONS,
     AnnularDomain2D,
     _periodic_radius_interpolant,
     assemble_p2,
@@ -80,7 +81,7 @@ def radial_energy_closed_form(n, p, r, delta, beta):
     Gauss-Legendre (the weight is analytic).
     """
     om = sphere_measure(n - 1)
-    x, gw = np.polynomial.legendre.leggauss(384)
+    x, gw = gauss_legendre_nodes(384)
     t = 0.5 * delta * (1.0 + x)
     w = om * np.sinh(r + t) ** (n - 1)
     q = 0.5 * delta * float(np.sum(gw * w ** (-1.0 / (p - 1.0))))
@@ -90,7 +91,7 @@ def radial_energy_closed_form(n, p, r, delta, beta):
 def _interval_weights(n, r, R, grid):
     """Per-interval integrals of omega_{n-1} sinh^{n-1} by 5-point Gauss."""
     om = sphere_measure(n - 1)
-    xg, wg = np.polynomial.legendre.leggauss(5)
+    xg, wg = gauss_legendre_nodes(5)
     h = np.diff(grid)
     mid = 0.5 * (grid[:-1] + grid[1:])
     w = np.zeros(len(h))
@@ -269,7 +270,7 @@ def fem_energy_p2(body, delta, beta, h_mesh=0.01):
     g = np.zeros(nv)
     g[mesh.inner_nodes] = 1.0
     rhs = -(A @ g)[free]
-    lu = splu(A[np.ix_(free, free)].tocsc())
+    lu = splu(A[np.ix_(free, free)].tocsc(), **SPLU_OPTIONS)
     u = g.copy()
     u[free] = lu.solve(rhs)
     return float(u @ (A @ u))

@@ -8,6 +8,7 @@ from horokit.core import (
     ball_perimeter,
     ball_quermass,
     ball_volume,
+    gauss_legendre_nodes,
     poincare_distance,
     quermass_inverse_radius,
     sphere_measure,
@@ -147,3 +148,23 @@ def test_sinh_power_integral_positive_and_increasing(m, r):
     val = float(sinh_power_integral(m, r))
     assert val > 0.0
     assert float(sinh_power_integral(m, r + 0.1)) > val
+
+
+@pytest.mark.parametrize("n,w_rtol", [(5, 1e-12), (48, 1e-11), (384, 1e-10),
+                                      (1024, 1e-10), (2048, 1e-8)])
+def test_gauss_legendre_nodes_match_numpy(n, w_rtol):
+    # same Newton polish and weight formula as leggauss; only the first
+    # node estimates (tridiagonal instead of dense eigensolve) differ
+    x, w = gauss_legendre_nodes(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - x_ref)) <= 1e-15
+    assert np.max(np.abs(w / w_ref - 1.0)) <= w_rtol
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+def test_gauss_legendre_nodes_exact_to_degree_2n_minus_1(n):
+    x, w = gauss_legendre_nodes(n)
+    for k in range(2 * n - 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert float(np.sum(w * x ** k)) == pytest.approx(exact, rel=1e-14, abs=1e-15)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from horokit import fem2d
 from horokit.bodies import Body2D, make_ball
 from horokit.fem2d import (
     AnnularDomain2D,
@@ -96,6 +98,53 @@ def test_hyperbolic_area_from_mass_matrix():
     area = hyperbolic_area(mesh)
     exact = 2 * math.pi * (math.cosh(1.5) - math.cosh(0.5))
     assert area == pytest.approx(exact, rel=1e-4)
+
+
+def test_eigen_p2_factor_is_sparser_than_colamd(monkeypatch):
+    factored = []
+
+    def spy(A, **options):
+        lu = scipy.sparse.linalg.splu(A, **options)
+        factored.append((A, lu))
+        return lu
+
+    monkeypatch.setattr(fem2d, "splu", spy)
+    eigen_p2(build_mesh(ANNULUS, 0.05))
+    (A, lu), = factored
+    assert lu.nnz < scipy.sparse.linalg.splu(A).nnz
+
+
+def test_eigen_p2_is_deterministic():
+    # ARPACK starts from a random vector unless it is given one
+    mesh = build_mesh(ANNULUS, 0.04)
+    first, second = eigen_p2(mesh), eigen_p2(mesh)
+    assert first.tau1 == second.tau1
+    assert np.array_equal(first.u, second.u)
+
+
+def _start_label(monkeypatch, lower):
+    """eigen_p_general's start label when the constant start ends at
+    lower(q), q being where the p = 2 eigenvector start ended."""
+    descend = fem2d._descend
+    ends = []
+
+    def lowered(rq, u0, *args):
+        value, u, iterations = descend(rq, u0, *args)
+        if np.ptp(u0[u0 != 0.0]) == 0.0:
+            value = lower(ends[0])
+        ends.append(value)
+        return value, u, iterations
+
+    monkeypatch.setattr(fem2d, "_descend", lowered)
+    return eigen_p_general(build_mesh(ANNULUS, 0.04), 1.7).meta["start"]
+
+
+def test_eigen_p_general_start_label_ignores_round_off(monkeypatch):
+    assert _start_label(monkeypatch, lambda v: np.nextafter(v, 0.0)) == "p2_eigenvector"
+
+
+def test_eigen_p_general_keeps_a_clearly_lower_start(monkeypatch):
+    assert _start_label(monkeypatch, lambda v: v * (1.0 - 1e-6)) == "constant"
 
 
 def test_eigen_p_general_agrees_at_p2():

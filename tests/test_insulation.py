@@ -1,7 +1,9 @@
 import math
 
 import pytest
+import scipy.sparse.linalg
 
+from horokit import insulation
 from horokit.bodies import Body2D, RevolutionBody, make_ball
 from horokit.insulation import (
     InsulationSpec,
@@ -134,6 +136,20 @@ def test_parallel_bound_dominates_true_energy():
     bound = parallel_bound_energy(hole, 2.0, 0.8, 1.0)
     e_fem = fem_energy_p2(hole, 0.8, 1.0, h_mesh=0.01)
     assert bound >= e_fem - 1e-6 * e_fem
+
+
+def test_fem_energy_factor_is_sparser_than_colamd(monkeypatch):
+    factored = []
+
+    def spy(A, **options):
+        lu = scipy.sparse.linalg.splu(A, **options)
+        factored.append((A, lu))
+        return lu
+
+    monkeypatch.setattr(insulation, "splu", spy)
+    fem_energy_p2(Body2D(a0=0.8, cos=[0.0, 0.1]), 0.8, 1.0, h_mesh=0.05)
+    (A, lu), = factored
+    assert lu.nnz < scipy.sparse.linalg.splu(A).nnz
 
 
 def test_verdict_hypothesis_checks():
