@@ -5,9 +5,10 @@ so the stiffness matrix is the flat one and only the mass matrix carries the
 metric weight lambda(x)^2 = (2/(1-|x|^2))^2.  The stiffness matrix on the
 free nodes is symmetric positive definite; it is factored once per mesh by
 a sparse LU under a symmetric minimum-degree ordering, and the p = 2
-eigenpair comes from shift-invert Lanczos on that factor.  General p is
-handled by minimizing the discrete Rayleigh quotient directly with a
-stiffness-preconditioned (Sobolev) gradient and Armijo backtracking.
+eigenpair comes from shift-invert Lanczos on that factor.  General p uses
+the nonlinear inverse power iteration on the discrete Rayleigh quotient,
+each step a convex p-energy minimized by damped Newton on sparse LUs of its
+Hessian, which has the stiffness matrix's sparsity pattern.
 
 Meshes are structured polar triangulations between two boundary curves that
 are star-shaped about the inner base point; the construction is intrinsic
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .core import chart_radius, mobius_shift
@@ -30,8 +31,10 @@ from .errors import DomainValidationError, NumericError, DataFormatError
 
 MIN_ANGLE_DEG = 20.0
 EIG_RESIDUAL_RTOL = 1e-10
-DESCENT_WINDOW = 50
-DESCENT_DECREASE = 1e-10
+DESCENT_DECREASE = 1e-10   # general-p starts differ only beyond this gap
+POWER_DECREASE = 1e-13     # inverse power settles below this decrease
+MONOTONE_RTOL = 1e-13      # roundoff allowed in the quotient's decrease
+HESSIAN_EPS = 1e-12
 # P1 systems are SPD: minimum degree on A + A^T keeps the factor about half
 # as full as the default COLAMD column ordering, which ignores the symmetry
 SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A"}
@@ -280,7 +283,7 @@ def _dirichlet_system(mesh):
     """K and M on the free (non-hole) nodes, with the sparse LU of K.
 
     The one P1 assembly and factorization a mesh needs: the p = 2
-    eigensolver inverts K, and the general-p descent preconditions with it.
+    eigensolver inverts K, also for the first start of the general-p solver.
     """
     K, M = assemble_p2(mesh)
     free = np.setdiff1d(np.arange(mesh.vertices.shape[0]), mesh.inner_nodes)
@@ -334,122 +337,164 @@ def _shift_invert_eigenpair(mesh, system):
 
 
 class _RayleighP:
-    """Discrete Rayleigh quotient for general p on a fixed mesh."""
+    """Rayleigh quotient num/den of free-node vectors for general p: num sums
+    nu_T |g_T|^p over element gradients g_T, den is the edge-midpoint
+    quadrature of |u|^p lambda^2."""
 
     def __init__(self, mesh, p):
-        self.mesh = mesh
-        self.p = p
+        self.p, self.t, self.nv = p, mesh.triangles, mesh.vertices.shape[0]
+        self.free = free = np.setdiff1d(np.arange(self.nv), mesh.inner_nodes)
         area, self.b, self.c, lam = _element_quadrature(mesh)
-        self.t = mesh.triangles
-        self.nv = mesh.vertices.shape[0]
-        w = area / 3.0
-        self.nu = np.zeros(len(area))
-        for q in range(3):
-            self.nu += w * lam[:, q] ** (2.0 - p)
-        self.mass_w = w[:, None] * lam ** 2
+        self.nu = area / 3.0 * np.sum(lam ** (2.0 - p), axis=1)
+        self.mass_w = (area / 3.0)[:, None] * lam ** 2
+        self.bb = self.b[:, :, None] * self.b[:, None, :] + self.c[:, :, None] * self.c[:, None, :]
+        # element entry (i, j) -> its slot in the fixed CSC pattern of the
+        # free-node stiffness, or a trailing dummy slot at a hole node
+        nf = len(free)
+        pos = np.full(self.nv, -1)
+        pos[free] = np.arange(nf)
+        rows, cols = np.repeat(pos[self.t], 3, axis=1).ravel(), np.tile(pos[self.t], 3).ravel()
+        both = (rows >= 0) & (cols >= 0)
+        keys, slot = np.unique(cols[both] * nf + rows[both], return_inverse=True)
+        self.slot = np.full(rows.shape, len(keys))
+        self.slot[both] = slot
+        self.pattern = (keys % nf, np.searchsorted(keys // nf, np.arange(nf + 1)))
 
-    def value_and_grad(self, u):
+    def full(self, x):
+        u = np.zeros(self.nv)
+        u[self.free] = x
+        return u
+
+    def _gradients(self, x):
+        """Element gradients (gx, gy) and the rows d = gx b + gy c = B^T g."""
+        ut = self.full(x)[self.t]
+        gx, gy = np.sum(self.b * ut, axis=1), np.sum(self.c * ut, axis=1)
+        return gx, gy, gx[:, None] * self.b + gy[:, None] * self.c
+
+    def _scatter(self, per_vertex):
+        return np.bincount(self.t.ravel(), per_vertex.ravel(), minlength=self.nv)[self.free]
+
+    def numerator(self, x):
         p = self.p
-        t = self.t
-        gx = np.sum(self.b * u[t], axis=1)
-        gy = np.sum(self.c * u[t], axis=1)
+        gx, gy, d = self._gradients(x)
         g2 = gx * gx + gy * gy + 1e-300
-        num = float(np.sum(self.nu * g2 ** (p / 2.0)))
         coef = self.nu * p * g2 ** (p / 2.0 - 1.0)
-        g_num = np.zeros(self.nv)
-        for loc in range(3):
-            g_num += np.bincount(t[:, loc], coef * (gx * self.b[:, loc] + gy * self.c[:, loc]),
-                                 minlength=self.nv)
-        den = 0.0
-        g_den = np.zeros(self.nv)
-        for q, (i, j) in enumerate(_MID_PAIRS):
-            uq = 0.5 * (u[t[:, i]] + u[t[:, j]])
-            w = self.mass_w[:, q]
-            den += float(np.sum(w * np.abs(uq) ** p))
-            dd = 0.5 * w * p * np.abs(uq) ** (p - 1.0) * np.sign(uq)
-            g_den += np.bincount(t[:, i], dd, minlength=self.nv)
-            g_den += np.bincount(t[:, j], dd, minlength=self.nv)
-        return num, den, g_num, g_den
+        return float(np.sum(self.nu * g2 ** (p / 2.0))), self._scatter(coef[:, None] * d)
+
+    def denominator(self, x):
+        p = self.p
+        u = self.full(x)
+        uq = 0.5 * (u[self.t] + u[self.t[:, [1, 2, 0]]])  # on the _MID_PAIRS edges
+        dd = 0.5 * p * self.mass_w * np.abs(uq) ** (p - 1.0) * np.sign(uq)
+        return float(np.sum(self.mass_w * np.abs(uq) ** p)), self._scatter(dd + dd[:, [2, 0, 1]])
+
+    def hessian(self, x):
+        """Hessian of num/p: on element T, B^T nu_T (s^{p/2-1} I + (p-2)
+        s^{p/2-2} g g^T) B with B = [b; c] and s = |g|^2 + HESSIAN_EPS
+        max |g|^2, which keeps it definite and finite where g vanishes."""
+        p = self.p
+        gx, gy, d = self._gradients(x)
+        s = gx * gx + gy * gy
+        s += HESSIAN_EPS * s.max()
+        he = (self.nu * s ** (p / 2.0 - 1.0))[:, None, None] * self.bb
+        he += ((p - 2.0) * self.nu * s ** (p / 2.0 - 2.0))[:, None, None] * d[:, :, None] * d[:, None, :]
+        indices, indptr = self.pattern
+        data = np.bincount(self.slot, he.ravel(), minlength=len(indices) + 1)[:-1]
+        return csc_matrix((data, indices, indptr), shape=(len(self.free),) * 2)
 
 
-def eigen_p_general(mesh, p, max_iter=2000):
+def damped_newton(energy_grad, newton_step, u, max_iter=80):
+    """Minimize a convex energy by Newton steps with energy backtracking.
+
+    energy_grad(u) gives (energy, gradient), newton_step(u, g) solves the
+    Hessian at u against g.  Stops when the Newton decrement g . step falls
+    below roundoff (1e-15 max(|energy|, 1)), when 30 halvings of a step do
+    not lower the energy, or after max_iter steps; returns (u, solves)."""
+    e, g = energy_grad(u)
+    for solves in range(1, max_iter + 1):
+        step = newton_step(u, g)
+        if float(g @ step) <= 1e-15 * max(abs(e), 1.0):
+            break
+        t = 1.0
+        for _ in range(30):
+            e_new, g_new = energy_grad(u - t * step)
+            if e_new <= e:
+                break
+            t *= 0.5
+        else:
+            break
+        u, e, g = u - t * step, e_new, g_new
+    return u, solves
+
+
+def eigen_p_general(mesh, p, max_iter=300):
     """Upper-bound approximation of tau_1 for general p in (1, inf).
 
-    Minimizes the P1 Rayleigh quotient with a stiffness-preconditioned
-    gradient (Armijo backtracking, renormalizing the p-norm each step),
-    multi-started from the p = 2 eigenvector and from the constant 1.
-    Global optimality is not certified; the result is an upper bound whose
-    quality is established by the radial cross-checks.
+    Nonlinear inverse power iteration (Hein & Buehler 2010) on the P1
+    Rayleigh quotient from the p = 2 eigenvector and from the constant 1,
+    at most max_iter outer steps each.  Not certified globally optimal: the
+    quotient of an admissible function, an upper bound whose quality the
+    radial cross-checks establish.
     """
     if not p > 1.0:
         raise DomainValidationError(f"exponent p must exceed 1, got {p}")
     rq = _RayleighP(mesh, p)
-    nv = rq.nv
-    system = _dirichlet_system(mesh)
-    free, _, _, lu = system
-
-    p2 = _shift_invert_eigenpair(mesh, system)
-    const = np.zeros(nv)
-    const[free] = 1.0
-    starts = {"p2_eigenvector": np.abs(p2.u), "constant": const}
-
+    p2 = _shift_invert_eigenpair(mesh, _dirichlet_system(mesh))
     best = None
-    for label, u0 in starts.items():
-        value, u, iterations = _descend(rq, u0, lu, free, mesh.inner_nodes, max_iter)
+    for label, u0 in (("p2_eigenvector", np.abs(p2.u[rq.free])), ("constant", np.ones(len(rq.free)))):
+        run = _inverse_power(rq, u0, max_iter)
         # both starts often settle on the same quotient to the last bit; the
-        # p = 2 start is kept unless the other is lower by more than the
-        # descent's own stopping decrease, so the label never rests on round-off
-        if best is None or best[0] - value > DESCENT_DECREASE * best[0]:
-            best = (value, u, label, iterations)
-
-    value, u, label, iterations = best
-    if iterations >= max_iter:
-        raise NumericError("Rayleigh descent hit the iteration limit without settling")
-    residuals = {"dirichlet_trace": float(np.max(np.abs(u[mesh.inner_nodes])))}
-    meta = {"n_vertices": nv, "h_mesh": mesh.h_mesh, "p": p, "start": label,
-            "iterations": iterations, "upper_bound_only": True}
+        # p = 2 start is kept unless the other is lower by more than
+        # DESCENT_DECREASE of it, so the label never rests on round-off
+        if best is None or best[0] - run[0] > DESCENT_DECREASE * best[0]:
+            best = run + (label,)
+    value, u, outer, newton, settled, label = best
+    if not settled:
+        raise NumericError("inverse power iteration hit the iteration limit without settling")
+    (_, g_num), (_, g_den) = rq.numerator(u), rq.denominator(u)
+    u = rq.full(u)
+    residuals = {"eig_residual": float(np.linalg.norm(g_num - value * g_den) / np.linalg.norm(g_den)),
+                 "dirichlet_trace": float(np.max(np.abs(u[mesh.inner_nodes])))}
+    meta = {"n_vertices": rq.nv, "h_mesh": mesh.h_mesh, "p": p, "start": label,
+            "iterations": outer, "newton_steps": newton, "upper_bound_only": True}
     return EigResult(tau1=float(value), residuals=residuals, meta=meta, u=u)
 
 
-def _descend(rq, u0, lu, free, inner_nodes, max_iter):
-    """Armijo descent of the Rayleigh quotient from u0, preconditioned by the
-    stiffness factor lu; returns (quotient, p-normalized u, steps taken)."""
+def _inverse_power(rq, u, max_iter):
+    """Outer steps from u until the quotient settles; returns (quotient,
+    u with den(u) = 1, outer steps, Newton solves, settled)."""
+    (num, _), (den, _) = rq.numerator(u), rq.denominator(u)
+    u, value, newton = u / den ** (1.0 / rq.p), num / den, 0
+    for outer in range(1, max_iter + 1):
+        u, new, solves = _power_step(rq, u, value)
+        newton += solves
+        if new > value * (1.0 + MONOTONE_RTOL):
+            raise NumericError(f"Rayleigh quotient rose from {value!r} to {new!r} in a power step")
+        settled = value - new <= POWER_DECREASE * value
+        value = new
+        if settled:
+            break
+    return value, u, outer, newton, settled
+
+
+def _power_step(rq, u, value):
+    """From u with den(u) = 1 and quotient value, damped Newton lowers the
+    convex F(v) = num(v)/p - <g_den(u)/p, v> from u value^{-1/(p-1)} (its
+    minimizer if u is an eigenvector); F(v) <= F(start) implies R(v) <=
+    value.  Returns (v / den(v)^{1/p}, R(v), Newton solves)."""
     p = rq.p
-    nv = rq.nv
-    u = u0.copy()
-    num, den, _, _ = rq.value_and_grad(u)
-    u /= den ** (1.0 / p)
-    history = []
-    value = num / den
-    iterations = 0
-    for it in range(max_iter):
-        num, den, g_num, g_den = rq.value_and_grad(u)
-        value = num / den
-        grad = (g_num - value * g_den) / den
-        grad[inner_nodes] = 0.0
-        z = np.zeros(nv)
-        z[free] = lu.solve(grad[free])
-        slope = float(grad @ z)
-        if slope <= 0.0:
-            break
-        step, ok = 1.0, False
-        for _ in range(50):
-            trial = u - step * z
-            t_num, t_den, _, _ = rq.value_and_grad(trial)
-            if t_num / t_den < value - 1e-4 * step * slope:
-                ok = True
-                break
-            step *= 0.5
-        if not ok:
-            break
-        u = trial / t_den ** (1.0 / p)
-        value = t_num / t_den
-        history.append(value)
-        iterations = it + 1
-        if len(history) > DESCENT_WINDOW and \
-                history[-DESCENT_WINDOW - 1] - value < DESCENT_DECREASE * value:
-            break
-    return value, u, iterations
+    s = rq.denominator(u)[1] / p
+
+    def energy_grad(v):
+        n, g = rq.numerator(v)
+        return n / p - float(s @ v), g / p - s
+
+    def newton_step(v, g):
+        return splu(rq.hessian(v), **SPLU_OPTIONS).solve(g)
+
+    v, solves = damped_newton(energy_grad, newton_step, u * value ** (-1.0 / (p - 1.0)))
+    (num, _), (den, _) = rq.numerator(v), rq.denominator(v)
+    return v / den ** (1.0 / p), num / den, solves
 
 
 # ---------------------------------------------------------------------------

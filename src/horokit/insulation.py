@@ -28,11 +28,11 @@ from .bodies import (
 from .nagy import equivalent_ball
 from .fem2d import (
     SPLU_OPTIONS,
-    AnnularDomain2D,
     _periodic_radius_interpolant,
     assemble_p2,
     boundary_mass_outer,
     build_mesh,
+    damped_newton,
     richardson_extrapolate,
 )
 from .errors import DomainValidationError, PreconditionError
@@ -101,53 +101,24 @@ def _interval_weights(n, r, R, grid):
     return w
 
 
-def _newton_minimize(energy_grad, u_free, w, h, robin, p, max_iter=80):
-    """Damped Newton on the convex discrete energy, started from the p = 2
-    minimizer.
-
-    The Hessian is tridiagonal and positive definite on monotone profiles,
-    so Newton with an energy line search converges globally and drives the
-    Euler-Lagrange gradient (constant-flux optimality) to roundoff; the
-    quasi-Newton alternative crawls here because conditioning scales like
-    the squared cell count.
-    """
-    n_free = len(u_free)
-    u = u_free.copy()
-    e, g = energy_grad(u)
-    scale = max(abs(e), 1.0)
-    for _ in range(max_iter):
-        if np.max(np.abs(g)) <= 1e-13 * scale:
-            break
-        uu = np.concatenate([[1.0], u])
-        du = np.diff(uu) / h
-        d2 = p * (p - 1.0) * w * np.abs(du) ** (p - 2.0) / h ** 2
-        main = np.zeros(n_free)
-        main[:-1] = d2[:-1] + d2[1:]
-        main[-1] = d2[-1] + robin * p * (p - 1.0) * abs(u[-1]) ** (p - 2.0)
-        off = -d2[1:]
-        ab = np.zeros((3, n_free))
-        ab[0, 1:] = off
-        ab[1] = main
-        ab[2, :-1] = off
-        step = solve_banded((1, 1), ab, g)
-        t = 1.0
-        for _ in range(30):
-            e_new, g_new = energy_grad(u - t * step)
-            if e_new <= e:
-                break
-            t *= 0.5
-        u = u - t * step
-        e, g = e_new, g_new
-    return u
+def _tridiagonal_solve(k, robin, rhs):
+    """Solve the free-node system of the 1-D P1 operator with per-cell
+    coefficients k and the extra diagonal entry robin at the outer node."""
+    ab = np.zeros((3, len(k)))
+    ab[0, 1:] = -k[1:]
+    ab[1, :-1] = k[:-1] + k[1:]
+    ab[1, -1] = k[-1] + robin
+    ab[2, :-1] = -k[1:]
+    return solve_banded((1, 1), ab, rhs)
 
 
 def radial_energy(n, p, r, delta, beta, n_cells=2048, return_profile=False):
     """Shell energy of a ball core by 1-D convex minimization.
 
     P1 elements on [r, r+delta] with exactly integrated weights; for p = 2
-    the optimality system is a tridiagonal solve, otherwise L-BFGS-B on the
-    convex discrete functional (with analytic gradient) from the p = 2
-    minimizer.
+    the optimality system is a tridiagonal solve, otherwise damped Newton
+    (tridiagonal Hessian) on the convex discrete functional from the p = 2
+    minimizer, which converges to roundoff where quasi-Newton crawls.
     """
     if delta <= 0.0 or beta <= 0.0 or r <= 0.0:
         raise DomainValidationError("r, delta, beta must be positive")
@@ -158,39 +129,28 @@ def radial_energy(n, p, r, delta, beta, n_cells=2048, return_profile=False):
     w = _interval_weights(n, r, R, grid)
     robin = beta * om * math.sinh(R) ** (n - 1)
 
-    def solve_p2():
-        k = w / h ** 2
-        main = np.zeros(n_cells)
-        main[:-1] = k[:-1] + k[1:]
-        main[-1] = k[-1] + robin
-        off = -k[1:]
-        ab = np.zeros((3, n_cells))
-        ab[0, 1:] = off
-        ab[1] = main
-        ab[2, :-1] = off
-        rhs = np.zeros(n_cells)
-        rhs[0] = k[0]
-        return solve_banded((1, 1), ab, rhs)
+    def energy_grad(uf):
+        du = np.diff(np.concatenate([[1.0], uf])) / h
+        e = float(np.sum(w * np.abs(du) ** p) + robin * abs(uf[-1]) ** p)
+        flux = w * p * np.abs(du) ** (p - 1.0) * np.sign(du) / h
+        g = flux.copy()
+        g[:-1] -= flux[1:]
+        g[-1] += robin * p * abs(uf[-1]) ** (p - 1.0) * np.sign(uf[-1])
+        return e, g
 
-    u_free = solve_p2()
+    def newton_step(uf, g):
+        du = np.diff(np.concatenate([[1.0], uf])) / h
+        return _tridiagonal_solve(p * (p - 1.0) * w * np.abs(du) ** (p - 2.0) / h ** 2,
+                                  robin * p * (p - 1.0) * abs(uf[-1]) ** (p - 2.0), g)
+
+    rhs = np.zeros(n_cells)
+    rhs[0] = w[0] / h[0] ** 2
+    u_free = _tridiagonal_solve(w / h ** 2, robin, rhs)
     if p != 2.0:
-        def energy_grad(uf):
-            uu = np.concatenate([[1.0], uf])
-            du = np.diff(uu) / h
-            e = float(np.sum(w * np.abs(du) ** p) + robin * abs(uf[-1]) ** p)
-            flux = w * p * np.abs(du) ** (p - 1.0) * np.sign(du) / h
-            g = np.zeros(n_cells)
-            g += flux
-            g[:-1] -= flux[1:]
-            g[-1] += robin * p * abs(uf[-1]) ** (p - 1.0) * np.sign(uf[-1])
-            return e, g
-
-        u_free = _newton_minimize(energy_grad, u_free, w=w, h=h, robin=robin, p=p)
-    u = np.concatenate([[1.0], u_free])
-    du = np.diff(u) / h
-    energy = float(np.sum(w * np.abs(du) ** p) + robin * abs(u[-1]) ** p)
+        u_free, _ = damped_newton(energy_grad, newton_step, u_free)
+    energy, _ = energy_grad(u_free)
     if return_profile:
-        return energy, grid, u, w
+        return energy, grid, np.concatenate([[1.0], u_free]), w
     return energy
 
 
@@ -236,20 +196,15 @@ def insulation_domain(body, delta, n_samples=8192):
     return z0, geodesic_step(z0, normal, delta)
 
 
-class _ParallelOuterDomain(AnnularDomain2D):
-    """AnnularDomain2D whose outer boundary is a sampled parallel curve."""
+@dataclass(frozen=True)
+class _ParallelShell:
+    """Mesher input: the core's boundary and its sampled delta-parallel."""
 
-    def __init__(self, inner, outer_samples):
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "outer", inner)  # placeholder, not used
-        object.__setattr__(self, "offset", 0.0)
-        object.__setattr__(self, "offset_angle", 0.0)
-        object.__setattr__(self, "_outer_table", _periodic_radius_interpolant(outer_samples))
+    rho_in: object
+    rho_out: object
 
-    def polar_tables(self, n_samples=8192):
-        theta = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-        rho_in = _periodic_radius_interpolant(self.inner_chart(theta))
-        return rho_in, self._outer_table
+    def polar_tables(self):
+        return self.rho_in, self.rho_out
 
 
 def fem_energy_p2(body, delta, beta, h_mesh=0.01):
@@ -259,8 +214,7 @@ def fem_energy_p2(body, delta, beta, h_mesh=0.01):
     functions pinned to 1 on the core boundary (Dirichlet energy is
     conformally invariant; only the Robin term sees the metric).
     """
-    _, outer_samples = insulation_domain(body, delta)
-    dom = _ParallelOuterDomain(body, outer_samples)
+    dom = _ParallelShell(*map(_periodic_radius_interpolant, insulation_domain(body, delta)))
     mesh = build_mesh(dom, h_mesh)
     K, _ = assemble_p2(mesh)
     B = boundary_mass_outer(mesh)

@@ -377,8 +377,8 @@ def rfk_verdict(dom, p, table, h_mesh=0.01, richardson=True):
     """Assemble the full ordering chain for one domain on its parallel table.
 
     tau(domain) comes from the p = 2 generalized eigensolver (Richardson
-    extrapolated over h and h/2 by default) or the descent solver for
-    general p; tau(annulus) from the radial shooting solver; the middle
+    extrapolated over h and h/2 by default) or the inverse power solver
+    for general p; tau(annulus) from the radial shooting solver; the middle
     term from the transplanted test function.
     """
     r, R = table.r_match, table.R_match

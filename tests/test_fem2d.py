@@ -16,7 +16,7 @@ from horokit.fem2d import (
     save_mesh,
 )
 from horokit.shell import ShellSpec, shell_eigen
-from horokit.errors import DomainValidationError
+from horokit.errors import DomainValidationError, NumericError
 
 ANNULUS = AnnularDomain2D(inner=make_ball(2, 0.5), outer=make_ball(2, 1.5))
 
@@ -125,17 +125,17 @@ def test_eigen_p2_is_deterministic():
 def _start_label(monkeypatch, lower):
     """eigen_p_general's start label when the constant start ends at
     lower(q), q being where the p = 2 eigenvector start ended."""
-    descend = fem2d._descend
+    inverse_power = fem2d._inverse_power
     ends = []
 
     def lowered(rq, u0, *args):
-        value, u, iterations = descend(rq, u0, *args)
+        value, *rest = inverse_power(rq, u0, *args)
         if np.ptp(u0[u0 != 0.0]) == 0.0:
             value = lower(ends[0])
         ends.append(value)
-        return value, u, iterations
+        return (value, *rest)
 
-    monkeypatch.setattr(fem2d, "_descend", lowered)
+    monkeypatch.setattr(fem2d, "_inverse_power", lowered)
     return eigen_p_general(build_mesh(ANNULUS, 0.04), 1.7).meta["start"]
 
 
@@ -145,6 +145,55 @@ def test_eigen_p_general_start_label_ignores_round_off(monkeypatch):
 
 def test_eigen_p_general_keeps_a_clearly_lower_start(monkeypatch):
     assert _start_label(monkeypatch, lambda v: v * (1.0 - 1e-6)) == "constant"
+
+
+# tau at h = 0.04 from the Armijo-descent solver this one replaced
+DESCENT_TAU_H004 = {1.5: 0.992003224741169, 3.0: 1.986552913160455}
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_eigen_p_general_matches_descent_values(p):
+    res = eigen_p_general(build_mesh(ANNULUS, 0.04), p)
+    assert res.tau1 == pytest.approx(DESCENT_TAU_H004[p], rel=1e-9)
+    assert res.meta["iterations"] <= 30
+    assert res.meta["newton_steps"] >= res.meta["iterations"]
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_eigen_p_general_eigen_residual(p):
+    # ||g_num - tau g_den|| / ||g_den|| of the discrete p-Laplace equation;
+    # the p = 2 eigenvector the solver starts from gives 1.5 (p = 1.5) and
+    # 2.9 (p = 3) here
+    res = eigen_p_general(build_mesh(ANNULUS, 0.04), p)
+    assert res.residuals["eig_residual"] <= 1e-6
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_eigen_p_general_quotient_never_rises(monkeypatch, p):
+    step = fem2d._power_step
+    quotients = []
+
+    def recorded(rq, u, value):
+        out = step(rq, u, value)
+        quotients.append((value, out[1]))
+        return out
+
+    monkeypatch.setattr(fem2d, "_power_step", recorded)
+    eigen_p_general(build_mesh(ANNULUS, 0.04), p)
+    assert len(quotients) >= 4
+    assert all(new <= old * (1.0 + 1e-13) for old, new in quotients)
+
+
+def test_eigen_p_general_rejects_a_rising_quotient(monkeypatch):
+    step = fem2d._power_step
+
+    def rising(rq, u, value):
+        v, _, solves = step(rq, u, value)
+        return v, value * (1.0 + 1e-9), solves
+
+    monkeypatch.setattr(fem2d, "_power_step", rising)
+    with pytest.raises(NumericError, match="rose"):
+        eigen_p_general(build_mesh(ANNULUS, 0.05), 1.5)
 
 
 def test_eigen_p_general_agrees_at_p2():

@@ -239,11 +239,11 @@ def test_rfk_verdict_low_resolution_smoke(concentric_field):
 
 def test_rfk_chain_general_p(rfk_domains, rfk_tables):
     # the transplant argument is p-generic; run the eccentric benchmark at
-    # p = 1.5 with the descent solver on the domain side
+    # p = 1.5 with the inverse power solver on the domain side
     name = "offset_0.2"
     report = rfk_verdict(rfk_domains[name], 1.5, h_mesh=0.03,
                          table=rfk_tables[name])
-    tol = 5e-3 * report.tau_annulus  # descent value is an upper bound
+    tol = 5e-3 * report.tau_annulus  # the P1 value is an upper bound
     assert report.tau_omega <= report.hersch_bound + tol
     assert report.hersch_bound <= report.tau_annulus + tol
     assert report.tau_omega < report.tau_annulus
