@@ -203,11 +203,10 @@ def cmd_rfk(args):
 def cmd_insulation(args):
     manifest = hio.RunManifest("insulation",
                                {"body": args.body, "delta": args.delta,
-                                "beta": args.beta, "p": args.p},
-                               resolutions={"h_mesh": args.h_mesh})
+                                "beta": args.beta, "p": args.p})
     body, _ = hio.load_body(args.body)
     spec = InsulationSpec(p=args.p, body=body, delta=args.delta, beta=args.beta)
-    report = insulation_verdict(spec, h_mesh=args.h_mesh)
+    report = insulation_verdict(spec)
     payload = hio.insulation_report_payload(report)
     _emit(args, manifest, "insulation", payload)
     print(f"E(body) = {report.energy_body:.10g}  E(ball) = {report.energy_ball:.10g}"
@@ -285,7 +284,8 @@ def make_parser():
     sp = sub.add_parser("rfk", help="annulus comparison for the first eigenvalue")
     sp.add_argument("--domain", required=True)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--h-mesh", type=float, default=0.01)
+    sp.add_argument("--h-mesh", type=float, default=0.01,
+                    help="P1 mesh size for p != 2 (p = 2 is spectral)")
     sp.add_argument("--grid-res", type=int, default=1024)
     sp.add_argument("--n-deltas", type=int, default=384)
     sp.add_argument("--out")
@@ -296,7 +296,6 @@ def make_parser():
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--h-mesh", type=float, default=0.005)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_insulation)
 

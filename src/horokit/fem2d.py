@@ -18,6 +18,7 @@ input domain produce identical meshes and eigenvalues.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -27,7 +28,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 from .core import chart_radius, mobius_shift
 from .bodies import Body2D
 from .shell import EigResult
-from .errors import DomainValidationError, NumericError, DataFormatError
+from .errors import DomainValidationError, NumericError
 
 MIN_ANGLE_DEG = 20.0
 EIG_RESIDUAL_RTOL = 1e-10
@@ -59,7 +60,7 @@ class AnnularDomain2D:
             raise DomainValidationError("annular domains are built from two Body2D")
         if self.offset < 0.0:
             raise DomainValidationError("offset must be >= 0")
-        ri, ro = self.polar_tables()
+        ri, ro = self.polar_tables
         a = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         if np.min(ro(a) - ri(a)) <= 1e-9:
             raise DomainValidationError("inner boundary touches or crosses the outer one")
@@ -74,15 +75,13 @@ class AnnularDomain2D:
         c = chart_radius(self.offset) * np.exp(1j * self.offset_angle)
         return mobius_shift(z, c)
 
-    def polar_tables(self, n_samples=8192):
-        cached = getattr(self, "_tables", None)
-        if cached is None or cached[0] != n_samples:
-            theta = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-            rho_in = _periodic_radius_interpolant(self.inner_chart(theta))
-            rho_out = _periodic_radius_interpolant(self.outer_chart(theta))
-            cached = (n_samples, rho_in, rho_out)
-            object.__setattr__(self, "_tables", cached)
-        return cached[1], cached[2]
+    @cached_property
+    def polar_tables(self):
+        """Chart radii (rho_in, rho_out) of both boundaries as periodic
+        functions of the polar angle about the origin."""
+        theta = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
+        return (_periodic_radius_interpolant(self.inner_chart(theta)),
+                _periodic_radius_interpolant(self.outer_chart(theta)))
 
 
 def _periodic_radius_interpolant(z):
@@ -173,7 +172,7 @@ def build_mesh(dom, h_mesh):
     """Triangulate the domain with chart edges <= h_mesh and angles >= 20 deg."""
     if h_mesh <= 0:
         raise DomainValidationError("h_mesh must be > 0")
-    rho_in_fn, rho_out_fn = dom.polar_tables()
+    rho_in_fn, rho_out_fn = dom.polar_tables
     a = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     ri, ro = rho_in_fn(a), rho_out_fn(a)
     gap = ro - ri
@@ -495,39 +494,3 @@ def _power_step(rq, u, value):
     v, solves = damped_newton(energy_grad, newton_step, u * value ** (-1.0 / (p - 1.0)))
     (num, _), (den, _) = rq.numerator(v), rq.denominator(v)
     return v / den ** (1.0 / p), num / den, solves
-
-
-# ---------------------------------------------------------------------------
-# Mesh text format: counts, vertices, triangles, tagged boundary edges
-
-def save_mesh(mesh, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        edges = mesh.boundary_edges
-        fh.write("horokit-mesh 1\n")
-        fh.write(f"{mesh.vertices.shape[0]} {mesh.triangles.shape[0]} {len(edges)}\n")
-        for vx, vy in mesh.vertices:
-            fh.write(f"{vx:.17g} {vy:.17g}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"{a} {b} {c}\n")
-        for a, b, tag in edges:
-            fh.write(f"{a} {b} {tag}\n")
-        fh.write(f"meta {mesh.h_mesh:.17g} {mesh.n_theta} {mesh.n_layers}\n")
-
-
-def load_mesh(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("horokit-mesh"):
-        raise DataFormatError(f"{path}: not a horokit mesh file")
-    nv, nt, nb = (int(s) for s in lines[1].split())
-    verts = np.array([[float(x) for x in ln.split()] for ln in lines[2:2 + nv]])
-    tris = np.array([[int(x) for x in ln.split()] for ln in lines[2 + nv:2 + nv + nt]])
-    inner, outer = [], []
-    for ln in lines[2 + nv + nt:2 + nv + nt + nb]:
-        a, b, tag = ln.split()
-        (inner if tag == "D" else outer).append(int(a))
-    meta = lines[2 + nv + nt + nb].split()
-    return Mesh(vertices=verts, triangles=tris,
-                inner_nodes=np.array(inner, dtype=int),
-                outer_nodes=np.array(outer, dtype=int),
-                h_mesh=float(meta[1]), n_theta=int(meta[2]), n_layers=int(meta[3]))

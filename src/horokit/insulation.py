@@ -5,10 +5,12 @@ distance delta, and the outer boundary carries a Robin penalty with
 parameter beta.  For radial weights the minimizer has constant flux and
 the energy reduces to a scalar closed form; the production route is a 1-D
 convex minimization cross-checked against that closed form.  In the plane
-a conformal P1 finite element solve evaluates the energy on non-circular
-cores; for revolution cores (n >= 3) the parallel-coordinate test function
-gives a certified upper bound, which suffices for the one-sided comparison
-against the quermass-matched ball.
+at p = 2 the spectral Galerkin solver on the polar map (horokit.spectral)
+evaluates the energy on non-circular cores, and a conformal P1 finite
+element solve (fem_energy_p2) is kept as its independent cross-check; for
+revolution cores (n >= 3), and for planar cores at p != 2, the
+parallel-coordinate test function gives a certified upper bound, which
+suffices for the one-sided comparison against the quermass-matched ball.
 """
 
 import math
@@ -33,8 +35,8 @@ from .fem2d import (
     boundary_mass_outer,
     build_mesh,
     damped_newton,
-    richardson_extrapolate,
 )
+from .spectral import robin_energy
 from .errors import DomainValidationError, PreconditionError
 
 EULER_LAGRANGE_RTOL = 1e-6
@@ -198,11 +200,17 @@ def insulation_domain(body, delta, n_samples=8192):
 
 @dataclass(frozen=True)
 class _ParallelShell:
-    """Mesher input: the core's boundary and its sampled delta-parallel."""
+    """The core's boundary and its sampled delta-parallel, read by the
+    mesher and the spectral solver through polar_tables like a domain."""
 
     rho_in: object
     rho_out: object
 
+    @classmethod
+    def around(cls, body, delta):
+        return cls(*map(_periodic_radius_interpolant, insulation_domain(body, delta)))
+
+    @property
     def polar_tables(self):
         return self.rho_in, self.rho_out
 
@@ -212,10 +220,11 @@ def fem_energy_p2(body, delta, beta, h_mesh=0.01):
 
     Minimizes int |grad u|^2 dx + beta int_{outer} u^2 lambda ds over P1
     functions pinned to 1 on the core boundary (Dirichlet energy is
-    conformally invariant; only the Robin term sees the metric).
+    conformally invariant; only the Robin term sees the metric).  Second
+    order in h_mesh and independent of the spectral solver the verdict uses,
+    so the tests cross-check one against the other.
     """
-    dom = _ParallelShell(*map(_periodic_radius_interpolant, insulation_domain(body, delta)))
-    mesh = build_mesh(dom, h_mesh)
+    mesh = build_mesh(_ParallelShell.around(body, delta), h_mesh)
     K, _ = assemble_p2(mesh)
     B = boundary_mass_outer(mesh)
     A = (K + beta * B).tocsr()
@@ -241,12 +250,15 @@ class InsulationReport:
     meta: dict = field(default_factory=dict)
 
 
-def insulation_verdict(spec, h_mesh=0.005, equality_rtol=1e-4):
+def insulation_verdict(spec, equality_rtol=1e-4, *, h_mesh=None):
     """Compare the core's energy against the quermass-matched ball core.
 
-    Planar cores are evaluated by FEM (Richardson extrapolated over h and
-    h/2); revolution cores use the one-sided parallel-coordinate bound.
-    The ball side is the radial closed form at the matched radius.
+    Non-round planar cores at p = 2 are evaluated by the spectral solver on
+    the polar map of the shell, settled to the relative step its meta
+    reports; other non-round cores use the one-sided parallel-coordinate
+    bound.  Round cores and the ball side use the radial closed form.
+    h_mesh is ignored: nothing here meshes any more, and the keyword stays
+    accepted only because bench/test_bench.py still passes it.
     """
     body = spec.body
     rep = convexity_report(body)
@@ -259,26 +271,18 @@ def insulation_verdict(spec, h_mesh=0.005, equality_rtol=1e-4):
     r_star = equivalent_ball(body)
     e_ball = radial_energy_closed_form(body.n, spec.p, r_star, spec.delta, spec.beta)
     one_sided = False
-    if isinstance(body, Body2D):
-        if body.is_round:
-            e_body = radial_energy_closed_form(2, spec.p, body.a0, spec.delta, spec.beta)
-        elif spec.p == 2.0:
-            e_h = fem_energy_p2(body, spec.delta, spec.beta, h_mesh=h_mesh)
-            e_h2 = fem_energy_p2(body, spec.delta, spec.beta, h_mesh=h_mesh / 2.0)
-            e_body = richardson_extrapolate(e_h, e_h2)
-        else:
-            e_body = parallel_bound_energy(body, spec.p, spec.delta, spec.beta)
-            one_sided = True
+    resolution = {}
+    if body.is_round:
+        e_body = radial_energy_closed_form(body.n, spec.p, body.a0, spec.delta, spec.beta)
+    elif isinstance(body, Body2D) and spec.p == 2.0:
+        spectral = robin_energy(_ParallelShell.around(body, spec.delta), spec.beta)
+        e_body, resolution = spectral.value, spectral.resolution
     else:
-        if body.is_round:
-            e_body = radial_energy_closed_form(body.n, spec.p, body.a0, spec.delta, spec.beta)
-        else:
-            e_body = parallel_bound_energy(body, spec.p, spec.delta, spec.beta)
-            one_sided = True
+        e_body = parallel_bound_energy(body, spec.p, spec.delta, spec.beta)
+        one_sided = True
     margin = e_ball - e_body
     equality = bool(abs(margin) <= equality_rtol * e_ball)
-    meta = {"p": spec.p, "delta": spec.delta, "beta": spec.beta, "n": body.n,
-            "h_mesh": h_mesh if isinstance(body, Body2D) else None}
+    meta = {"p": spec.p, "delta": spec.delta, "beta": spec.beta, "n": body.n, **resolution}
     return InsulationReport(energy_body=float(e_body), energy_ball=float(e_ball),
                             margin=float(margin), r_star=float(r_star),
                             equality_detected=equality, one_sided=one_sided, meta=meta)

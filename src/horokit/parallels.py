@@ -21,10 +21,10 @@ from .bodies import boundary_measures, convexity_report
 from .fem2d import (
     AnnularDomain2D,
     build_mesh,
-    eigen_p2,
+    eigen_p2,  # not called; bench/tracing.py wraps it here until ROADMAP item 1
     eigen_p_general,
-    richardson_extrapolate,
 )
+from .spectral import mixed_eigenpair
 from .shell import ShellSpec, shell_eigen
 from .errors import DomainValidationError, PreconditionError, DataFormatError
 
@@ -99,7 +99,7 @@ def distance_field(dom, grid_res=DEFAULT_GRID_RES, n_boundary=256):
     if not isinstance(dom, AnnularDomain2D):
         raise DomainValidationError("distance fields are built over annular domains")
     _require_convex_hole(dom)
-    rho_in_fn, rho_out_fn = dom.polar_tables()
+    rho_in_fn, rho_out_fn = dom.polar_tables
     a = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     b = float(np.max(rho_out_fn(a))) * 1.005 + 2e-3
     b = min(b, 0.999)
@@ -373,33 +373,32 @@ class RFKReport:
     meta: dict = field(default_factory=dict)
 
 
-def rfk_verdict(dom, p, table, h_mesh=0.01, richardson=True):
+def rfk_verdict(dom, p, table, h_mesh=0.01):
     """Assemble the full ordering chain for one domain on its parallel table.
 
-    tau(domain) comes from the p = 2 generalized eigensolver (Richardson
-    extrapolated over h and h/2 by default) or the inverse power solver
-    for general p; tau(annulus) from the radial shooting solver; the middle
-    term from the transplanted test function.
+    tau(domain) comes from the spectral solver on the polar map at p = 2,
+    settled to the relative step its meta reports, or from the inverse power
+    solver on a P1 mesh of size h_mesh for general p; tau(annulus) from the
+    radial shooting solver; the middle term from the transplanted test
+    function.
     """
     r, R = table.r_match, table.R_match
     shell_res = shell_eigen(ShellSpec(n=2, p=p, r=r, R=R))
     tau_annulus = shell_res.tau1
     bound = hersch_bound(table, p, shell_result=shell_res)
 
-    mesh = build_mesh(dom, h_mesh)
     if p == 2.0:
-        tau_omega = eigen_p2(mesh).tau1
-        if richardson:
-            tau_fine = eigen_p2(build_mesh(dom, h_mesh / 2.0)).tau1
-            tau_omega = richardson_extrapolate(tau_omega, tau_fine)
+        spectral = mixed_eigenpair(dom)
+        tau_omega, resolution = spectral.value, spectral.resolution
     else:
-        tau_omega = eigen_p_general(mesh, p).tau1
+        tau_omega = eigen_p_general(build_mesh(dom, h_mesh), p).tau1
+        resolution = {"h_mesh": h_mesh}
 
     tol = CHAIN_RTOL * tau_annulus
     chain_ok = bool(tau_omega <= bound + tol and bound <= tau_annulus + tol)
     equality = bool(abs(tau_omega - tau_annulus) <= EQUALITY_RTOL * tau_annulus)
-    meta = {"h_mesh": h_mesh, "grid_res": table.grid_res, "n_deltas": len(table.deltas),
-            "delta0": table.delta0, "richardson": richardson}
+    meta = {**resolution, "grid_res": table.grid_res, "n_deltas": len(table.deltas),
+            "delta0": table.delta0}
     return RFKReport(tau_omega=float(tau_omega), hersch_bound=float(bound),
                      tau_annulus=float(tau_annulus), r=r, R=R,
                      chain_ok=chain_ok, equality_detected=equality, p=p, meta=meta)

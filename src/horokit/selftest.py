@@ -21,6 +21,7 @@ from .nagy import isoperimetric_check_2d, nagy_table
 from .shell import ShellSpec, shell_eigen, rayleigh_quotient_radial
 from .fem2d import AnnularDomain2D, build_mesh, eigen_p2, richardson_extrapolate
 from .insulation import radial_energy, radial_energy_closed_form
+from .spectral import mixed_eigenpair
 
 
 def run(verbose=True):
@@ -73,6 +74,9 @@ def run(verbose=True):
     check("cross-solver agreement (coarse mesh)",
           abs(tau_fem - res.tau1) <= 5e-3 * res.tau1,
           f"fem={tau_fem:.6f} radial={res.tau1:.6f}")
+    tau_spectral = mixed_eigenpair(dom).value
+    rel = abs(tau_spectral - res.tau1) / res.tau1
+    check("spectral vs radial eigenvalue", rel <= 1e-10, f"rel={rel:.2e}")
 
     e1 = radial_energy(2, 2.0, 1.0, 1.0, 1.0, n_cells=1024)
     e2 = radial_energy(2, 2.0, 1.0, 1.0, 1.0, n_cells=2048)

@@ -216,8 +216,7 @@ def test_criterion_09_insulation(hconvex_suite_n3):
                     Body2D(a0=1.0, cos=[0.0, 0.08])]
     min_margin = np.inf
     for hole in planar_holes:
-        rep = insulation_verdict(InsulationSpec(p=2.0, body=hole, delta=0.8, beta=1.0),
-                                 h_mesh=0.01)
+        rep = insulation_verdict(InsulationSpec(p=2.0, body=hole, delta=0.8, beta=1.0))
         min_margin = min(min_margin, rep.margin / rep.energy_ball)
     for hole in hconvex_suite_n3[:2]:
         rep = insulation_verdict(InsulationSpec(p=2.0, body=hole, delta=0.8, beta=1.0))

@@ -145,7 +145,7 @@ def test_cli_quermass(tmp_path):
 def test_cli_insulation(tmp_path):
     body = write(tmp_path, "ball.json", BALL_SPEC)
     code = run_command(["insulation", "--body", body, "--delta", "1.0",
-                        "--beta", "1.0", "--h-mesh", "0.02"])
+                        "--beta", "1.0"])
     assert code == 0
 
 
@@ -171,6 +171,16 @@ def test_cli_usage_errors(tmp_path):
     assert run_command(["nagy", "--body", "missing.json"]) == 1
     body = write(tmp_path, "b.json", BALL_SPEC)
     assert run_command(["nagy", "--body", body, "--deltas", "oops"]) == 1
+
+
+def test_cli_insulation_has_no_mesh_size(tmp_path, capsys):
+    # the planar p = 2 energy is spectral and sets its own resolution
+    body = write(tmp_path, "oval.json", FOURIER_SPEC)
+    code = run_command(["insulation", "--body", body, "--delta", "0.8",
+                        "--beta", "1.0", "--h-mesh", "0.01"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
 
 
 def test_cli_rfk_concentric_small(tmp_path):

@@ -12,8 +12,6 @@ from horokit.fem2d import (
     eigen_p2,
     eigen_p_general,
     hyperbolic_area,
-    load_mesh,
-    save_mesh,
 )
 from horokit.shell import ShellSpec, shell_eigen
 from horokit.errors import DomainValidationError, NumericError
@@ -218,19 +216,6 @@ def test_eigen_p_general_positive_profile():
     assert np.all(interior > 0.0)
     with pytest.raises(DomainValidationError):
         eigen_p_general(mesh, 1.0)
-
-
-def test_mesh_io_round_trip(tmp_path):
-    mesh = build_mesh(ANNULUS, 0.05)
-    path = tmp_path / "annulus.mesh"
-    save_mesh(mesh, path)
-    loaded = load_mesh(path)
-    assert np.allclose(loaded.vertices, mesh.vertices)
-    assert np.array_equal(loaded.triangles, mesh.triangles)
-    assert np.array_equal(np.sort(loaded.inner_nodes), np.sort(mesh.inner_nodes))
-    tau0 = eigen_p2(mesh).tau1
-    tau1 = eigen_p2(loaded).tau1
-    assert tau1 == pytest.approx(tau0, rel=1e-12)
 
 
 def test_noncircular_boundaries_mesh_cleanly():

@@ -228,7 +228,7 @@ def test_hersch_bound_rejects_mismatched_profile(concentric_field):
 
 def test_rfk_verdict_low_resolution_smoke(concentric_field):
     table = build_parallel_table(CONCENTRIC, fld=concentric_field, n_deltas=64)
-    report = rfk_verdict(CONCENTRIC, 2.0, table=table, h_mesh=0.02, richardson=False)
+    report = rfk_verdict(CONCENTRIC, 2.0, table=table)
     assert report.chain_ok
     assert report.equality_detected
     assert report.r == pytest.approx(0.5, rel=1e-6)
