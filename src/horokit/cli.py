@@ -18,7 +18,15 @@ from .bodies import boundary_measures, quermassintegrals
 from .nagy import af_check, isoperimetric_check_2d, nagy_table, TOL_NUM_REL
 from .shell import ShellSpec, shell_eigen
 from .fem2d import build_mesh, eigen_p2, eigen_p_general
-from .parallels import build_parallel_table, hersch_bound, rfk_verdict
+from .parallels import (
+    DEFAULT_GRID_RES,
+    DEFAULT_N_DELTAS,
+    MIN_GRID_RES,
+    MIN_N_DELTAS,
+    build_parallel_table,
+    hersch_bound,
+    rfk_verdict,
+)
 from .insulation import InsulationSpec, insulation_verdict
 from .errors import HorokitError
 
@@ -41,6 +49,14 @@ def _parse_deltas(text):
     if not (np.isfinite(start) and np.isfinite(stop)) or num < 1:
         raise _UsageError(f"--deltas needs finite start and stop and num >= 1, got {text!r}")
     return np.linspace(start, stop, num)
+
+
+def _parallel_table(args, dom):
+    if args.grid_res < MIN_GRID_RES:
+        raise _UsageError(f"--grid-res needs at least {MIN_GRID_RES} rays, got {args.grid_res}")
+    if args.n_deltas < MIN_N_DELTAS:
+        raise _UsageError(f"--n-deltas needs at least {MIN_N_DELTAS} rows, got {args.n_deltas}")
+    return build_parallel_table(dom, grid_res=args.grid_res, n_deltas=args.n_deltas)
 
 
 def _outdir(args):
@@ -174,7 +190,7 @@ def cmd_hersch(args):
                                resolutions={"grid_res": args.grid_res,
                                             "n_deltas": args.n_deltas})
     dom = hio.load_domain(args.domain)
-    table = build_parallel_table(dom, grid_res=args.grid_res, n_deltas=args.n_deltas)
+    table = _parallel_table(args, dom)
     bound = hersch_bound(table, args.p)
     payload = {"hersch_bound": bound, "delta0": table.delta0,
                "r": table.r_match, "R": table.R_match}
@@ -190,7 +206,7 @@ def cmd_rfk(args):
                                             "grid_res": args.grid_res,
                                             "n_deltas": args.n_deltas})
     dom = hio.load_domain(args.domain)
-    table = build_parallel_table(dom, grid_res=args.grid_res, n_deltas=args.n_deltas)
+    table = _parallel_table(args, dom)
     report = rfk_verdict(dom, args.p, table, h_mesh=args.h_mesh)
     payload = hio.rfk_report_payload(report)
     _emit(args, manifest, "rfk", payload,
@@ -217,6 +233,13 @@ def cmd_insulation(args):
 def cmd_selftest(args):
     from . import selftest
     return selftest.run(verbose=True)
+
+
+def _table_options(sp):
+    sp.add_argument("--grid-res", type=int, default=DEFAULT_GRID_RES,
+                    help="normal rays from the hole boundary")
+    sp.add_argument("--n-deltas", type=int, default=DEFAULT_N_DELTAS,
+                    help="rows of the parallel-length table")
 
 
 def make_parser():
@@ -276,8 +299,7 @@ def make_parser():
     sp = sub.add_parser("hersch", help="interior-parallels upper bound")
     sp.add_argument("--domain", required=True)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--grid-res", type=int, default=1024)
-    sp.add_argument("--n-deltas", type=int, default=384)
+    _table_options(sp)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_hersch)
 
@@ -286,8 +308,7 @@ def make_parser():
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--h-mesh", type=float, default=0.01,
                     help="P1 mesh size for p != 2 (p = 2 is spectral)")
-    sp.add_argument("--grid-res", type=int, default=1024)
-    sp.add_argument("--n-deltas", type=int, default=384)
+    _table_options(sp)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_rfk)
 

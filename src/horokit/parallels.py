@@ -1,9 +1,18 @@
 """Interior parallels of the Dirichlet boundary and the annulus comparison.
 
-The machinery: a signed hyperbolic distance field to the hole boundary on a
-Cartesian chart grid, marching-squares extraction of the parallel lengths
-L(delta) clipped to the domain, the reparametrizations M (from L) and
-M-tilde (from the matched annulus), the tabulated comparison functions
+The hole is convex, so in H^2 its outward normal exponential map is a
+diffeomorphism onto the hole's exterior (Bridson-Haefliger, Metric Spaces
+of Non-positive Curvature, II.2.4): every point at distance delta from the
+hole lies on exactly one normal ray, at parameter delta.  The parallel
+{d = delta} clipped to the domain therefore has length
+
+    L(delta) = int (cosh delta + kappa sinh delta) 1[exp_s(delta nu) in domain] ds,
+
+and all the machinery is one-dimensional: the distances at which the normal
+rays cross the outer boundary (every crossing, so a ray that leaves and
+re-enters a non-convex domain counts twice), the table of L(delta) with its
+even-ray error estimate, the reparametrizations M (from L) and M-tilde
+(from the matched annulus), the tabulated comparison functions
 G <= G-tilde, the transplanted test-function upper bound for the first
 mixed eigenvalue, and the end-to-end verdict
 
@@ -15,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import minimize_scalar
 
-from .core import ball_perimeter
-from .bodies import boundary_measures, convexity_report
+from .core import ball_perimeter, geodesic_step
+from .bodies import boundary_measures, convexity_report, curvature_2d
 from .fem2d import (
     AnnularDomain2D,
     build_mesh,
@@ -26,25 +36,45 @@ from .fem2d import (
 )
 from .spectral import mixed_eigenpair
 from .shell import ShellSpec, shell_eigen
-from .errors import DomainValidationError, PreconditionError, DataFormatError
+from .errors import DomainValidationError, NumericError, PreconditionError, DataFormatError
 
-DEFAULT_GRID_RES = 1024
+DEFAULT_GRID_RES = 8192    # normal rays from the hole boundary
 DEFAULT_N_DELTAS = 384
+MIN_GRID_RES = 4           # the even-ray error estimate needs two rays
+MIN_N_DELTAS = 2
+SCAN_STEPS = 128           # samples per ray that bracket its boundary crossings
+ROOT_MAX_ITER = 100
+RAY_CHUNK = 1024           # rays scanned at once, bounding the scan's memory
+ROUNDOFF_RTOL = 1e-12      # the error estimates never read below round-off
+# the last row sits this far inside delta0: above the crossings' round-off,
+# so a boundary arc at distance delta0 (concentric domains) still counts
+DELTA0_ROW_RTOL = 1e-12
 CHAIN_RTOL = 2e-3          # combined solver tolerance for the ordering chain
 EQUALITY_RTOL = 1e-3       # tau agreement that flags the concentric case
 
 
 @dataclass(frozen=True)
 class DistanceField:
-    """Signed chart-grid distance to the hole boundary (negative inside)."""
+    """Distances at which the hole's outward normal rays cross the outer boundary.
 
-    gx: np.ndarray
-    gy: np.ndarray
-    values: np.ndarray     # (len(gx), len(gy)), signed
-    in_domain: np.ndarray  # nodes strictly between hole and outer boundary
+    Ray i leaves the hole at parameter theta[i]; values[i] is its first exit
+    from the domain.  A ray that comes back into a non-convex domain has its
+    further (entry, exit) distances in the row reentries[i], NaN-padded.
+    speed is the hyperbolic arc length per unit parameter and kappa the
+    geodesic curvature of the hole at each ray's foot.
+    """
+
+    theta: np.ndarray
+    values: np.ndarray     # (grid_res,)
+    reentries: np.ndarray  # (grid_res, 2m)
+    speed: np.ndarray
+    kappa: np.ndarray
     delta0: float
-    cell: float
-    rho_out: object
+
+    @property
+    def crossings(self):
+        """Every crossing of each ray in order, exits in the even columns."""
+        return np.column_stack([self.values, self.reentries])
 
 
 def _require_convex_hole(dom):
@@ -56,161 +86,173 @@ def _require_convex_hole(dom):
         )
 
 
-def _min_chord_to_curve(dom, theta, bxy, b2, px, py, p2):
-    """Minimum squared-chord form of the distance from nodes to the hole curve.
+def _normal_rays(dom, theta):
+    """Chart foot point, outward unit chart normal and hyperbolic radius of each ray.
 
-    Coarse minimum over the sampled curve via one BLAS product, then a
-    3-point parabolic refinement in the curve parameter.  The chord form
-    q = |x-y|^2 / ((1-|x|^2)(1-|y|^2)) is monotone in the true distance,
-    so refinement can happen before the arcsinh.
+    The chart is conformal, so the chart normal is the hyperbolic one; the
+    hole is traversed counterclockwise, so -i times the tangent points out.
     """
-    n_boundary = len(theta)
-
-    def chord_q(ts):
-        z = dom.inner_chart(ts)
-        c2 = z.real ** 2 + z.imag ** 2
-        return ((px - z.real) ** 2 + (py - z.imag) ** 2) / ((1.0 - p2) * (1.0 - c2))
-
-    nodes = np.stack([px, py], axis=1)
-    dots = nodes @ bxy.T
-    q = p2[:, None] - 2.0 * dots
-    q += b2[None, :]
-    q /= (1.0 - p2)[:, None]
-    q /= (1.0 - b2)[None, :]
-    am = np.argmin(q, axis=1)
-    qmin = q[np.arange(len(am)), am]
-    del q, dots
-    dt = 2.0 * np.pi / n_boundary
-    tm = theta[am]
-    q_lo = chord_q(tm - dt)
-    q_hi = chord_q(tm + dt)
-    denom = q_lo - 2.0 * qmin + q_hi
-    shift = np.where(np.abs(denom) > 1e-300, 0.5 * (q_lo - q_hi) / denom, 0.0)
-    shift = np.clip(shift, -1.0, 1.0)
-    return np.minimum(qmin, chord_q(tm + shift * dt))
+    hole = dom.inner
+    tangent = hole.chart_tangent(theta)
+    return hole.chart_curve(theta), -1j * tangent / np.abs(tangent), hole.radius(theta)
 
 
-def distance_field(dom, grid_res=DEFAULT_GRID_RES, n_boundary=256):
-    """Sampled signed distance d(x, hole boundary) over the domain chart.
+def _ray_crossings(dom, theta, reach):
+    """(ray index, distance) of every outer-boundary crossing of the rays at theta.
 
-    delta0 comes from a dense outer-boundary trace of the field, where the
-    maximum is attained; the grid maximum only backs it up.
+    Along a ray w(t), f(t) = rho_out(arg w) - |w| is positive inside the
+    outer boundary.  A scan of SCAN_STEPS steps over [0, r(theta) + reach]
+    brackets each sign change, and the Illinois variant of false position
+    shrinks every bracket to round-off.  Past r + reach the ray has left the
+    outer boundary's chart disc, so each ray crosses an odd number of times
+    and its last crossing is an exit.  Crossings come out ordered by ray,
+    then distance.
+    """
+    rho_out = dom.polar_tables[1]
+    z, nu, r = _normal_rays(dom, np.atleast_1d(theta))
+
+    def f(ray, t):
+        w = geodesic_step(z[ray], nu[ray], t)
+        return rho_out(np.angle(w)) - np.abs(w)
+
+    steps = np.linspace(0.0, 1.0, SCAN_STEPS + 1)
+    brackets = []
+    for i0 in range(0, len(z), RAY_CHUNK):
+        ray = np.arange(i0, min(i0 + RAY_CHUNK, len(z)))[:, None]
+        t = (r[ray] + reach) * steps
+        ft = f(ray, t)
+        i, j = np.nonzero((ft[:, :-1] > 0.0) != (ft[:, 1:] > 0.0))
+        brackets.append((ray[i, 0], t[i, j], t[i, j + 1], ft[i, j], ft[i, j + 1]))
+    ray, a, b, fa, fb = (np.concatenate(x) for x in zip(*brackets))
+    if np.any(np.bincount(ray, minlength=len(z)) % 2 == 0):
+        raise NumericError("a normal ray does not leave the domain")
+    kept = np.zeros(len(ray))  # +1 after b was kept, -1 after a was kept
+    for _ in range(ROOT_MAX_ITER):
+        m = b - fb * (b - a) / (fb - fa)
+        fm = f(ray, m)
+        if np.all((fm == 0.0) | (b - a <= 4.0 * np.spacing(b))):
+            return ray, m
+        on_a = (fm > 0.0) == (fa > 0.0)
+        # an endpoint kept twice in a row has its value halved (Illinois)
+        fb = np.where(on_a & (kept > 0.0), 0.5 * fb, fb)
+        fa = np.where(~on_a & (kept < 0.0), 0.5 * fa, fa)
+        a, fa = np.where(on_a, m, a), np.where(on_a, fm, fa)
+        b, fb = np.where(on_a, b, m), np.where(on_a, fb, fm)
+        kept = np.where(on_a, 1.0, -1.0)
+    raise NumericError("boundary crossings did not converge")
+
+
+def distance_field(dom, grid_res=DEFAULT_GRID_RES):
+    """Boundary crossings of grid_res normal rays, equally spaced in the hole's parameter.
+
+    delta0, the largest distance from the hole within the domain, is the
+    largest exit, maximized over the parameter between the neighbours of
+    the best ray.
     """
     if not isinstance(dom, AnnularDomain2D):
         raise DomainValidationError("distance fields are built over annular domains")
+    if grid_res < MIN_GRID_RES:
+        raise DomainValidationError(f"grid_res must be at least {MIN_GRID_RES}, got {grid_res}")
     _require_convex_hole(dom)
-    rho_in_fn, rho_out_fn = dom.polar_tables
-    a = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    b = float(np.max(rho_out_fn(a))) * 1.005 + 2e-3
-    b = min(b, 0.999)
-    gx = np.linspace(-b, b, grid_res)
-    gy = np.linspace(-b, b, grid_res)
-    XX, YY = np.meshgrid(gx, gy, indexing="ij")
-    px = XX.ravel()
-    py = YY.ravel()
-    p2 = px * px + py * py
-    ok = p2 < 1.0 - 1e-12
+    rho_out = dom.polar_tables[1]
+    rho_max = float(np.max(rho_out(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))))
+    reach = 2.0 * math.atanh(rho_max) + 0.01
 
-    theta = np.linspace(0.0, 2.0 * np.pi, n_boundary, endpoint=False)
-    zb = dom.inner_chart(theta)
-    bxy = np.stack([zb.real, zb.imag], axis=1)
-    b2 = zb.real ** 2 + zb.imag ** 2
+    prof = curvature_2d(dom.inner, n_theta=grid_res)
+    theta = prof.params
+    ray, dist = _ray_crossings(dom, theta, reach)
+    column = np.arange(len(ray)) - np.searchsorted(ray, ray)
+    crossings = np.full((grid_res, column.max() + 1), np.nan)
+    crossings[ray, column] = dist
 
-    dist = np.full(px.shape, np.inf)
-    chunk = 262144
-    for i0 in range(0, len(px), chunk):
-        sl = slice(i0, min(i0 + chunk, len(px)))
-        keep = ok[sl]
-        if not np.any(keep):
-            continue
-        q_best = _min_chord_to_curve(dom, theta, bxy, b2,
-                                     px[sl][keep], py[sl][keep], p2[sl][keep])
-        buf = np.full(sl.stop - sl.start, np.inf)
-        buf[keep] = 2.0 * np.arcsinh(np.sqrt(q_best))
-        dist[sl] = buf
-
-    rho = np.sqrt(p2)
-    ang = np.arctan2(py, px)
-    inside_hole = rho < rho_in_fn(ang)
-    signed = np.where(inside_hole, -dist, dist)
-    signed = np.where(ok, signed, 1e6)
-    inside_outer = rho < rho_out_fn(ang)
-    in_domain = ok & inside_outer & ~inside_hole
-
-    tb = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
-    ob = rho_out_fn(tb) * np.exp(1j * tb)
-    ob2 = np.abs(ob) ** 2
-    q_b = _min_chord_to_curve(dom, theta, bxy, b2, ob.real, ob.imag, ob2)
-    delta0_boundary = float(np.max(2.0 * np.arcsinh(np.sqrt(q_b))))
-    grid_max = float(np.max(signed[in_domain.ravel()])) if np.any(in_domain) else 0.0
-    delta0 = max(delta0_boundary, grid_max)
-
-    return DistanceField(gx=gx, gy=gy, values=signed.reshape(grid_res, grid_res),
-                         in_domain=in_domain.reshape(grid_res, grid_res),
-                         delta0=delta0, cell=float(gx[1] - gx[0]), rho_out=rho_out_fn)
+    last = np.nanmax(crossings, axis=1)
+    best = int(np.argmax(last))
+    h = 2.0 * np.pi / grid_res
+    peak = minimize_scalar(lambda t: -_ray_crossings(dom, t, reach)[1][-1],
+                           bounds=(theta[best] - h, theta[best] + h), method="bounded",
+                           options={"xatol": 1e-9})
+    return DistanceField(theta=theta, values=crossings[:, 0], reentries=crossings[:, 1:],
+                         speed=prof.weights / h, kappa=prof.kappas[:, 0],
+                         delta0=max(float(last[best]), -float(peak.fun)))
 
 
-def parallel_length(dom, fld, delta):
-    """Hyperbolic length of {d = delta} clipped to the domain (marching squares)."""
+def _lengths(fld, deltas, stride=1):
+    """L at each delta from every stride-th ray of the field.
+
+    Between neighbouring rays that cross the outer boundary equally often,
+    each crossing distance is interpolated linearly in the parameter, and
+    the density speed (cosh delta + kappa sinh delta), linear between the
+    rays, is integrated exactly over the part of the interval where that
+    crossing lies beyond delta; an exit counts +1 and an entry -1.  Where
+    the counts differ (the outer boundary touches a ray in between), each
+    ray keeps its own crossings on its half of the interval.
+    """
+    theta, c, speed, kappa = (x[::stride] for x in
+                              (fld.theta, fld.crossings, fld.speed, fld.kappa))
+    nxt = np.roll(np.arange(len(theta)), -1)
+    width = np.diff(np.append(theta, theta[0] + 2.0 * np.pi))
+    counts = np.sum(np.isfinite(c), axis=1)
+    same = (counts == counts[nxt])[:, None]
+    sign = np.where(np.arange(c.shape[1]) % 2 == 0, 1.0, -1.0)
+
+    # one piece per interval and crossing; where the counts differ, a second
+    # piece gives the right-hand ray's crossings the right half
+    cn = c[nxt]
+    u_mid = np.where(same, 1.0, 0.5)
+    pieces = [(0.0, u_mid, c, np.where(same, cn, c)),
+              (u_mid, 1.0, np.where(same, np.nan, cn), cn)]
+    a, b = speed, speed * kappa
+    per_interval = (sign * width[:, None], a[:, None], a[nxt][:, None],
+                    b[:, None], b[nxt][:, None])
+    columns = zip(*([np.broadcast_to(x, c.shape).ravel() for x in (*piece, *per_interval)]
+                    for piece in pieces))
+    u0, u1, c0, c1, w, a0, a1, b0, b1 = (np.concatenate(x) for x in columns)
+    keep = np.isfinite(c0) & np.isfinite(c1)
+    u0, u1, c0, c1, w, a0, a1, b0, b1 = (x[keep] for x in (u0, u1, c0, c1, w, a0, a1, b0, b1))
+
+    def integral(ua, ub, k):
+        """int_{ua}^{ub} of the density on piece k, split as (cosh, sinh) parts."""
+        span, half_sq = ub - ua, 0.5 * (ub * ub - ua * ua)
+        return (w[k] * (a0[k] * span + (a1[k] - a0[k]) * half_sq),
+                w[k] * (b0[k] * span + (b1[k] - b0[k]) * half_sq))
+
+    # a piece lying beyond delta throughout adds a constant: sum those in
+    # order of their nearer end, and interpolate only the pieces delta cuts
+    deltas = np.asarray(deltas, dtype=float)
+    near, far = np.minimum(c0, c1), np.maximum(c0, c1)
+    order = np.argsort(near)
+    whole = integral(u0[order], u1[order], order)
+    beyond = np.searchsorted(near[order], deltas, side="right")
+    A, B = (np.append(np.cumsum(x[::-1])[::-1], 0.0)[beyond] for x in whole)
+    row, k = np.nonzero((near <= deltas[:, None]) & (far > deltas[:, None]))
+    d = deltas[row]
+    cut = u0[k] + (u1[k] - u0[k]) * (c0[k] - d) / (c0[k] - c1[k])
+    falling = c0[k] > d
+    part = integral(np.where(falling, u0[k], cut), np.where(falling, cut, u1[k]), k)
+    A = A + np.bincount(row, weights=part[0], minlength=len(deltas))
+    B = B + np.bincount(row, weights=part[1], minlength=len(deltas))
+    return np.cosh(deltas) * A + np.sinh(deltas) * B
+
+
+def parallel_length(dom, delta, grid_res=DEFAULT_GRID_RES):
+    """Hyperbolic length of {d = delta} clipped to the domain, by normal flow."""
+    fld = distance_field(dom, grid_res=grid_res)
     if delta < 0.0 or delta > fld.delta0 + 1e-12:
         raise DomainValidationError(f"delta={delta} outside [0, delta0={fld.delta0}]")
-    return _march_length(fld, delta)
-
-
-def _march_cache(fld):
-    """Per-field cell-corner arrays; cell min/max prune the level search."""
-    cache = getattr(fld, "_cells", None)
-    if cache is None:
-        F = fld.values
-        corners = np.stack([F[:-1, :-1], F[1:, :-1], F[1:, 1:], F[:-1, 1:]], axis=0)
-        cmin = corners.min(axis=0)
-        cmax = corners.max(axis=0)
-        cache = (corners, cmin, cmax)
-        object.__setattr__(fld, "_cells", cache)
-    return cache
-
-
-def _march_length(fld, level):
-    gx, gy = fld.gx, fld.gy
-    h = fld.cell
-    corners, cmin, cmax = _march_cache(fld)
-    ii, jj = np.nonzero((cmin <= level) & (cmax >= level))
-    if len(ii) == 0:
-        return 0.0
-    G = corners[:, ii, jj].T - level  # columns: (0,0), (1,0), (1,1), (0,1)
-    X0, Y0 = gx[ii], gy[jj]
-    pts = np.full((len(ii), 4, 2), np.nan)
-
-    def cut(mask, ga, gb, ax, ay, bx, by, slot):
-        s = ga[mask] / (ga[mask] - gb[mask])
-        pts[mask, slot, 0] = ax[mask] + s * (bx[mask] - ax[mask])
-        pts[mask, slot, 1] = ay[mask] + s * (by[mask] - ay[mask])
-
-    cut(G[:, 0] * G[:, 1] < 0, G[:, 0], G[:, 1], X0, Y0, X0 + h, Y0, 0)
-    cut(G[:, 1] * G[:, 2] < 0, G[:, 1], G[:, 2], X0 + h, Y0, X0 + h, Y0 + h, 1)
-    cut(G[:, 3] * G[:, 2] < 0, G[:, 3], G[:, 2], X0, Y0 + h, X0 + h, Y0 + h, 2)
-    cut(G[:, 0] * G[:, 3] < 0, G[:, 0], G[:, 3], X0, Y0, X0, Y0 + h, 3)
-
-    have = ~np.isnan(pts[:, :, 0])
-    two = have.sum(axis=1) == 2
-    if not np.any(two):
-        return 0.0
-    P = pts[two]
-    order = np.argsort(np.isnan(P[:, :, 0]), axis=1, kind="stable")[:, :2]
-    A = np.take_along_axis(P, order[:, 0][:, None, None].repeat(2, 2), 1)[:, 0, :]
-    B = np.take_along_axis(P, order[:, 1][:, None, None].repeat(2, 2), 1)[:, 0, :]
-    mx = 0.5 * (A[:, 0] + B[:, 0])
-    my = 0.5 * (A[:, 1] + B[:, 1])
-    seg = np.hypot(B[:, 0] - A[:, 0], B[:, 1] - A[:, 1])
-    lam = 2.0 / (1.0 - (mx * mx + my * my))
-    rho = np.hypot(mx, my)
-    keep = rho < fld.rho_out(np.arctan2(my, mx))
-    return float(np.sum(seg[keep] * lam[keep]))
+    return float(_lengths(fld, [delta])[0])
 
 
 @dataclass(frozen=True)
 class ParallelTable:
-    """Sampled parallel lengths and their annulus counterparts."""
+    """Sampled parallel lengths and their annulus counterparts.
+
+    L_err and delta0_err are measured: the largest change of an L row, and
+    of delta0 (taken as the largest exit, unrefined), when the table is
+    rebuilt from every other ray of its field.  The last row, just inside
+    delta0, is the exception: where the level set is narrower than the ray
+    spacing neither ray set sees it, and L there, which falls like
+    sqrt(delta0 - delta), may err by more than L_err.
+    """
 
     deltas: np.ndarray
     L: np.ndarray
@@ -219,12 +261,12 @@ class ParallelTable:
     r_match: float
     R_match: float
     grid_res: int
-    cell: float
+    L_err: float
+    delta0_err: float
 
     def comparison_tolerance(self):
         """Discretization slack for tablewise comparisons of L against Ltilde."""
-        lam = 2.0 / (1.0 - np.tanh(self.R_match / 2.0) ** 2)
-        return 4.0 * lam * self.cell
+        return self.L_err
 
 
 def annulus_match(dom):
@@ -246,15 +288,21 @@ def annulus_match(dom):
 
 def build_parallel_table(dom, fld=None, n_deltas=DEFAULT_N_DELTAS, grid_res=DEFAULT_GRID_RES):
     """Tabulate L(delta) on [0, delta0] along with the annulus lengths."""
+    if n_deltas < MIN_N_DELTAS:
+        raise DomainValidationError(f"n_deltas must be at least {MIN_N_DELTAS}, got {n_deltas}")
     if fld is None:
         fld = distance_field(dom, grid_res=grid_res)
     r, R = annulus_match(dom)
-    deltas = np.linspace(0.0, fld.delta0 * (1.0 - 1e-9), n_deltas)
-    L = np.array([_march_length(fld, d) for d in deltas])
+    deltas = np.linspace(0.0, fld.delta0 * (1.0 - DELTA0_ROW_RTOL), n_deltas)
+    L = _lengths(fld, deltas)
+    L_err = float(np.max(np.abs(L - _lengths(fld, deltas, stride=2))))
+    delta0_err = fld.delta0 - float(np.nanmax(fld.crossings[::2]))
     Ltilde = np.array([ball_perimeter(2, r + min(d, R - r)) if d <= R - r else 0.0
                        for d in deltas])
     return ParallelTable(deltas=deltas, L=L, delta0=fld.delta0, Ltilde=Ltilde,
-                         r_match=r, R_match=R, grid_res=len(fld.gx), cell=fld.cell)
+                         r_match=r, R_match=R, grid_res=len(fld.values),
+                         L_err=max(L_err, ROUNDOFF_RTOL * float(np.max(L))),
+                         delta0_err=max(delta0_err, ROUNDOFF_RTOL * fld.delta0))
 
 
 @dataclass(frozen=True)
@@ -304,17 +352,22 @@ def interior_coords(table, p):
                           M_star=float(M[-1]), Mtilde_star=float(Mt[-1]), p=p)
 
 
-def comparison_functions(table, coords, n_beta=2048):
-    """G and Gtilde on a shared beta grid in [0, Mtilde_star]."""
-    beta = np.linspace(0.0, coords.Mtilde_star, n_beta)
-    d_from_beta = PchipInterpolator(coords.M, coords.deltas)
+def comparison_functions(table, coords):
+    """G and Gtilde at the table rows with beta = M(delta) in [0, Mtilde_star].
+
+    At those betas G is the tabulated L itself, so the comparison carries
+    the table's measured error and nothing from interpolating L between
+    rows.  Next to the row where the parallels first touch the outer
+    boundary, L drops like a square root, and an interpolant of the rows
+    there rises above L by up to the row spacing times its slope (7e-3 on
+    the offset-0.2 benchmark domain with PCHIP).
+    """
+    rows = coords.M <= coords.Mtilde_star
+    beta = coords.M[rows]
     dt_from_beta = PchipInterpolator(coords.Mtilde, coords.deltas_tilde)
-    L_of = PchipInterpolator(table.deltas, table.L)
-    beta_cap = min(coords.Mtilde_star, coords.M_star)
-    G = L_of(d_from_beta(np.minimum(beta, beta_cap)))
     span = table.R_match - table.r_match
     Gt = 2.0 * math.pi * np.sinh(table.r_match + np.clip(dt_from_beta(beta), 0.0, span))
-    return beta, G, Gt
+    return beta, table.L[rows], Gt
 
 
 def hersch_bound(table, p, shell_result=None):
@@ -398,7 +451,7 @@ def rfk_verdict(dom, p, table, h_mesh=0.01):
     chain_ok = bool(tau_omega <= bound + tol and bound <= tau_annulus + tol)
     equality = bool(abs(tau_omega - tau_annulus) <= EQUALITY_RTOL * tau_annulus)
     meta = {**resolution, "grid_res": table.grid_res, "n_deltas": len(table.deltas),
-            "delta0": table.delta0}
+            "delta0": table.delta0, "L_err": table.L_err, "delta0_err": table.delta0_err}
     return RFKReport(tau_omega=float(tau_omega), hersch_bound=float(bound),
                      tau_annulus=float(tau_annulus), r=r, R=R,
                      chain_ok=chain_ok, equality_detected=equality, p=p, meta=meta)

@@ -22,6 +22,7 @@ from .shell import ShellSpec, shell_eigen, rayleigh_quotient_radial
 from .fem2d import AnnularDomain2D, build_mesh, eigen_p2, richardson_extrapolate
 from .insulation import radial_energy, radial_energy_closed_form
 from .spectral import mixed_eigenpair
+from .parallels import build_parallel_table
 
 
 def run(verbose=True):
@@ -77,6 +78,18 @@ def run(verbose=True):
     tau_spectral = mixed_eigenpair(dom).value
     rel = abs(tau_spectral - res.tau1) / res.tau1
     check("spectral vs radial eigenvalue", rel <= 1e-10, f"rel={rel:.2e}")
+
+    # ball hole 0.8 in a ball 1.8 offset by 0.2: the parallel circle of
+    # radius 0.8 + delta keeps the arc given by the law of cosines
+    offset_dom = AnnularDomain2D(inner=make_ball(2, 0.8), outer=make_ball(2, 1.8), offset=0.2)
+    table = build_parallel_table(offset_dom, n_deltas=64)
+    worst = 0.0
+    for delta, length in zip(table.deltas[:-1], table.L[:-1]):
+        rho = 0.8 + delta
+        a = (math.cosh(rho) * math.cosh(0.2) - math.cosh(1.8)) / (math.sinh(rho) * math.sinh(0.2))
+        exact = 2.0 * math.acos(max(-1.0, min(1.0, a))) * math.sinh(rho)
+        worst = max(worst, abs(length - exact))
+    check("normal-flow parallel length vs law of cosines", worst <= 1e-5, f"max err={worst:.2e}")
 
     e1 = radial_energy(2, 2.0, 1.0, 1.0, 1.0, n_cells=1024)
     e2 = radial_energy(2, 2.0, 1.0, 1.0, 1.0, n_cells=2048)

@@ -3,11 +3,13 @@
 Everything here deliberately avoids the code paths under test: quadrature
 instead of closed forms, finite differences in the conformal chart instead
 of the radial curvature formulas, a finite-element generalized eigenproblem
-instead of shooting, and circle-circle trigonometry instead of marching
-squares.
+instead of shooting, circle-circle trigonometry instead of normal flow, and
+the signed distance on a chart grid with marching-squares level lengths as
+the general-domain cross-check of the normal-flow parallel lengths.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -125,3 +127,120 @@ def offset_ball_parallel_length(hole_r, outer_R, offset, delta):
 def planar_polar_curvature(r, rp, rpp):
     """Classical Euclidean polar-graph curvature (degeneration target)."""
     return (r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
+
+
+@dataclass(frozen=True)
+class GridField:
+    """Hyperbolic distance to the hole boundary at the nodes of a chart grid."""
+
+    gx: np.ndarray
+    gy: np.ndarray
+    values: np.ndarray     # (len(gx), len(gy)); hole nodes and nodes off the disk are far
+    cell: float
+    rho_out: object
+
+
+def _min_chord_to_curve(dom, theta, bxy, b2, px, py, p2):
+    """Minimum squared-chord form of the distance from nodes to the hole curve.
+
+    Coarse minimum over the sampled curve via one BLAS product, then a
+    3-point parabolic refinement in the curve parameter.  The chord form
+    q = |x-y|^2 / ((1-|x|^2)(1-|y|^2)) is monotone in the true distance,
+    so refinement can happen before the arcsinh.
+    """
+    n_boundary = len(theta)
+
+    def chord_q(ts):
+        z = dom.inner_chart(ts)
+        c2 = z.real ** 2 + z.imag ** 2
+        return ((px - z.real) ** 2 + (py - z.imag) ** 2) / ((1.0 - p2) * (1.0 - c2))
+
+    nodes = np.stack([px, py], axis=1)
+    q = p2[:, None] - 2.0 * (nodes @ bxy.T)
+    q += b2[None, :]
+    q /= (1.0 - p2)[:, None]
+    q /= (1.0 - b2)[None, :]
+    am = np.argmin(q, axis=1)
+    qmin = q[np.arange(len(am)), am]
+    del q
+    dt = 2.0 * np.pi / n_boundary
+    tm = theta[am]
+    q_lo = chord_q(tm - dt)
+    q_hi = chord_q(tm + dt)
+    denom = q_lo - 2.0 * qmin + q_hi
+    shift = np.where(np.abs(denom) > 1e-300, 0.5 * (q_lo - q_hi) / denom, 0.0)
+    shift = np.clip(shift, -1.0, 1.0)
+    return np.minimum(qmin, chord_q(tm + shift * dt))
+
+
+def grid_distance_field(dom, grid_res, n_boundary=256):
+    """Distance to the hole boundary on a grid_res^2 chart grid over the domain."""
+    rho_in_fn, rho_out_fn = dom.polar_tables
+    a = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    b = min(float(np.max(rho_out_fn(a))) * 1.005 + 2e-3, 0.999)
+    gx = np.linspace(-b, b, grid_res)
+    XX, YY = np.meshgrid(gx, gx, indexing="ij")
+    px, py = XX.ravel(), YY.ravel()
+    p2 = px * px + py * py
+    ok = p2 < 1.0 - 1e-12
+
+    theta = np.linspace(0.0, 2.0 * np.pi, n_boundary, endpoint=False)
+    zb = dom.inner_chart(theta)
+    bxy = np.stack([zb.real, zb.imag], axis=1)
+    b2 = zb.real ** 2 + zb.imag ** 2
+
+    dist = np.full(px.shape, 1e6)
+    chunk = 65536
+    for i0 in range(0, len(px), chunk):
+        idx = np.arange(i0, min(i0 + chunk, len(px)))
+        idx = idx[ok[idx]]
+        if len(idx):
+            q = _min_chord_to_curve(dom, theta, bxy, b2, px[idx], py[idx], p2[idx])
+            dist[idx] = 2.0 * np.arcsinh(np.sqrt(q))
+    inside_hole = np.sqrt(p2) < rho_in_fn(np.arctan2(py, px))
+    signed = np.where(inside_hole, -dist, dist)
+    return GridField(gx=gx, gy=gx, values=signed.reshape(grid_res, grid_res),
+                     cell=float(gx[1] - gx[0]), rho_out=rho_out_fn)
+
+
+def grid_parallel_length(fld, level):
+    """Hyperbolic length of {d = level} inside the outer boundary, by marching squares.
+
+    Each level segment is cut where it crosses the outer boundary, so the
+    clipping costs O(cell^2) per crossing and a boundary with many petals
+    does not add a cell length for every crossing.
+    """
+    gx, gy, h, F = fld.gx, fld.gy, fld.cell, fld.values
+    corners = np.stack([F[:-1, :-1], F[1:, :-1], F[1:, 1:], F[:-1, 1:]], axis=0)
+    ii, jj = np.nonzero((corners.min(axis=0) <= level) & (corners.max(axis=0) >= level))
+    G = corners[:, ii, jj].T - level  # columns: (0,0), (1,0), (1,1), (0,1)
+    X0, Y0 = gx[ii], gy[jj]
+    pts = np.full((len(ii), 4, 2), np.nan)
+
+    def cut(mask, ga, gb, ax, ay, bx, by, slot):
+        s = ga[mask] / (ga[mask] - gb[mask])
+        pts[mask, slot, 0] = ax[mask] + s * (bx[mask] - ax[mask])
+        pts[mask, slot, 1] = ay[mask] + s * (by[mask] - ay[mask])
+
+    cut(G[:, 0] * G[:, 1] < 0, G[:, 0], G[:, 1], X0, Y0, X0 + h, Y0, 0)
+    cut(G[:, 1] * G[:, 2] < 0, G[:, 1], G[:, 2], X0 + h, Y0, X0 + h, Y0 + h, 1)
+    cut(G[:, 3] * G[:, 2] < 0, G[:, 3], G[:, 2], X0, Y0 + h, X0 + h, Y0 + h, 2)
+    cut(G[:, 0] * G[:, 3] < 0, G[:, 0], G[:, 3], X0, Y0, X0, Y0 + h, 3)
+
+    two = (~np.isnan(pts[:, :, 0])).sum(axis=1) == 2
+    P = pts[two]
+    order = np.argsort(np.isnan(P[:, :, 0]), axis=1, kind="stable")[:, :2]
+    A = np.take_along_axis(P, order[:, 0][:, None, None].repeat(2, 2), 1)[:, 0, :]
+    B = np.take_along_axis(P, order[:, 1][:, None, None].repeat(2, 2), 1)[:, 0, :]
+    # clip each segment at the outer boundary, linear in the boundary's polar gap
+    fa = fld.rho_out(np.arctan2(A[:, 1], A[:, 0])) - np.hypot(A[:, 0], A[:, 1])
+    fb = fld.rho_out(np.arctan2(B[:, 1], B[:, 0])) - np.hypot(B[:, 0], B[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.clip(fa / (fa - fb), 0.0, 1.0)
+    start = np.where(fa > 0.0, 0.0, np.where(fb > 0.0, s, 0.0))[:, None]
+    stop = np.where(fb > 0.0, 1.0, np.where(fa > 0.0, s, 0.0))[:, None]
+    A, B = A + start * (B - A), A + stop * (B - A)
+    mx = 0.5 * (A[:, 0] + B[:, 0])
+    my = 0.5 * (A[:, 1] + B[:, 1])
+    seg = np.hypot(B[:, 0] - A[:, 0], B[:, 1] - A[:, 1])
+    return float(np.sum(seg * 2.0 / (1.0 - (mx * mx + my * my))))

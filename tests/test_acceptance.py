@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, one printed line each.
 
-Heavy pipeline artifacts (distance fields, parallel tables, annulus
+Heavy pipeline artifacts (normal-ray fields, parallel tables, annulus
 comparisons for the five benchmark domains) come from session fixtures so
 the full suite stays inside its runtime budget.
 """
@@ -180,9 +180,7 @@ def test_criterion_08_parallel_coordinate_lemmas(rfk_tables):
     ok = True
     for name, table in rfk_tables.items():
         gap = table.R_match - table.r_match
-        lam = 2.0 / (1.0 - math.tanh(table.R_match / 2.0) ** 2)
-        two_cells = 2.0 * lam * table.cell * math.sqrt(2.0)
-        ok &= gap <= table.delta0 + two_cells
+        ok &= gap <= table.delta0 + table.delta0_err
         coords = interior_coords(table, 2.0)
         beta, G, Gt = comparison_functions(table, coords)
         tol = table.comparison_tolerance()

@@ -173,6 +173,17 @@ def test_cli_usage_errors(tmp_path):
     assert run_command(["nagy", "--body", body, "--deltas", "oops"]) == 1
 
 
+@pytest.mark.parametrize("command", ["rfk", "hersch"])
+def test_cli_too_small_table_is_usage_error(tmp_path, capsys, command):
+    # fewer than two rows or than four rays used to end in a traceback
+    dom = write(tmp_path, "dom.json", DOMAIN_SPEC)
+    for option, value in (("--grid-res", "0"), ("--grid-res", "1"), ("--grid-res", "3"),
+                          ("--n-deltas", "0"), ("--n-deltas", "1")):
+        assert run_command([command, "--domain", dom, option, value]) == 1, (option, value)
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err, (option, value)
+
+
 def test_cli_insulation_has_no_mesh_size(tmp_path, capsys):
     # the planar p = 2 energy is spectral and sets its own resolution
     body = write(tmp_path, "oval.json", FOURIER_SPEC)

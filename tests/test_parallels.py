@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from horokit.bodies import Body2D, make_ball, parallel_perimeter_direct
+from horokit.bodies import Body2D, boundary_measures, make_ball, parallel_perimeter_direct
 from horokit.core import poincare_distance
 from horokit.fem2d import AnnularDomain2D
 from horokit.parallels import (
@@ -19,7 +19,7 @@ from horokit.parallels import (
 )
 from horokit.errors import DataFormatError, DomainValidationError, PreconditionError
 
-from oracles import offset_ball_parallel_length
+from oracles import grid_distance_field, grid_parallel_length, offset_ball_parallel_length
 
 CONCENTRIC = AnnularDomain2D(inner=make_ball(2, 0.5), outer=make_ball(2, 1.5))
 
@@ -30,27 +30,27 @@ def concentric_field():
 
 
 def test_distance_field_concentric_is_radial(concentric_field):
+    # every normal ray of the centred ball is radial and leaves at R - r
     fld = concentric_field
-    # sample interior nodes: signed distance must equal d(x, 0) - 0.5
-    xs = np.linspace(-0.6, 0.6, 9)
-    for x in xs:
-        for y in (0.0, 0.21, -0.33):
-            if x * x + y * y >= 0.95:
-                continue
-            i = int(np.searchsorted(fld.gx, x))
-            j = int(np.searchsorted(fld.gy, y))
-            px, py = fld.gx[i], fld.gy[j]
-            d0 = poincare_distance(np.zeros(2), np.array([px, py]))
-            assert fld.values[i, j] == pytest.approx(d0 - 0.5, abs=1e-8)
-    assert fld.delta0 == pytest.approx(1.0, abs=1e-6)
+    assert fld.values.shape == (512,)
+    assert fld.reentries.shape == (512, 0)
+    assert np.max(np.abs(fld.values - 1.0)) <= 1e-12
+    assert fld.delta0 == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(fld.kappa, 1.0 / math.tanh(0.5), rtol=1e-12)
 
 
-def test_distance_field_vanishes_on_hole_boundary(concentric_field):
-    fld = concentric_field
-    t = math.tanh(0.25)
-    i = int(np.argmin(np.abs(fld.gx - t)))
-    j = int(np.argmin(np.abs(fld.gy)))
-    assert abs(fld.values[i, j]) <= 2.0 * fld.cell
+def test_distance_field_vanishes_on_hole_boundary(rfk_domains, rfk_tables):
+    # the parallel at distance 0 is the hole boundary itself, and the rays'
+    # foot points lie on it
+    from horokit.parallels import _normal_rays
+    for name in ("hole_eps_0.05", "hole_eps_0.1"):
+        dom, table = rfk_domains[name], rfk_tables[name]
+        perimeter = boundary_measures(dom.inner)["perimeter"]
+        assert table.L[0] == pytest.approx(perimeter, rel=1e-12), name
+        theta = np.linspace(0.0, 2.0 * np.pi, 7)
+        z, nu, r = _normal_rays(dom, theta)
+        dist = poincare_distance(np.zeros(2), np.stack([z.real, z.imag], axis=1))
+        assert np.allclose(dist, dom.inner.radius(theta), atol=1e-12), name
 
 
 def test_distance_field_requires_convex_hole():
@@ -60,31 +60,77 @@ def test_distance_field_requires_convex_hole():
         distance_field(dom, grid_res=128)
 
 
-def test_parallel_length_concentric(concentric_field):
-    got = parallel_length(CONCENTRIC, concentric_field, 0.5)
-    assert got == pytest.approx(2 * math.pi * math.sinh(1.0), rel=1e-3)
+def test_parallel_length_concentric():
+    got = parallel_length(CONCENTRIC, 0.5, grid_res=512)
+    assert got == pytest.approx(2 * math.pi * math.sinh(1.0), rel=1e-12)
     with pytest.raises(DomainValidationError):
-        parallel_length(CONCENTRIC, concentric_field, 2.0)
+        parallel_length(CONCENTRIC, 2.0, grid_res=512)
 
 
-def test_parallel_length_offset_ball_oracle():
-    dom = AnnularDomain2D(inner=make_ball(2, 0.8), outer=make_ball(2, 1.8), offset=0.2)
-    fld = distance_field(dom, grid_res=1024)
-    assert fld.delta0 == pytest.approx(1.2, abs=1e-4)
-    for delta in (0.05, 0.3, 0.6, 0.9, 1.1):
-        exact = offset_ball_parallel_length(0.8, 1.8, 0.2, delta)
-        got = parallel_length(dom, fld, delta)
-        assert got == pytest.approx(exact, rel=2e-3, abs=1e-3)
+def test_parallel_length_offset_ball_oracle(rfk_tables):
+    # law of cosines: every row below delta0 within 1e-5, the delta0 row,
+    # where L falls like sqrt(delta0 - delta) below the ray spacing, within 1e-3
+    for offset in (0.1, 0.2):
+        table = rfk_tables[f"offset_{offset}"]
+        assert table.delta0 == pytest.approx(1.0 + offset, abs=1e-12)
+        exact = np.array([offset_ball_parallel_length(0.8, 1.8, offset, d)
+                          for d in table.deltas])
+        err = np.abs(table.L - exact)
+        assert np.max(err[:-1]) <= 1e-5, offset
+        assert err[-1] <= 1e-3, offset
+    # turned so that the farthest point lies between two rays
+    turned = AnnularDomain2D(inner=make_ball(2, 0.8), outer=make_ball(2, 1.8),
+                             offset=0.2, offset_angle=0.1234)
+    assert distance_field(turned).delta0 == pytest.approx(1.2, abs=1e-12)
 
 
-def test_parallel_length_matches_body_oracle_when_interior(concentric_field):
+def test_parallel_length_fourier_hole_steiner(rfk_domains, rfk_fields, rfk_tables):
+    # until the first ray leaves the domain, the parallel is the whole
+    # normal-flow curve: L = L0 cosh + (2 pi + area) sinh (Gauss-Bonnet)
+    for name in ("hole_eps_0.05", "hole_eps_0.1"):
+        table = rfk_tables[name]
+        hole = boundary_measures(rfk_domains[name].inner)
+        rows = table.deltas < np.min(rfk_fields[name].values)
+        assert np.sum(rows) > 100, name
+        d = table.deltas[rows]
+        steiner = hole["perimeter"] * np.cosh(d) + (2 * math.pi + hole["volume"]) * np.sinh(d)
+        assert np.max(np.abs(table.L[rows] - steiner)) <= 1e-8, name
+
+
+def test_parallel_length_nonconvex_outer_matches_grid_oracle():
+    # 80 petals: some normal rays of the oval hole leave the domain, come
+    # back and leave again, and each return adds to L (the petals need 8192
+    # samples for the outer body's Gauss-Bonnet check in annulus_match)
+    dom = AnnularDomain2D(inner=Body2D(a0=1.0, cos=[0.0, 0.2]),
+                          outer=Body2D(a0=1.8, cos=[0.0] * 79 + [0.35], n_theta=8192))
+    fld = distance_field(dom)
+    assert np.sum(np.isfinite(fld.reentries[:, 0])) > 100
+    grid = grid_distance_field(dom, 1024)
+    R = annulus_match(dom)[1]
+    tol = 4.0 * grid.cell * 2.0 / (1.0 - math.tanh(R / 2.0) ** 2)
+    table = build_parallel_table(dom, fld=fld, n_deltas=17)
+    for delta, length in zip(table.deltas[1:-1], table.L[1:-1]):
+        assert length == pytest.approx(grid_parallel_length(grid, delta), abs=tol), delta
+
+
+def test_error_estimate_falls_with_ray_count():
+    # linear crossings between rays: about 4x less per doubling of the rays
+    for dom in (AnnularDomain2D(inner=make_ball(2, 0.8), outer=make_ball(2, 1.8), offset=0.2),
+                AnnularDomain2D(inner=Body2D(a0=0.8, cos=[0.0, 0.1]), outer=make_ball(2, 1.8))):
+        est = np.array([build_parallel_table(dom, n_deltas=64, grid_res=512 * 2 ** k).L_err
+                        for k in range(5)])
+        assert np.all(est[1:] < est[:-1] / 1.5), est
+        assert 3.0 <= (est[0] / est[-1]) ** 0.25 <= 6.0, est
+
+
+def test_parallel_length_matches_body_oracle_when_interior():
     # for deltas where the parallel set stays inside the domain, the level
     # length equals the parallel perimeter of the hole
     hole = make_ball(2, 0.5)
     for delta in (0.2, 0.6):
         expect = parallel_perimeter_direct(hole, delta)
-        got = parallel_length(CONCENTRIC, concentric_field, delta)
-        assert got == pytest.approx(expect, rel=1e-3)
+        got = parallel_length(CONCENTRIC, delta, grid_res=512)
+        assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_annulus_match_fixed_point():
@@ -123,7 +169,7 @@ def test_interior_coords_constant_length_closed_form():
     deltas = np.linspace(0.0, 1.0, 257)
     table = ParallelTable(deltas=deltas, L=np.full_like(deltas, 3.0), delta0=1.0,
                           Ltilde=np.full_like(deltas, 3.0), r_match=0.5,
-                          R_match=1.5, grid_res=0, cell=1e-3)
+                          R_match=1.5, grid_res=0, L_err=1e-3, delta0_err=1e-3)
     coords = interior_coords(table, 2.0)
     assert np.allclose(coords.M, deltas / 3.0, atol=1e-14)
 
@@ -133,7 +179,7 @@ def test_interior_coords_rejects_interior_vanishing():
     L = np.full_like(deltas, 2.0)
     L[30] = 0.0
     table = ParallelTable(deltas=deltas, L=L, delta0=1.0, Ltilde=L.copy(),
-                          r_match=0.5, R_match=1.5, grid_res=0, cell=1e-3)
+                          r_match=0.5, R_match=1.5, grid_res=0, L_err=1e-3, delta0_err=1e-3)
     with pytest.raises(DataFormatError):
         interior_coords(table, 2.0)
 
@@ -157,8 +203,7 @@ def test_parallel_table_l_below_ltilde(rfk_tables):
 def test_delta0_exceeds_annulus_gap(rfk_tables):
     for name, table in rfk_tables.items():
         gap = table.R_match - table.r_match
-        gridcell = 2.0 * table.cell * 2.0 / (1.0 - math.tanh(table.R_match / 2.0) ** 2)
-        assert table.delta0 >= gap - gridcell, name
+        assert table.delta0 >= gap - table.delta0_err, name
         if name != "concentric":
             assert table.delta0 > gap + 0.005, name
         else:
@@ -235,6 +280,7 @@ def test_rfk_verdict_low_resolution_smoke(concentric_field):
     # the reported resolutions are those of the table the chain ran on
     assert report.meta["n_deltas"] == 64
     assert report.meta["grid_res"] == table.grid_res == 512
+    assert report.meta["L_err"] == table.L_err
 
 
 def test_rfk_chain_general_p(rfk_domains, rfk_tables):
@@ -255,6 +301,6 @@ def test_interior_coords_constant_length_p3():
     deltas = np.linspace(0.0, 1.0, 129)
     table = ParallelTable(deltas=deltas, L=np.full_like(deltas, 4.0), delta0=1.0,
                           Ltilde=np.full_like(deltas, 4.0), r_match=0.5,
-                          R_match=1.5, grid_res=0, cell=1e-3)
+                          R_match=1.5, grid_res=0, L_err=1e-3, delta0_err=1e-3)
     coords = interior_coords(table, 3.0)
     assert np.allclose(coords.M, deltas / 2.0, atol=1e-14)
