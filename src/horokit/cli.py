@@ -6,6 +6,7 @@ of any kind including bad usage.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +39,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _positive_float(text):
+    """argparse type for sizes and tolerances: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _parse_deltas(text):
@@ -285,14 +294,15 @@ def make_parser():
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--r", type=float, required=True)
     sp.add_argument("--R", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--tol", type=_positive_float, default=1e-12,
+                    help="root tolerance in units of the flat estimate (pi/(2(R-r)))^2")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_eig_shell)
 
     sp = sub.add_parser("eig-domain", help="first mixed eigenvalue on a planar domain")
     sp.add_argument("--domain", required=True)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--h-mesh", type=float, default=0.01)
+    sp.add_argument("--h-mesh", type=_positive_float, default=0.01)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_eig_domain)
 
@@ -306,7 +316,7 @@ def make_parser():
     sp = sub.add_parser("rfk", help="annulus comparison for the first eigenvalue")
     sp.add_argument("--domain", required=True)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--h-mesh", type=float, default=0.01,
+    sp.add_argument("--h-mesh", type=_positive_float, default=0.01,
                     help="P1 mesh size for p != 2 (p = 2 is spectral)")
     _table_options(sp)
     sp.add_argument("--out")

@@ -7,10 +7,18 @@ B_R \\ B_r is radial, reducing the problem to
     v(r) = 0,  v'(R) = 0.
 
 The solver shoots in the flux variable W = sinh^{n-1} t |v'|^{p-2} v'
-(which stays C^1 through critical points of v), brackets tau by the sign
-of W(R) with interior-zero rejection, and polishes the root by brentq.
+(which stays C^1 through critical points of v) and takes tau_1 as the one
+sign change of the outer flux: W(R), or -1 once v crosses zero inside the
+shell. While v > 0, W' = -tau sinh^{n-1} t v^{p-1} < 0, so once W turns
+negative it stays negative until v crosses zero. By half-linear Sturm
+theory (Walter, Math. Z. 227, 1998) the Prüfer phase at R grows strictly
+with tau and passes pi_p/2 at tau_1, so the outer flux is > 0 for every
+tau < tau_1 and < 0 for every tau > tau_1. Brent's method therefore
+converges on any bracket of that sign change, and no bisection onto the
+first branch is needed.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +43,10 @@ class ShellSpec:
 
     def __post_init__(self):
         check_dimension(self.n)
-        if not self.p > 1.0:
-            raise DomainValidationError(f"exponent p must exceed 1, got {self.p}")
-        if not 0.0 < self.r < self.R:
-            raise DomainValidationError(f"need 0 < r < R, got r={self.r}, R={self.R}")
+        if not 1.0 < self.p < np.inf:
+            raise DomainValidationError(f"exponent p must be finite and exceed 1, got {self.p}")
+        if not 0.0 < self.r < self.R < np.inf:
+            raise DomainValidationError(f"need finite 0 < r < R, got r={self.r}, R={self.R}")
 
     @property
     def p_conj(self):
@@ -64,14 +72,24 @@ class EigResult:
 def _integrate(spec, tau, rtol=1e-11, atol=1e-13, dense=False, slope=1.0):
     """Shoot once from v(r) = 0, v'(r) = slope; stop early if v crosses zero."""
     n, p, r, R = spec.n, spec.p, spec.r, spec.R
-    expo = 1.0 / (p - 1.0)
+    expo, pm1, nm1 = 1.0 / (p - 1.0), p - 1.0, n - 1
+    sinh, copysign = math.sinh, math.copysign
 
+    # Python floats: numpy scalar ufuncs cost about three times as much per
+    # call. A float power raises where numpy returned inf, and an infinite
+    # slope only makes solve_ivp reject the trial step (p near 1 needs that).
     def rhs(t, y):
-        v, W = y
-        s = np.sinh(t) ** (n - 1)
-        vp = np.sign(W) * (abs(W) / s) ** expo
-        f = tau * s * abs(v) ** (p - 2.0) * v if v != 0.0 else 0.0
-        return (vp, -f)
+        v, W = y.tolist()
+        s = sinh(t) ** nm1
+        try:
+            dv = (abs(W) / s) ** expo
+        except OverflowError:
+            dv = math.inf
+        try:
+            f = abs(v) ** pm1
+        except OverflowError:
+            f = math.inf
+        return (copysign(dv, W), -tau * s * copysign(f, v))
 
     eps = 1e-9 * (R - r)
 
@@ -82,60 +100,78 @@ def _integrate(spec, tau, rtol=1e-11, atol=1e-13, dense=False, slope=1.0):
     crossing.direction = -1.0
 
     flux0 = np.sinh(r) ** (n - 1) * abs(slope) ** (p - 2.0) * slope
-    sol = solve_ivp(rhs, (r, R), [0.0, flux0], rtol=rtol, atol=atol,
-                    events=crossing, dense_output=dense, max_step=(R - r) / 40.0)
+    try:
+        sol = solve_ivp(rhs, (r, R), [0.0, flux0], rtol=rtol, atol=atol,
+                        events=crossing, dense_output=dense, max_step=(R - r) / 40.0)
+    except ArithmeticError as exc:  # sinh overflow or a zero weight in rhs
+        raise NumericError(f"radial integration failed: {exc}") from exc
     if not sol.success and len(sol.t_events[0]) == 0:
         raise NumericError(f"radial integration failed: {sol.message}")
     crossed = len(sol.t_events[0]) > 0
     return sol, crossed
 
 
-def _classify(spec, tau):
-    """+1 while tau is below the eigenvalue, -1 beyond it."""
-    sol, crossed = _integrate(spec, tau)
-    if crossed:
-        return -1.0
-    return 1.0 if sol.y[1][-1] > 0.0 else -1.0
+def _outer_flux(spec, tau, slope=1.0):
+    """Signed outer flux of one shot: W(R), or -1 if v crosses zero first.
+
+    It is > 0 below tau_1 and < 0 above it (see the module docstring).
+    """
+    sol, crossed = _integrate(spec, tau, slope=slope)
+    return -1.0 if crossed else float(sol.y[1][-1])
 
 
 def shell_eigen(spec, tol=1e-12, max_iter=200, initial_slope=1.0):
     """Locate tau_1 and return the eigenvalue with its radial profile.
 
     The bracket starts from the flat-interval estimate (pi/(2(R-r)))^2 and
-    expands geometrically; 25 sign bisections isolate the first branch
-    (where v is interior-positive) before brentq refines W(R) = 0.
+    expands geometrically until _outer_flux changes sign; brentq then zeroes
+    it directly, since it is positive below tau_1 and negative above it.
+    tol is absolute in units of the flat estimate: xtol = tol * tau_flat.
+    Each tau is shot once per call; meta["integrations"] counts every
+    solve_ivp call, including the dense final one and its re-integration.
     initial_slope only rescales the eigenfunction (the problem is
     homogeneous), which makes it a cheap simplicity cross-check.
+
+    residuals["flux_outer"] = |W(R)| / max|W| is the quantity the root
+    search zeroes. residuals["bc_outer"] = |v'(R)| =
+    (|W(R)| / sinh^{n-1} R)^{1/(p-1)} takes it to the power 1/(p-1), which
+    lifts a tiny flux far from 0 once p > 2: on the 0.5/1.5 shell it reads
+    about 1e-4 at p = 5, 0.02 at p = 10 and 0.4 at p = 40 on converged
+    roots whose flux_outer is below 2e-15. It measures convergence only
+    for moderate p.
     """
     if initial_slope <= 0.0:
         raise DomainValidationError("initial slope must be > 0")
     n, p, r, R = spec.n, spec.p, spec.r, spec.R
-    tau_flat = (np.pi / (2.0 * (R - r))) ** 2
+    half_wave = np.pi / (2.0 * (R - r))
+    tau_flat = half_wave * half_wave
+    if not tau_flat < np.inf:
+        raise DomainValidationError(f"shell of width {R - r} is too thin to solve")
+    xtol = tol * tau_flat
+    if not 0.0 < xtol < np.inf:
+        raise DomainValidationError(f"need a finite tol > 0 that keeps tol * tau_flat > 0, "
+                                    f"got tol={tol}")
+    fluxes = {}
+
+    def flux_at_R(tau):
+        if tau not in fluxes:
+            fluxes[tau] = _outer_flux(spec, tau, slope=initial_slope)
+        return fluxes[tau]
+
     lo, hi = 0.5 * tau_flat, 4.0 * tau_flat
     budget = max_iter
-    while _classify(spec, lo) < 0.0:
+    while flux_at_R(lo) < 0.0:
         lo /= 4.0
         budget -= 1
         if budget <= 0 or lo < 1e-300:
             raise SearchError("no lower bracket for the shell eigenvalue")
-    while _classify(spec, hi) > 0.0:
+    while flux_at_R(hi) > 0.0:
         hi *= 4.0
         budget -= 1
         if budget <= 0 or hi > 1e12 * tau_flat:
             raise SearchError("no upper bracket for the shell eigenvalue")
-    for _ in range(25):
-        mid = 0.5 * (lo + hi)
-        if _classify(spec, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
 
-    def flux_at_R(tau):
-        sol, crossed = _integrate(spec, tau, slope=initial_slope)
-        return -1.0 if crossed else sol.y[1][-1]
-
-    tau1 = brentq(flux_at_R, lo, hi, xtol=tol * tau_flat, rtol=8.9e-16,
-                  maxiter=max_iter)
+    tau1 = brentq(flux_at_R, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=max_iter)
 
     sol, crossed = _integrate(spec, tau1, dense=True, slope=initial_slope)
     if crossed:
@@ -154,10 +190,12 @@ def shell_eigen(spec, tol=1e-12, max_iter=200, initial_slope=1.0):
     residuals = {
         "bc_inner": float(abs(v[0])),
         "bc_outer": float(abs(dv[-1])),
+        "flux_outer": float(abs(W[-1]) / np.max(np.abs(W))),
         "ode_max": ode_max,
     }
     meta = {"n": n, "p": p, "r": r, "R": R, "dense_points": DENSE_POINTS,
-            "bracket": (float(lo), float(hi)), "tol": tol}
+            "bracket": (float(lo), float(hi)), "tol": tol,
+            "integrations": len(fluxes) + 2}
     return EigResult(tau1=float(tau1), t=t, v=v, dv=dv, residuals=residuals, meta=meta)
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from horokit.bodies import Body2D, boundary_measures, make_ball
 from horokit.cli import run_command
@@ -171,6 +172,49 @@ def test_cli_usage_errors(tmp_path):
     assert run_command(["nagy", "--body", "missing.json"]) == 1
     body = write(tmp_path, "b.json", BALL_SPEC)
     assert run_command(["nagy", "--body", body, "--deltas", "oops"]) == 1
+
+
+SHELL_ARGS = ["eig-shell", "--n", "2", "--p", "2", "--r", "0.5", "--R", "1.5"]
+
+
+@pytest.mark.parametrize("argv, kind", [
+    # these ended in a brentq traceback or in "radial integration failed"
+    (SHELL_ARGS + ["--tol", "0"], "usage error"),
+    (SHELL_ARGS + ["--tol", "-1"], "usage error"),
+    (SHELL_ARGS + ["--tol", "nan"], "usage error"),
+    (SHELL_ARGS + ["--tol", "inf"], "usage error"),
+    (SHELL_ARGS[:-1] + ["inf"], "error: need finite"),
+    (SHELL_ARGS[:-1] + ["nan"], "error: need finite"),
+    (["eig-shell", "--n", "2", "--p", "inf", "--r", "0.5", "--R", "1.5"], "error: exponent"),
+    (["eig-domain", "--domain", "{dom}", "--h-mesh", "nan"], "usage error"),
+    (["eig-domain", "--domain", "{dom}", "--h-mesh", "inf"], "usage error"),
+    (["rfk", "--domain", "{dom}", "--p", "1.5", "--h-mesh", "nan"], "usage error"),
+])
+def test_cli_bad_numbers_are_errors_without_traceback(tmp_path, capsys, argv, kind):
+    dom = write(tmp_path, "dom.json", DOMAIN_SPEC)
+    assert run_command([dom if a == "{dom}" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert kind in err and "Traceback" not in err
+    assert "radial integration failed" not in err
+
+
+def _fuzz_number(lo, hi, valid):
+    # `valid` is a sub-range drawn as often as the full one, so that more
+    # than one example in ten reaches the solver instead of an input check
+    return st.one_of(st.floats(*valid), st.floats(lo, hi),
+                     st.sampled_from([0.0, math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(n=st.one_of(st.integers(2, 6), st.integers(-1, 6)),
+       p=_fuzz_number(0.5, 8.0, (1.05, 8.0)),
+       r=_fuzz_number(-1.0, 4.0, (0.05, 2.0)),
+       R=_fuzz_number(-1.0, 4.0, (2.0, 4.0)),
+       tol=_fuzz_number(-1.0, 1e-6, (1e-14, 1e-6)))
+def test_cli_eig_shell_fuzz_exits_cleanly(n, p, r, R, tol):
+    # "--opt=value" so that negative values reach the option's own check
+    argv = ["eig-shell", f"--n={n}", f"--p={p!r}", f"--r={r!r}", f"--R={R!r}", f"--tol={tol!r}"]
+    assert run_command(argv) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("command", ["rfk", "hersch"])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import horokit.shell as shell_module
 from horokit.shell import (
     ShellSpec,
+    _outer_flux,
     radial_profile_eval,
     rayleigh_quotient_radial,
     shell_eigen,
@@ -19,6 +21,19 @@ def test_shell_spec_validation():
         ShellSpec(n=2, p=2.0, r=1.5, R=0.5)
     with pytest.raises(DomainValidationError):
         ShellSpec(n=1, p=2.0, r=0.5, R=1.5)
+    for p, r, R in ((np.inf, 0.5, 1.5), (2.0, np.nan, 1.5), (2.0, 0.5, np.inf),
+                    (2.0, 0.5, np.nan)):
+        with pytest.raises(DomainValidationError):
+            ShellSpec(n=2, p=p, r=r, R=R)
+
+
+def test_shell_eigen_rejects_unusable_tolerance():
+    spec = ShellSpec(n=2, p=2.0, r=0.5, R=1.5)
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DomainValidationError):
+            shell_eigen(spec, tol=tol)
+    with pytest.raises(DomainValidationError):  # tol * tau_flat underflows to 0
+        shell_eigen(ShellSpec(n=2, p=2.0, r=0.5, R=10.0), tol=5e-324)
 
 
 def test_benchmark_eigenvalue_against_fd_pencil(shell_benchmark):
@@ -91,3 +106,60 @@ def test_interior_zero_rejection_finds_first_branch():
     res = shell_eigen(spec)
     assert res.tau1 < (np.pi / 2.0) ** 2
     assert np.all(res.v[1:] > 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 5.0])
+def test_outer_flux_changes_sign_once_at_tau1(n, p):
+    # the root search rests on this: + below tau_1, - everywhere above it
+    spec = ShellSpec(n=n, p=p, r=0.5, R=1.5)
+    tau1 = shell_eigen(spec).tau1
+    tau_flat = (np.pi / 2.0) ** 2
+    assert _outer_flux(spec, 0.999 * tau1) > 0.0
+    # up to 16 tau_flat so that the sweep also crosses the second branch,
+    # where W(R) of a shot that ignored the interior zero is positive again
+    assert 4.0 * tau_flat > 1.001 * tau1
+    above = [_outer_flux(spec, tau) for tau in np.geomspace(1.001 * tau1, 16.0 * tau_flat, 16)]
+    assert all(flux < 0.0 for flux in above), above
+
+
+# tau_1 from the bisect-then-brentq search this solver replaced: the four
+# criterion-10 shells and the general_p shell shapes (hole, concentric, 6 shapes)
+PINNED_TAU = {
+    (2, 2.0, 0.5, 1.5): 1.3576021911837446,
+    (2, 1.5, 0.5, 1.5): 0.989101676928431,
+    (3, 1.5, 0.3, 1.3): 0.31136335750866523,
+    (3, 2.0, 0.8, 1.6): 1.6027014050819968,
+    (2, 1.5, 0.78, 1.83): 0.9884060432750316,
+    (2, 3.0, 0.8, 1.8): 2.1374983595927572,
+    (2, 3.0, 0.5, 1.5): 1.9808766025454103,
+    (3, 1.5, 0.5, 1.5): 0.45506053193284224,
+    (3, 2.0, 0.5, 1.5): 0.6789581879057883,
+    (3, 3.0, 0.5, 1.5): 1.0453318462754335,
+    # near the Cheeger limit 0.42546: trial slopes overflow and are rejected
+    (2, 1.0001, 0.5, 1.5): 0.4258916244482048,
+    # bc_outer = |v'(R)| reads 0.4 here; flux_outer still gauges the root
+    (2, 40.0, 0.5, 1.5): 21.885938530439734,
+}
+
+
+def _counting_solve_ivp(monkeypatch):
+    calls = []
+    real = shell_module.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shell_module, "solve_ivp", counting)
+    return calls
+
+
+@pytest.mark.parametrize("shell", sorted(PINNED_TAU))
+def test_tau_pinned_with_few_integrations(shell, monkeypatch):
+    calls = _counting_solve_ivp(monkeypatch)
+    res = shell_eigen(ShellSpec(*shell))
+    assert res.tau1 == pytest.approx(PINNED_TAU[shell], rel=1e-12, abs=0.0)
+    # one shot per tau: the bisecting search took 33-34
+    assert res.meta["integrations"] == len(calls) <= 13
+    assert res.residuals["flux_outer"] <= 1e-12
