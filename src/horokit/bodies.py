@@ -10,10 +10,16 @@ vector, parallel-body perimeters) a one-dimensional quadrature.
 Planar profiles sample uniformly in theta (the trapezoid rule is spectral
 for periodic integrands); revolution profiles sample at Gauss-Legendre
 nodes of [0, pi], which never touch the poles.
+
+Derived data (the profile and its half-resolution check, the measures, the
+curvature integrals) is cached on the immutable body.  require_convex is the
+one convex gate, and check_hypotheses the one hypothesis rule of the
+comparisons: convex in H^2, h-convex for n >= 3.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +43,85 @@ def _as_coeffs(c):
     return np.atleast_1d(np.asarray(c, dtype=float)) if c is not None and len(np.atleast_1d(c)) else np.zeros(0)
 
 
+class _RadialGraph:
+    """The radial series and the cached derived data of both representations.
+
+    A subclass gives its series terms as (frequency, coefficient) pairs, its
+    curvature profile at 1/divisor of its resolution, and its volume.
+    """
+
+    def _check(self, samples, x):
+        """Constructor checks on a grid x over the whole parameter range."""
+        r = self.radius(x)
+        if not np.all(np.isfinite(r)):
+            raise DomainValidationError("mean radius and coefficients must be finite")
+        if self.a0 <= 0:
+            raise DomainValidationError("mean radius a0 must be > 0")
+        if samples < 16:
+            raise DomainValidationError(f"{samples} samples are too few, need >= 16")
+        if r.min() <= 0.0:
+            raise DomainValidationError("radial graph must stay positive")
+
+    def _series(self, x, derivative):
+        x = np.asarray(x, dtype=float)
+        out = np.full_like(x, self.a0 if derivative == 0 else 0.0)
+        cos_terms, sin_terms = self._terms
+        for k, a in cos_terms:
+            if a == 0.0:
+                continue
+            if derivative == 0:
+                out = out + a * np.cos(k * x)
+            elif derivative == 1:
+                out = out - a * k * np.sin(k * x)
+            else:
+                out = out - a * k * k * np.cos(k * x)
+        for k, b in sin_terms:
+            if b == 0.0:
+                continue
+            if derivative == 0:
+                out = out + b * np.sin(k * x)
+            elif derivative == 1:
+                out = out + b * k * np.cos(k * x)
+            else:
+                out = out - b * k * k * np.sin(k * x)
+        return out
+
+    def radius(self, x):
+        return self._series(x, 0)
+
+    def radius_d1(self, x):
+        return self._series(x, 1)
+
+    def radius_d2(self, x):
+        return self._series(x, 2)
+
+    @cached_property
+    def _profile(self):
+        return self._profile_at(1)
+
+    @cached_property
+    def _checked_profile(self):
+        """The profile, once its perimeter agrees with the half-resolution one."""
+        p_full = self._profile.perimeter
+        p_half = self._profile_at(2).perimeter
+        if abs(p_full - p_half) > RESOLUTION_CHECK_RTOL * abs(p_full):
+            raise NumericError(
+                "sampling resolution too coarse for this body; "
+                "increase n_theta/n_u and retry"
+            )
+        return self._profile
+
+    @cached_property
+    def _measures(self):
+        return {"perimeter": self._profile.perimeter, "volume": self._volume()}
+
+    @cached_property
+    def _integrals(self):
+        return curvature_integrals_from_profile(self._profile)
+
+
 @dataclass(frozen=True)
-class Body2D:
+class Body2D(_RadialGraph):
     """Closed curve r(theta) = a0 + sum a_k cos(k theta) + b_k sin(k theta)."""
 
     a0: float
@@ -49,49 +132,33 @@ class Body2D:
     def __post_init__(self):
         object.__setattr__(self, "cos", _as_coeffs(self.cos))
         object.__setattr__(self, "sin", _as_coeffs(self.sin))
-        if self.a0 <= 0:
-            raise DomainValidationError("mean radius a0 must be > 0")
-        if self.n_theta < 16:
-            raise DomainValidationError("n_theta too small")
-        r = self.radius(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
-        if r.min() <= 0.0:
-            raise DomainValidationError("radial graph must stay positive")
+        self._check(self.n_theta, np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
 
     @property
     def n(self):
         return 2
 
-    def _series(self, theta, derivative):
-        theta = np.asarray(theta, dtype=float)
-        out = np.full_like(theta, self.a0 if derivative == 0 else 0.0)
-        for k, a in enumerate(self.cos, start=1):
-            if a == 0.0:
-                continue
-            if derivative == 0:
-                out = out + a * np.cos(k * theta)
-            elif derivative == 1:
-                out = out - a * k * np.sin(k * theta)
-            else:
-                out = out - a * k * k * np.cos(k * theta)
-        for k, b in enumerate(self.sin, start=1):
-            if b == 0.0:
-                continue
-            if derivative == 0:
-                out = out + b * np.sin(k * theta)
-            elif derivative == 1:
-                out = out + b * k * np.cos(k * theta)
-            else:
-                out = out - b * k * k * np.sin(k * theta)
-        return out
+    @property
+    def _terms(self):
+        return enumerate(self.cos, start=1), enumerate(self.sin, start=1)
 
-    def radius(self, theta):
-        return self._series(theta, 0)
+    def _profile_at(self, divisor):
+        return curvature_2d(self, self.n_theta // divisor)
 
-    def radius_d1(self, theta):
-        return self._series(theta, 1)
-
-    def radius_d2(self, theta):
-        return self._series(theta, 2)
+    def _volume(self):
+        """Polar area integral_0^r sinh, cross-checked against the
+        Gauss-Bonnet area integral kappa_g ds - 2 pi (curvature -1), whose
+        disagreement flags a bad curvature profile."""
+        prof = self._profile
+        theta = prof.params
+        r = self.radius(theta)
+        volume = float(np.sum(np.cosh(r) - 1.0) * (2.0 * np.pi / len(theta)))
+        area_gb = float(np.sum(prof.kappas[:, 0] * prof.weights) - 2.0 * np.pi)
+        if abs(area_gb - volume) > GAUSS_BONNET_RTOL * abs(volume):
+            raise ConsistencyError(
+                f"Gauss-Bonnet area {area_gb!r} disagrees with polar area {volume!r}"
+            )
+        return volume
 
     @property
     def is_round(self):
@@ -111,9 +178,15 @@ class Body2D:
         dt = rp / (2.0 * np.cosh(r / 2.0) ** 2)
         return (dt + 1j * t) * np.exp(1j * theta)
 
+    def chart_normal(self, theta):
+        """Outward unit normal of chart_curve, also the hyperbolic one since the
+        chart is conformal: -i times the tangent of a counterclockwise curve."""
+        tangent = self.chart_tangent(theta)
+        return -1j * tangent / np.abs(tangent)
+
 
 @dataclass(frozen=True)
-class RevolutionBody:
+class RevolutionBody(_RadialGraph):
     """Rotationally symmetric body in H^n, n >= 3: radial graph h(u), u in [0, pi].
 
     The profile is an even cosine series h(u) = a0 + sum c_j cos(2j u), which
@@ -130,37 +203,24 @@ class RevolutionBody:
         if self.n < 3:
             raise DomainValidationError("revolution bodies need ambient dimension >= 3")
         object.__setattr__(self, "cos_even", _as_coeffs(self.cos_even))
-        if self.a0 <= 0:
-            raise DomainValidationError("mean radius a0 must be > 0")
-        if self.n_u < 16:
-            raise DomainValidationError("n_u too small")
-        h = self.height(np.linspace(0.0, np.pi, 2049))
-        if h.min() <= 0.0:
-            raise DomainValidationError("radial graph must stay positive")
+        self._check(self.n_u, np.linspace(0.0, np.pi, 2049))
 
-    def _series(self, u, derivative):
-        u = np.asarray(u, dtype=float)
-        out = np.full_like(u, self.a0 if derivative == 0 else 0.0)
-        for j, c in enumerate(self.cos_even, start=1):
-            if c == 0.0:
-                continue
-            k = 2 * j
-            if derivative == 0:
-                out = out + c * np.cos(k * u)
-            elif derivative == 1:
-                out = out - c * k * np.sin(k * u)
-            else:
-                out = out - c * k * k * np.cos(k * u)
-        return out
+    @property
+    def _terms(self):
+        return ((2 * j, c) for j, c in enumerate(self.cos_even, start=1)), ()
 
-    def height(self, u):
-        return self._series(u, 0)
+    def _profile_at(self, divisor):
+        return curvature_revolution(self, self.n_u // divisor)
 
-    def height_d1(self, u):
-        return self._series(u, 1)
+    def _volume(self):
+        n = self.n
+        u, qw = _gauss_legendre(self.n_u, 0.0, np.pi)
+        radial = sinh_power_integral_vec(n - 1, self.height(u))
+        return float(sphere_measure(n - 2) * np.sum(qw * np.sin(u) ** (n - 2) * radial))
 
-    def height_d2(self, u):
-        return self._series(u, 2)
+    height = _RadialGraph.radius
+    height_d1 = _RadialGraph.radius_d1
+    height_d2 = _RadialGraph.radius_d2
 
     @property
     def is_round(self):
@@ -240,17 +300,6 @@ def _gauss_legendre(n_nodes, a, b):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _memo(body, key, builder):
-    """Per-body cache; bodies are immutable so derived data never expires."""
-    cache = getattr(body, "_derived_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(body, "_derived_cache", cache)
-    if key not in cache:
-        cache[key] = builder()
-    return cache[key]
-
-
 def _geodesic_curvature_polar(r, rp, rpp):
     """Geodesic curvature of a polar radial graph in the metric dr^2 + sinh^2 r dth^2."""
     f = np.sinh(r)
@@ -315,30 +364,8 @@ def curvature_revolution(body, n_u=None):
 
 
 def curvature_profile(body):
-    if isinstance(body, Body2D):
-        return _memo(body, "profile", lambda: curvature_2d(body))
-    if isinstance(body, RevolutionBody):
-        return _memo(body, "profile", lambda: curvature_revolution(body))
-    raise DomainValidationError(f"unsupported body type {type(body).__name__}")
-
-
-def _resolution_guard(body):
-    """Richardson-style check: perimeter at full vs half resolution."""
-    def run():
-        if isinstance(body, Body2D):
-            p_full = curvature_profile(body).perimeter
-            p_half = curvature_2d(body, n_theta=body.n_theta // 2).perimeter
-        else:
-            p_full = curvature_profile(body).perimeter
-            p_half = curvature_revolution(body, n_u=body.n_u // 2).perimeter
-        if abs(p_full - p_half) > RESOLUTION_CHECK_RTOL * abs(p_full):
-            raise NumericError(
-                "sampling resolution too coarse for this body; "
-                "increase n_theta/n_u and retry"
-            )
-        return True
-
-    _memo(body, "resolution_ok", run)
+    """Curvature profile at the body's own resolution, cached on the body."""
+    return body._profile
 
 
 @dataclass(frozen=True)
@@ -354,9 +381,7 @@ def convexity_report(body):
     Pole curvatures of revolution bodies are appended explicitly since the
     interior quadrature nodes only approach the poles.
     """
-    _resolution_guard(body)
-    prof = curvature_profile(body)
-    kmin = prof.min_curvature()
+    kmin = body._checked_profile.min_curvature()
     if isinstance(body, RevolutionBody):
         kmin = min(kmin, revolution_pole_curvature(body, True),
                    revolution_pole_curvature(body, False))
@@ -371,32 +396,8 @@ def convexity_report(body):
 # Measures and curvature integrals
 
 def boundary_measures(body):
-    """Perimeter and volume of a body; Gauss-Bonnet cross-check in the plane.
-
-    The planar area is computed twice: by polar integration of
-    integral_0^r sinh and through integral kappa_g ds - 2 pi (curvature -1
-    Gauss-Bonnet); disagreement flags a bad curvature profile.
-    """
-    def run():
-        prof = curvature_profile(body)
-        perimeter = prof.perimeter
-        if isinstance(body, Body2D):
-            theta = prof.params
-            r = body.radius(theta)
-            volume = float(np.sum(np.cosh(r) - 1.0) * (2.0 * np.pi / len(theta)))
-            area_gb = float(np.sum(prof.kappas[:, 0] * prof.weights) - 2.0 * np.pi)
-            if abs(area_gb - volume) > GAUSS_BONNET_RTOL * abs(volume):
-                raise ConsistencyError(
-                    f"Gauss-Bonnet area {area_gb!r} disagrees with polar area {volume!r}"
-                )
-        else:
-            n = body.n
-            u, qw = _gauss_legendre(body.n_u, 0.0, np.pi)
-            radial = sinh_power_integral_vec(n - 1, body.height(u))
-            volume = float(sphere_measure(n - 2) * np.sum(qw * np.sin(u) ** (n - 2) * radial))
-        return {"perimeter": perimeter, "volume": volume}
-
-    return dict(_memo(body, "measures", run))
+    """Perimeter and volume of a body; Gauss-Bonnet cross-checks the planar area."""
+    return dict(body._measures)
 
 
 @dataclass(frozen=True)
@@ -421,8 +422,7 @@ def curvature_integrals_from_profile(prof):
 
 
 def curvature_integrals(body):
-    return _memo(body, "curvature_integrals",
-                 lambda: curvature_integrals_from_profile(curvature_profile(body)))
+    return body._integrals
 
 
 def quermassintegrals(body):
@@ -439,14 +439,41 @@ def quermassintegrals(body):
 
 
 # ---------------------------------------------------------------------------
-# Parallel bodies
+# Admission: the convex gate and the hypothesis rule
 
-def _require_convex(body):
+def require_convex(body, what):
+    """Raise PreconditionError unless the body (named `what` in the message) is convex."""
     rep = convexity_report(body)
     if not rep.is_convex:
         raise PreconditionError(
-            f"operation needs a convex body (min curvature {rep.min_curvature:.6f})"
+            f"{what} must be convex (min curvature {rep.min_curvature:.6f})"
         )
+
+
+def check_hypotheses(body, force=False):
+    """Convexity for planar bodies, h-convexity for n >= 3.
+
+    Bodies in n >= 3 that are convex but not h-convex are refused (the
+    comparisons are unsupported there) unless force=True, in which case the
+    caller gets False and flags its result as outside the hypotheses.
+    """
+    rep = convexity_report(body)
+    if body.n == 2:
+        ok = rep.is_convex
+        need = "is_convex"
+    else:
+        ok = rep.is_h_convex
+        need = "is_h_convex"
+    if not ok and not force:
+        raise PreconditionError(
+            f"body fails hypothesis {need} (min curvature {rep.min_curvature:.6f}); "
+            "pass force=True to compute anyway"
+        )
+    return ok
+
+
+# ---------------------------------------------------------------------------
+# Parallel bodies
 
 
 def parallel_perimeter_direct(body, delta, profile=None):
@@ -459,7 +486,7 @@ def parallel_perimeter_direct(body, delta, profile=None):
     if delta < 0:
         raise DomainValidationError("parallel distance must be >= 0")
     if profile is None:
-        _require_convex(body)
+        require_convex(body, "body")
         profile = curvature_profile(body)
     c, s = math.cosh(delta), math.sinh(delta)
     jac = np.ones(len(profile.params))
@@ -492,7 +519,7 @@ def parallel_volume(body, delta):
     """
     if delta < 0:
         raise DomainValidationError("parallel distance must be >= 0")
-    _require_convex(body)
+    require_convex(body, "body")
     meas = boundary_measures(body)
     if delta == 0.0:
         return meas["volume"]

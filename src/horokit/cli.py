@@ -148,8 +148,6 @@ def cmd_af_check(args):
     results = []
     ok = True
     for i, j in pairs:
-        if n == 2 and (i, j) != (0, 1):
-            continue
         margin = af_check(body, i, j, force=args.force)
         results.append({"i": i, "j": j, "margin": margin})
         ok = ok and margin >= -1e-8
@@ -258,7 +256,7 @@ def make_parser():
 
     sp = sub.add_parser("ball-tables", help="ball measures and quermass vectors")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=float, nargs="+", required=True)
+    sp.add_argument("--r", type=_positive_float, nargs="+", required=True)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_ball_tables)
 
@@ -324,8 +322,8 @@ def make_parser():
 
     sp = sub.add_parser("insulation", help="insulation energy comparison")
     sp.add_argument("--body", required=True)
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
+    sp.add_argument("--delta", type=_positive_float, required=True)
+    sp.add_argument("--beta", type=_positive_float, required=True)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_insulation)

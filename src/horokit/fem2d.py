@@ -36,6 +36,8 @@ DESCENT_DECREASE = 1e-10   # general-p starts differ only beyond this gap
 POWER_DECREASE = 1e-13     # inverse power settles below this decrease
 MONOTONE_RTOL = 1e-13      # roundoff allowed in the quotient's decrease
 HESSIAN_EPS = 1e-12
+NEWTON_MAX_ITER = 80       # Newton steps of one convex minimization
+POWER_MAX_ITER = 300       # outer inverse power steps from each start
 # P1 systems are SPD: minimum degree on A + A^T keeps the factor about half
 # as full as the default COLAMD column ordering, which ignores the symmetry
 SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A"}
@@ -58,10 +60,14 @@ class AnnularDomain2D:
     def __post_init__(self):
         if not isinstance(self.inner, Body2D) or not isinstance(self.outer, Body2D):
             raise DomainValidationError("annular domains are built from two Body2D")
+        if not (math.isfinite(self.offset) and math.isfinite(self.offset_angle)):
+            raise DomainValidationError("offset and offset_angle must be finite")
         if self.offset < 0.0:
             raise DomainValidationError("offset must be >= 0")
         ri, ro = self.polar_tables
         a = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+        if not np.max(ro(a)) < 1.0:
+            raise DomainValidationError("outer boundary too far out: chart radius rounds to 1")
         if np.min(ro(a) - ri(a)) <= 1e-9:
             raise DomainValidationError("inner boundary touches or crosses the outer one")
 
@@ -267,12 +273,6 @@ def boundary_mass_outer(mesh):
     return coo_matrix((vals, (ii, jj)), shape=(nv, nv)).tocsr()
 
 
-def hyperbolic_area(mesh):
-    """Hyperbolic area of the meshed region from the weighted mass matrix."""
-    _, M = assemble_p2(mesh)
-    return float(M.sum())
-
-
 def richardson_extrapolate(coarse, fine):
     """(h, h/2) Richardson extrapolation of a second-order accurate value."""
     return fine + (fine - coarse) / 3.0
@@ -402,15 +402,15 @@ class _RayleighP:
         return csc_matrix((data, indices, indptr), shape=(len(self.free),) * 2)
 
 
-def damped_newton(energy_grad, newton_step, u, max_iter=80):
+def damped_newton(energy_grad, newton_step, u):
     """Minimize a convex energy by Newton steps with energy backtracking.
 
     energy_grad(u) gives (energy, gradient), newton_step(u, g) solves the
     Hessian at u against g.  Stops when the Newton decrement g . step falls
     below roundoff (1e-15 max(|energy|, 1)), when 30 halvings of a step do
-    not lower the energy, or after max_iter steps; returns (u, solves)."""
+    not lower the energy, or after NEWTON_MAX_ITER steps; returns (u, solves)."""
     e, g = energy_grad(u)
-    for solves in range(1, max_iter + 1):
+    for solves in range(1, NEWTON_MAX_ITER + 1):
         step = newton_step(u, g)
         if float(g @ step) <= 1e-15 * max(abs(e), 1.0):
             break
@@ -426,12 +426,12 @@ def damped_newton(energy_grad, newton_step, u, max_iter=80):
     return u, solves
 
 
-def eigen_p_general(mesh, p, max_iter=300):
+def eigen_p_general(mesh, p):
     """Upper-bound approximation of tau_1 for general p in (1, inf).
 
     Nonlinear inverse power iteration (Hein & Buehler 2010) on the P1
     Rayleigh quotient from the p = 2 eigenvector and from the constant 1,
-    at most max_iter outer steps each.  Not certified globally optimal: the
+    at most POWER_MAX_ITER outer steps each.  Not certified globally optimal: the
     quotient of an admissible function, an upper bound whose quality the
     radial cross-checks establish.
     """
@@ -441,7 +441,7 @@ def eigen_p_general(mesh, p, max_iter=300):
     p2 = _shift_invert_eigenpair(mesh, _dirichlet_system(mesh))
     best = None
     for label, u0 in (("p2_eigenvector", np.abs(p2.u[rq.free])), ("constant", np.ones(len(rq.free)))):
-        run = _inverse_power(rq, u0, max_iter)
+        run = _inverse_power(rq, u0)
         # both starts often settle on the same quotient to the last bit; the
         # p = 2 start is kept unless the other is lower by more than
         # DESCENT_DECREASE of it, so the label never rests on round-off
@@ -459,12 +459,12 @@ def eigen_p_general(mesh, p, max_iter=300):
     return EigResult(tau1=float(value), residuals=residuals, meta=meta, u=u)
 
 
-def _inverse_power(rq, u, max_iter):
+def _inverse_power(rq, u):
     """Outer steps from u until the quotient settles; returns (quotient,
     u with den(u) = 1, outer steps, Newton solves, settled)."""
     (num, _), (den, _) = rq.numerator(u), rq.denominator(u)
     u, value, newton = u / den ** (1.0 / rq.p), num / den, 0
-    for outer in range(1, max_iter + 1):
+    for outer in range(1, POWER_MAX_ITER + 1):
         u, new, solves = _power_step(rq, u, value)
         newton += solves
         if new > value * (1.0 + MONOTONE_RTOL):

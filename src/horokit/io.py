@@ -26,9 +26,32 @@ def _fmt(x):
 
 
 def _require(mapping, key, where):
+    if not isinstance(mapping, dict):
+        raise DataFormatError(f"{where}: expected an object, got {mapping!r}")
     if key not in mapping:
         raise DataFormatError(f"{where}: missing required field {key!r}")
     return mapping[key]
+
+
+def _numbers(mapping, key, where, default=None, ndim=0):
+    """Field key as a float (ndim 0) or as a float array of at most ndim
+    dimensions; required unless a default is given."""
+    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out.ndim > ndim:
+        noun = "a number" if ndim == 0 else "a list of numbers"
+        raise DataFormatError(f"{where}: field {key!r} must be {noun}, got {value!r}")
+    return float(out) if ndim == 0 else out
+
+
+def _integer(mapping, key, where):
+    value = _numbers(mapping, key, where)
+    if not value.is_integer():
+        raise DataFormatError(f"{where}: field {key!r} must be an integer, got {mapping[key]!r}")
+    return int(value)
 
 
 def _load_json(path):
@@ -46,21 +69,21 @@ def body_from_dict(doc, where="body spec"):
     if schema != SCHEMA_VERSION:
         raise DataFormatError(f"{where}: unsupported schema version {schema!r}")
     kind = _require(doc, "kind", where)
-    n = int(_require(doc, "n", where))
+    n = _integer(doc, "n", where)
     params = _require(doc, "params", where)
     if kind == "ball":
-        return make_ball(n, float(_require(params, "r", where)))
+        return make_ball(n, _numbers(params, "r", where))
     if kind == "fourier2d":
         if n != 2:
             raise DataFormatError(f"{where}: fourier2d bodies require n = 2")
-        return Body2D(a0=float(_require(params, "a0", where)),
-                      cos=np.asarray(params.get("cos", []), dtype=float),
-                      sin=np.asarray(params.get("sin", []), dtype=float))
+        return Body2D(a0=_numbers(params, "a0", where),
+                      cos=_numbers(params, "cos", where, [], ndim=1),
+                      sin=_numbers(params, "sin", where, [], ndim=1))
     if kind == "revolution":
         if n < 3:
             raise DataFormatError(f"{where}: revolution bodies require n >= 3")
-        return RevolutionBody(n=n, a0=float(_require(params, "a0", where)),
-                              cos_even=np.asarray(params.get("cos_even", []), dtype=float))
+        return RevolutionBody(n=n, a0=_numbers(params, "a0", where),
+                              cos_even=_numbers(params, "cos_even", where, [], ndim=1))
     raise DataFormatError(f"{where}: unknown body kind {kind!r}")
 
 
@@ -98,8 +121,8 @@ def domain_from_dict(doc, where="domain spec"):
     if not isinstance(inner, Body2D) or not isinstance(outer, Body2D):
         raise DataFormatError(f"{where}: annular domains need planar bodies")
     return AnnularDomain2D(inner=inner, outer=outer,
-                           offset=float(doc.get("offset", 0.0)),
-                           offset_angle=float(doc.get("offset_angle", 0.0)))
+                           offset=_numbers(doc, "offset", where, 0.0),
+                           offset_angle=_numbers(doc, "offset_angle", where, 0.0))
 
 
 def load_domain(path):

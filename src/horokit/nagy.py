@@ -14,12 +14,12 @@ from .core import ball_perimeter, ball_quermass, quermass_inverse_radius
 from .bodies import (
     Body2D,
     boundary_measures,
-    convexity_report,
+    check_hypotheses,
     curvature_profile,
     parallel_perimeter_direct,
     quermassintegrals,
 )
-from .errors import DomainValidationError, PreconditionError
+from .errors import DomainValidationError, NumericError
 
 TOL_NUM_REL = 1e-8   # numerical slack on margins, relative to the ball side
 TOL_EQ_REL = 1e-6    # equality detection threshold, relative
@@ -28,28 +28,6 @@ TOL_EQ_REL = 1e-6    # equality detection threshold, relative
 def default_delta_grid():
     """16 log-spaced parallel distances in [1e-3, 2]."""
     return np.geomspace(1e-3, 2.0, 16)
-
-
-def check_hypotheses(body, force=False):
-    """Convexity for planar bodies, h-convexity for n >= 3.
-
-    Bodies in n >= 3 that are convex but not h-convex are refused (the
-    comparison is unsupported there) unless force=True, in which case the
-    caller gets a report flagged as outside the hypotheses.
-    """
-    rep = convexity_report(body)
-    if body.n == 2:
-        ok = rep.is_convex
-        need = "is_convex"
-    else:
-        ok = rep.is_h_convex
-        need = "is_h_convex"
-    if not ok and not force:
-        raise PreconditionError(
-            f"body fails hypothesis {need} (min curvature {rep.min_curvature:.6f}); "
-            "pass force=True to compute anyway"
-        )
-    return ok
 
 
 def equivalent_ball(body, force=False):
@@ -97,13 +75,16 @@ def nagy_table(body, delta_grid=None, force=False, match="quermass"):
     if np.any(deltas < 0.0):
         raise DomainValidationError("parallel distances must be >= 0")
     if match == "quermass":
-        w = quermassintegrals(body)
-        r_star = quermass_inverse_radius(body.n, body.n - 1, w[body.n - 1])
+        r_star = equivalent_ball(body, force=force)
     else:
         r_star = perimeter_matched_ball(body)
     prof = curvature_profile(body)
-    p_body = np.array([parallel_perimeter_direct(body, d, profile=prof) for d in deltas])
-    p_ball = np.array([ball_perimeter(body.n, r_star + d) for d in deltas])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            p_body = np.array([parallel_perimeter_direct(body, d, profile=prof) for d in deltas])
+            p_ball = np.array([ball_perimeter(body.n, r_star + d) for d in deltas])
+    except ArithmeticError as exc:  # math and, under errstate, numpy overflow
+        raise NumericError(f"parallel perimeters overflow: {exc}") from exc
     margins = p_ball - p_body
     verdict = bool(np.all(margins >= -TOL_NUM_REL * p_ball))
     equality = bool(np.all(np.abs(margins) <= TOL_EQ_REL * p_ball))
@@ -126,8 +107,6 @@ def af_check(body, i, j, force=False):
     n = body.n
     if not (0 <= i < j <= n - 1):
         raise DomainValidationError(f"need 0 <= i < j <= {n - 1}, got ({i}, {j})")
-    if n == 2 and (i, j) != (0, 1):
-        raise DomainValidationError("planar comparison only supports (i, j) = (0, 1)")
     check_hypotheses(body, force=force)
     w = quermassintegrals(body)
     r_i = quermass_inverse_radius(n, i, w[i])

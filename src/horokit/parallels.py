@@ -27,7 +27,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
 
 from .core import ball_perimeter, geodesic_step
-from .bodies import boundary_measures, convexity_report, curvature_2d
+from .bodies import boundary_measures, curvature_2d, require_convex
 from .fem2d import (
     AnnularDomain2D,
     build_mesh,
@@ -36,7 +36,7 @@ from .fem2d import (
 )
 from .spectral import mixed_eigenpair
 from .shell import ShellSpec, shell_eigen
-from .errors import DomainValidationError, NumericError, PreconditionError, DataFormatError
+from .errors import DomainValidationError, NumericError, DataFormatError
 
 DEFAULT_GRID_RES = 8192    # normal rays from the hole boundary
 DEFAULT_N_DELTAS = 384
@@ -77,24 +77,10 @@ class DistanceField:
         return np.column_stack([self.values, self.reentries])
 
 
-def _require_convex_hole(dom):
-    rep = convexity_report(dom.inner)
-    if not rep.is_convex:
-        raise PreconditionError(
-            f"hole must be convex for the parallel construction "
-            f"(min curvature {rep.min_curvature:.6f})"
-        )
-
-
 def _normal_rays(dom, theta):
-    """Chart foot point, outward unit chart normal and hyperbolic radius of each ray.
-
-    The chart is conformal, so the chart normal is the hyperbolic one; the
-    hole is traversed counterclockwise, so -i times the tangent points out.
-    """
+    """Chart foot point, outward unit chart normal and hyperbolic radius of each ray."""
     hole = dom.inner
-    tangent = hole.chart_tangent(theta)
-    return hole.chart_curve(theta), -1j * tangent / np.abs(tangent), hole.radius(theta)
+    return hole.chart_curve(theta), hole.chart_normal(theta), hole.radius(theta)
 
 
 def _ray_crossings(dom, theta, reach):
@@ -153,7 +139,7 @@ def distance_field(dom, grid_res=DEFAULT_GRID_RES):
         raise DomainValidationError("distance fields are built over annular domains")
     if grid_res < MIN_GRID_RES:
         raise DomainValidationError(f"grid_res must be at least {MIN_GRID_RES}, got {grid_res}")
-    _require_convex_hole(dom)
+    require_convex(dom.inner, "hole")
     rho_out = dom.polar_tables[1]
     rho_max = float(np.max(rho_out(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))))
     reach = 2.0 * math.atanh(rho_max) + 0.01
@@ -275,7 +261,7 @@ def annulus_match(dom):
     r satisfies P(B_r) = P(hole) (the planar quermass match); R conserves
     the domain area through |B_R| - |B_r| = |domain|.
     """
-    _require_convex_hole(dom)
+    require_convex(dom.inner, "hole")
     hole = boundary_measures(dom.inner)
     outer = boundary_measures(dom.outer)
     area = outer["volume"] - hole["volume"]

@@ -30,6 +30,8 @@ from .core import check_dimension
 from .errors import DomainValidationError, NumericError, SearchError
 
 DENSE_POINTS = 512
+SEARCH_MAX_ITER = 200      # bracket expansions, and brentq's iterations
+RAYLEIGH_POINTS = 4096     # trapezoid nodes of rayleigh_quotient_radial
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,6 @@ class ShellSpec:
             raise DomainValidationError(f"exponent p must be finite and exceed 1, got {self.p}")
         if not 0.0 < self.r < self.R < np.inf:
             raise DomainValidationError(f"need finite 0 < r < R, got r={self.r}, R={self.R}")
-
-    @property
-    def p_conj(self):
-        return self.p / (self.p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ def _outer_flux(spec, tau, slope=1.0):
     return -1.0 if crossed else float(sol.y[1][-1])
 
 
-def shell_eigen(spec, tol=1e-12, max_iter=200, initial_slope=1.0):
+def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
     """Locate tau_1 and return the eigenvalue with its radial profile.
 
     The bracket starts from the flat-interval estimate (pi/(2(R-r)))^2 and
@@ -159,7 +157,7 @@ def shell_eigen(spec, tol=1e-12, max_iter=200, initial_slope=1.0):
         return fluxes[tau]
 
     lo, hi = 0.5 * tau_flat, 4.0 * tau_flat
-    budget = max_iter
+    budget = SEARCH_MAX_ITER
     while flux_at_R(lo) < 0.0:
         lo /= 4.0
         budget -= 1
@@ -171,7 +169,7 @@ def shell_eigen(spec, tol=1e-12, max_iter=200, initial_slope=1.0):
         if budget <= 0 or hi > 1e12 * tau_flat:
             raise SearchError("no upper bracket for the shell eigenvalue")
 
-    tau1 = brentq(flux_at_R, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=max_iter)
+    tau1 = brentq(flux_at_R, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=SEARCH_MAX_ITER)
 
     sol, crossed = _integrate(spec, tau1, dense=True, slope=initial_slope)
     if crossed:
@@ -209,9 +207,9 @@ def radial_profile_eval(res, t):
     return interp(np.clip(t_arr, lo, hi))
 
 
-def rayleigh_quotient_radial(spec, res, n_quad=4096):
+def rayleigh_quotient_radial(spec, res):
     """Rayleigh quotient of the stored profile in the shell weight sinh^{n-1}."""
-    t = np.linspace(spec.r, spec.R, n_quad)
+    t = np.linspace(spec.r, spec.R, RAYLEIGH_POINTS)
     v = PchipInterpolator(res.t, res.v)(t)
     dv = PchipInterpolator(res.t, res.dv)(t)
     w = np.sinh(t) ** (spec.n - 1)

@@ -235,14 +235,15 @@ def test_criterion_10_solver_structure(rfk_reports):
              ShellSpec(n=3, p=2.0, r=0.8, R=1.6)]
     specs += [ShellSpec(n=2, p=2.0, r=rep.r, R=rep.R) for rep in rfk_reports.values()]
     ok = True
-    worst_bc = 0.0
+    worst_bc = worst_flux = 0.0
     for spec in specs:
         res = shell_eigen(spec)
         ok &= res.v[0] == 0.0
         ok &= bool(np.all(res.v[1:] > 0.0))
         ok &= bool(np.all(np.diff(res.v) >= -1e-12 * np.max(res.v)))
         worst_bc = max(worst_bc, res.residuals["bc_outer"])
-    ok &= worst_bc <= 1e-10
+        worst_flux = max(worst_flux, res.residuals["flux_outer"])
+    ok &= worst_bc <= 1e-10 and worst_flux <= 1e-12
     elapsed = time.time() - t0
     _report(10, "radial solver structure on every shell run", ok,
-            f"worst |v'(R)| {worst_bc:.1e}, {elapsed:.1f}s")
+            f"worst |v'(R)| {worst_bc:.1e}, worst |W(R)|/max|W| {worst_flux:.1e}, {elapsed:.1f}s")

@@ -319,3 +319,33 @@ def test_body_validation_errors():
         make_ball(1, 1.0)
     with pytest.raises(DomainValidationError):
         parallel_perimeter_direct(make_ball(2, 1.0), -0.1)
+    # non-finite parameters used to surface as "non-finite geodesic curvature"
+    for bad in ({"a0": math.nan}, {"a0": math.inf}, {"a0": 1.0, "cos": [math.nan]},
+                {"a0": 1.0, "sin": [0.0, math.inf]}):
+        with pytest.raises(DomainValidationError, match="finite"):
+            Body2D(**bad)
+    with pytest.raises(DomainValidationError, match="finite"):
+        RevolutionBody(n=3, a0=1.0, cos_even=[math.nan])
+    with pytest.raises(DomainValidationError, match="finite"):
+        make_ball(3, math.inf)
+
+
+def test_derived_data_is_built_once_per_body(monkeypatch):
+    # every query shares the profile cached on the body: one build at full
+    # resolution and one at half for the resolution check
+    import horokit.bodies as bodies
+    sizes = []
+    for name in ("curvature_2d", "curvature_revolution"):
+        def spy(body, m, _build=getattr(bodies, name)):
+            sizes.append(m)
+            return _build(body, m)
+        monkeypatch.setattr(bodies, name, spy)
+    for body in (Body2D(a0=0.8, cos=[0.0, 0.1]), RevolutionBody(n=3, a0=1.0, cos_even=[0.05])):
+        sizes.clear()
+        for _ in range(2):
+            convexity_report(body)
+            boundary_measures(body)
+            curvature_integrals(body)
+            quermassintegrals(body)
+            parallel_perimeter_direct(body, 0.5)
+        assert sizes == [2048, 1024], type(body).__name__

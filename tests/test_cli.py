@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from horokit.bodies import Body2D, boundary_measures, make_ball
 from horokit.cli import run_command
-from horokit.errors import DataFormatError
+from horokit.errors import DataFormatError, DomainValidationError
 from horokit.io import (
     body_from_dict,
     body_to_dict,
@@ -56,6 +56,31 @@ def test_load_body_errors(tmp_path):
         load_body(write(tmp_path, "nop.json", {"schema": 1, "kind": "ball", "n": 2}))
     with pytest.raises(DataFormatError, match="kind"):
         load_body(write(tmp_path, "kind.json", dict(BALL_SPEC, kind="cube")))
+
+
+BALL_40 = {"schema": 1, "kind": "ball", "n": 2, "params": {"r": 40.0}}
+
+
+@pytest.mark.parametrize("loader, doc, error, match", [
+    # these ended in a ValueError traceback, or were read silently as n = 2
+    (load_body, dict(BALL_SPEC, n="x"), DataFormatError, "'n' must be a number"),
+    (load_body, dict(BALL_SPEC, n=2.7), DataFormatError, "'n' must be an integer"),
+    (load_body, dict(FOURIER_SPEC, params={"a0": 0.8, "cos": "ab"}), DataFormatError, "'cos'"),
+    (load_domain, dict(DOMAIN_SPEC, offset="a"), DataFormatError, "'offset' must be a number"),
+    # these ended in a "non-finite geodesic curvature" NumericError
+    (load_body, dict(FOURIER_SPEC, params={"a0": math.nan}), DomainValidationError, "finite"),
+    (load_body, dict(FOURIER_SPEC, params={"a0": 0.8, "cos": [0.0, math.inf]}),
+     DomainValidationError, "finite"),
+    (load_body, dict(BALL_SPEC, params={"r": math.nan}), DomainValidationError, "finite"),
+    # these ended in a ValueError traceback in rfk and eig-domain
+    (load_domain, dict(DOMAIN_SPEC, offset=math.nan), DomainValidationError, "finite"),
+    (load_domain, dict(DOMAIN_SPEC, offset_angle=math.nan), DomainValidationError, "finite"),
+    # tanh(20) rounds to 1: rfk hit a math domain error, eig-domain exited 0
+    (load_domain, dict(DOMAIN_SPEC, outer=BALL_40), DomainValidationError, "rounds to 1"),
+])
+def test_bad_spec_fields_are_rejected(tmp_path, loader, doc, error, match):
+    with pytest.raises(error, match=match):
+        loader(write(tmp_path, "spec.json", doc))
 
 
 def test_body_round_trip_preserves_measures(tmp_path):
@@ -175,6 +200,7 @@ def test_cli_usage_errors(tmp_path):
 
 
 SHELL_ARGS = ["eig-shell", "--n", "2", "--p", "2", "--r", "0.5", "--R", "1.5"]
+INSULATION_ARGS = ["insulation", "--body", "{body}"]
 
 
 @pytest.mark.parametrize("argv, kind", [
@@ -189,10 +215,25 @@ SHELL_ARGS = ["eig-shell", "--n", "2", "--p", "2", "--r", "0.5", "--R", "1.5"]
     (["eig-domain", "--domain", "{dom}", "--h-mesh", "nan"], "usage error"),
     (["eig-domain", "--domain", "{dom}", "--h-mesh", "inf"], "usage error"),
     (["rfk", "--domain", "{dom}", "--p", "1.5", "--h-mesh", "nan"], "usage error"),
+    # these ended in a ValueError or OverflowError traceback
+    (INSULATION_ARGS + ["--delta", "nan", "--beta", "1"], "usage error"),
+    (INSULATION_ARGS + ["--delta", "inf", "--beta", "1"], "usage error"),
+    (INSULATION_ARGS + ["--delta", "1000", "--beta", "1"], "error: closed-form energy"),
+    (INSULATION_ARGS + ["--delta", "1", "--beta", "nan"], "usage error"),
+    (INSULATION_ARGS + ["--delta", "1", "--beta", "inf"], "usage error"),
+    (INSULATION_ARGS + ["--delta", "1", "--beta", "1", "--p", "1.0000001"],
+     "error: closed-form energy"),
+    (["nagy", "--body", "{body}", "--deltas", "0:800:3"], "error: parallel perimeters overflow"),
+    # these exited 0: zero energies, nan and inf rows, no margin computed
+    (INSULATION_ARGS + ["--delta", "1", "--beta", "1", "--p", "inf"], "error: exponent"),
+    (["ball-tables", "--n", "2", "--r", "nan"], "usage error"),
+    (["ball-tables", "--n", "2", "--r", "1", "inf"], "usage error"),
+    (["af-check", "--body", "{body}", "--i", "0", "--j", "5"], "error: need 0 <= i < j"),
 ])
 def test_cli_bad_numbers_are_errors_without_traceback(tmp_path, capsys, argv, kind):
-    dom = write(tmp_path, "dom.json", DOMAIN_SPEC)
-    assert run_command([dom if a == "{dom}" else a for a in argv]) == 1
+    files = {"{dom}": write(tmp_path, "dom.json", DOMAIN_SPEC),
+             "{body}": write(tmp_path, "ball.json", BALL_SPEC)}
+    assert run_command([files.get(a, a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert kind in err and "Traceback" not in err
     assert "radial integration failed" not in err
@@ -214,6 +255,21 @@ def _fuzz_number(lo, hi, valid):
 def test_cli_eig_shell_fuzz_exits_cleanly(n, p, r, R, tol):
     # "--opt=value" so that negative values reach the option's own check
     argv = ["eig-shell", f"--n={n}", f"--p={p!r}", f"--r={r!r}", f"--R={R!r}", f"--tol={tol!r}"]
+    assert run_command(argv) in (0, 1, 2)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(n=st.sampled_from([2, 3]),
+       r=_fuzz_number(-1.0, 50.0, (0.05, 3.0)),
+       p=_fuzz_number(0.5, 1e3, (1.05, 8.0)),
+       delta=_fuzz_number(-1.0, 2e3, (0.01, 3.0)),
+       beta=_fuzz_number(-1.0, 1e300, (0.01, 10.0)))
+def test_cli_insulation_fuzz_exits_cleanly(tmp_path_factory, n, r, p, delta, beta):
+    # ball cores take the closed-form path, a few milliseconds per example
+    body = tmp_path_factory.mktemp("fuzz") / "ball.json"
+    body.write_text(json.dumps({"schema": 1, "kind": "ball", "n": n, "params": {"r": r}}))
+    argv = ["insulation", "--body", str(body), f"--p={p!r}", f"--delta={delta!r}",
+            f"--beta={beta!r}"]
     assert run_command(argv) in (0, 1, 2)
 
 

@@ -7,7 +7,6 @@ from horokit import insulation
 from horokit.bodies import Body2D, RevolutionBody, make_ball
 from horokit.insulation import (
     InsulationSpec,
-    discrete_flux,
     fem_energy_p2,
     insulation_verdict,
     parallel_bound_energy,
@@ -73,13 +72,6 @@ def test_energy_trend_in_delta_hyperbolic():
     # outer boundary dominates and the energy increases
     weak = [radial_energy_closed_form(2, 2.0, 1.0, d, 1.0) for d in deltas]
     assert all(e2 > e1 for e1, e2 in zip(weak, weak[1:]))
-
-
-def test_discrete_euler_lagrange_flux_constancy():
-    for n, p in ((2, 2.0), (3, 1.5)):
-        flux = discrete_flux(n, p, 1.0, 1.0, 1.0)
-        spread = (flux.max() - flux.min()) / abs(flux).max()
-        assert spread <= 1e-6
 
 
 def test_fem_matches_radial_on_ball():
