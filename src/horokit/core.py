@@ -24,6 +24,10 @@ _LD = np.longdouble
 
 # log-space switch-over for sinh/cosh powers, safely under double overflow
 _LOG_SPACE_THRESHOLD = 700.0 * math.log(2.0)
+# largest ambient dimension: of 160 radii in [0.01, 5], some ball passes the
+# quermass terminal check up to n = 265 and none beyond n = 268; at n = 256
+# only radii 0.21-0.25 do, and the unit ball fails it from n = 37 on
+MAX_DIMENSION = 256
 
 
 @lru_cache(maxsize=32)
@@ -53,11 +57,11 @@ def gauss_legendre_nodes(n_nodes):
 
 
 def check_dimension(n):
-    """Validate an ambient dimension; only n >= 2 is meaningful here."""
+    """Validate an ambient dimension 2 <= n <= MAX_DIMENSION."""
     if not isinstance(n, (int, np.integer)):
         raise DomainValidationError(f"dimension must be an integer, got {n!r}")
-    if n < 2:
-        raise DomainValidationError(f"dimension must be >= 2, got {n}")
+    if not 2 <= n <= MAX_DIMENSION:
+        raise DomainValidationError(f"dimension must be in [2, {MAX_DIMENSION}], got {n}")
     return int(n)
 
 
@@ -70,11 +74,10 @@ def sphere_measure(i):
     """
     if i < 0:
         raise DomainValidationError(f"sphere index must be >= 0, got {i}")
-    if i == 0:
-        return 2.0
-    if i == 1:
-        return 2.0 * math.pi
-    return 2.0 * math.pi * sphere_measure(i - 2) / (i - 1)
+    omega = 2.0 * math.pi if i % 2 else 2.0
+    for k in range(i % 2 + 2, i + 1, 2):
+        omega = 2.0 * math.pi * omega / (k - 1)
+    return omega
 
 
 def sinh_pow(r, k):

@@ -8,7 +8,12 @@ a sparse LU under a symmetric minimum-degree ordering, and the p = 2
 eigenpair comes from shift-invert Lanczos on that factor.  General p uses
 the nonlinear inverse power iteration on the discrete Rayleigh quotient,
 each step a convex p-energy minimized by damped Newton on sparse LUs of its
-Hessian, which has the stiffness matrix's sparsity pattern.
+Hessian, which has the stiffness matrix's sparsity pattern.  The power
+iteration converges linearly; once the eigen-residual of an iterate is
+below BORDERED_SWITCH it is finished by Newton steps on the eigen-system
+(g_num(u) - tau g_den(u), den(u) - 1), one sparse LU of the stiffness
+pattern bordered by g_den per step, each kept only if it keeps the iterate
+positive, lowers the residual and does not raise the quotient.
 
 Meshes are structured polar triangulations between two boundary curves that
 are star-shaped about the inner base point; the construction is intrinsic
@@ -22,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse import bmat, coo_matrix, csc_matrix
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .core import chart_radius, mobius_shift
@@ -38,6 +43,7 @@ MONOTONE_RTOL = 1e-13      # roundoff allowed in the quotient's decrease
 HESSIAN_EPS = 1e-12
 NEWTON_MAX_ITER = 80       # Newton steps of one convex minimization
 POWER_MAX_ITER = 300       # outer inverse power steps from each start
+BORDERED_SWITCH = 1e-2     # eigen-residual below which bordered Newton steps are tried
 # P1 systems are SPD: minimum degree on A + A^T keeps the factor about half
 # as full as the default COLAMD column ordering, which ignores the symmetry
 SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A"}
@@ -64,12 +70,7 @@ class AnnularDomain2D:
             raise DomainValidationError("offset and offset_angle must be finite")
         if self.offset < 0.0:
             raise DomainValidationError("offset must be >= 0")
-        ri, ro = self.polar_tables
-        a = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-        if not np.max(ro(a)) < 1.0:
-            raise DomainValidationError("outer boundary too far out: chart radius rounds to 1")
-        if np.min(ro(a) - ri(a)) <= 1e-9:
-            raise DomainValidationError("inner boundary touches or crosses the outer one")
+        check_polar_tables(self.polar_tables)
 
     def inner_chart(self, theta):
         return self.inner.chart_curve(theta)
@@ -88,6 +89,17 @@ class AnnularDomain2D:
         theta = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
         return (_periodic_radius_interpolant(self.inner_chart(theta)),
                 _periodic_radius_interpolant(self.outer_chart(theta)))
+
+
+def check_polar_tables(tables):
+    """Refuse polar tables (rho_in, rho_out) whose outer chart radius rounds
+    to 1 or is not finite, or whose boundaries touch or cross."""
+    ri, ro = tables
+    a = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    if not np.max(ro(a)) < 1.0:
+        raise DomainValidationError("outer boundary too far out: chart radius rounds to 1")
+    if not np.min(ro(a) - ri(a)) > 1e-9:
+        raise DomainValidationError("inner boundary touches or crosses the outer one")
 
 
 def _periodic_radius_interpolant(z):
@@ -380,10 +392,19 @@ class _RayleighP:
         coef = self.nu * p * g2 ** (p / 2.0 - 1.0)
         return float(np.sum(self.nu * g2 ** (p / 2.0))), self._scatter(coef[:, None] * d)
 
+    def _midpoints(self, x):
+        u = self.full(x)
+        return 0.5 * (u[self.t] + u[self.t[:, [1, 2, 0]]])  # on the _MID_PAIRS edges
+
+    def _assemble(self, he):
+        """Free-node CSC matrix of the element matrices he on the fixed pattern."""
+        indices, indptr = self.pattern
+        data = np.bincount(self.slot, he.ravel(), minlength=len(indices) + 1)[:-1]
+        return csc_matrix((data, indices, indptr), shape=(len(self.free),) * 2)
+
     def denominator(self, x):
         p = self.p
-        u = self.full(x)
-        uq = 0.5 * (u[self.t] + u[self.t[:, [1, 2, 0]]])  # on the _MID_PAIRS edges
+        uq = self._midpoints(x)
         dd = 0.5 * p * self.mass_w * np.abs(uq) ** (p - 1.0) * np.sign(uq)
         return float(np.sum(self.mass_w * np.abs(uq) ** p)), self._scatter(dd + dd[:, [2, 0, 1]])
 
@@ -397,9 +418,18 @@ class _RayleighP:
         s += HESSIAN_EPS * s.max()
         he = (self.nu * s ** (p / 2.0 - 1.0))[:, None, None] * self.bb
         he += ((p - 2.0) * self.nu * s ** (p / 2.0 - 2.0))[:, None, None] * d[:, :, None] * d[:, None, :]
-        indices, indptr = self.pattern
-        data = np.bincount(self.slot, he.ravel(), minlength=len(indices) + 1)[:-1]
-        return csc_matrix((data, indices, indptr), shape=(len(self.free),) * 2)
+        return self._assemble(he)
+
+    def denominator_hessian(self, x):
+        """Hessian of den: the same midpoint quadrature of p (p-1) |u|^{p-2}
+        lambda^2 phi_i phi_j; midpoints where u = 0 weigh nothing."""
+        p = self.p
+        a = np.abs(self._midpoints(x))
+        w = np.zeros_like(a)
+        nz = a > 0.0
+        w[nz] = p * (p - 1.0) * self.mass_w[nz] * a[nz] ** (p - 2.0)
+        he = sum(w[:, q, None, None] * np.outer(phi, phi) for q, phi in enumerate(_MID_PHI))
+        return self._assemble(he)
 
 
 def damped_newton(energy_grad, newton_step, u):
@@ -407,9 +437,11 @@ def damped_newton(energy_grad, newton_step, u):
 
     energy_grad(u) gives (energy, gradient), newton_step(u, g) solves the
     Hessian at u against g.  Stops when the Newton decrement g . step falls
-    below roundoff (1e-15 max(|energy|, 1)), when 30 halvings of a step do
-    not lower the energy, or after NEWTON_MAX_ITER steps; returns (u, solves)."""
+    below roundoff (1e-15 max(|energy|, 1)), after NEWTON_MAX_ITER steps, or
+    stalls when 30 halvings of a step do not lower the energy; returns
+    (u, solves, stalled)."""
     e, g = energy_grad(u)
+    stalled = False
     for solves in range(1, NEWTON_MAX_ITER + 1):
         step = newton_step(u, g)
         if float(g @ step) <= 1e-15 * max(abs(e), 1.0):
@@ -421,9 +453,10 @@ def damped_newton(energy_grad, newton_step, u):
                 break
             t *= 0.5
         else:
+            stalled = True
             break
         u, e, g = u - t * step, e_new, g_new
-    return u, solves
+    return u, solves, stalled
 
 
 def eigen_p_general(mesh, p):
@@ -431,7 +464,13 @@ def eigen_p_general(mesh, p):
 
     Nonlinear inverse power iteration (Hein & Buehler 2010) on the P1
     Rayleigh quotient from the p = 2 eigenvector and from the constant 1,
-    at most POWER_MAX_ITER outer steps each.  Not certified globally optimal: the
+    at most POWER_MAX_ITER outer steps each.  Once the eigen-residual
+    ||g_num - tau g_den|| / ||g_den|| of an iterate is below BORDERED_SWITCH,
+    Newton steps on the bordered system (g_num(u) - tau g_den(u), den(u) - 1)
+    (Yao & Zhou 2007) finish the iteration quadratically; a bordered step is
+    taken only if it keeps the iterate positive, lowers the residual and does
+    not raise the quotient, otherwise a power step is.  A start whose inner
+    minimization stalls is not settled.  Not certified globally optimal: the
     quotient of an admissible function, an upper bound whose quality the
     radial cross-checks establish.
     """
@@ -447,40 +486,77 @@ def eigen_p_general(mesh, p):
         # DESCENT_DECREASE of it, so the label never rests on round-off
         if best is None or best[0] - run[0] > DESCENT_DECREASE * best[0]:
             best = run + (label,)
-    value, u, outer, newton, settled, label = best
+    value, u, outer, newton, settled, res, label = best
     if not settled:
-        raise NumericError("inverse power iteration hit the iteration limit without settling")
-    (_, g_num), (_, g_den) = rq.numerator(u), rq.denominator(u)
+        raise NumericError("inverse power iteration stalled or hit the iteration limit without settling")
     u = rq.full(u)
-    residuals = {"eig_residual": float(np.linalg.norm(g_num - value * g_den) / np.linalg.norm(g_den)),
-                 "dirichlet_trace": float(np.max(np.abs(u[mesh.inner_nodes])))}
+    residuals = {"eig_residual": res, "dirichlet_trace": float(np.max(np.abs(u[mesh.inner_nodes])))}
     meta = {"n_vertices": rq.nv, "h_mesh": mesh.h_mesh, "p": p, "start": label,
             "iterations": outer, "newton_steps": newton, "upper_bound_only": True}
     return EigResult(tau1=float(value), residuals=residuals, meta=meta, u=u)
 
 
+def _normalized(rq, v):
+    """(u = v / den(v)^{1/p}, R(v), ||g_num - R g_den|| / ||g_den|| at u).
+
+    The residual is scale-invariant only in exact arithmetic: near p = 1
+    round-off gradients enter it through |g|^{p-1}, and at p = 1.2 that of
+    v and that of u differed in the fifth digit."""
+    (num, _), (den, _) = rq.numerator(v), rq.denominator(v)
+    u, value = v / den ** (1.0 / rq.p), num / den
+    (_, g_num), (_, g_den) = rq.numerator(u), rq.denominator(u)
+    return u, value, float(np.linalg.norm(g_num - value * g_den) / np.linalg.norm(g_den))
+
+
 def _inverse_power(rq, u):
     """Outer steps from u until the quotient settles; returns (quotient,
-    u with den(u) = 1, outer steps, Newton solves, settled)."""
-    (num, _), (den, _) = rq.numerator(u), rq.denominator(u)
-    u, value, newton = u / den ** (1.0 / rq.p), num / den, 0
+    u with den(u) = 1, outer steps, Newton solves, settled, eigen-residual).
+
+    Below BORDERED_SWITCH each step tries _bordered_step first and keeps it
+    only if it lowers the residual and does not raise the quotient beyond
+    MONOTONE_RTOL; otherwise it takes a power step.  A power step whose inner
+    minimization stalls ends the run unsettled."""
+    u, value, res = _normalized(rq, u)
+    newton = 0
     for outer in range(1, POWER_MAX_ITER + 1):
-        u, new, solves = _power_step(rq, u, value)
-        newton += solves
-        if new > value * (1.0 + MONOTONE_RTOL):
-            raise NumericError(f"Rayleigh quotient rose from {value!r} to {new!r} in a power step")
-        settled = value - new <= POWER_DECREASE * value
-        value = new
+        step = None
+        if res < BORDERED_SWITCH:
+            step = _bordered_step(rq, u, value)
+            newton += 1
+            if step is not None and not (step[1] <= value * (1.0 + MONOTONE_RTOL) and step[2] < res):
+                step = None
+        if step is None:
+            *step, solves, stalled = _power_step(rq, u, value)
+            newton += solves
+            if stalled:
+                return value, u, outer, newton, False, res
+            if step[1] > value * (1.0 + MONOTONE_RTOL):
+                raise NumericError(f"Rayleigh quotient rose from {value!r} to {step[1]!r} in a power step")
+        settled = value - step[1] <= POWER_DECREASE * value
+        u, value, res = step
         if settled:
             break
-    return value, u, outer, newton, settled
+    return value, u, outer, newton, settled, res
+
+
+def _bordered_step(rq, u, value):
+    """From u with den(u) = 1 and quotient value, one Newton step on
+    (g_num(u) - tau g_den(u), den(u) - 1) in (u, tau), solved with the
+    bordered Jacobian [H_num - tau H_den, -g_den; g_den^T, 0] (its leading
+    block is singular at an eigenpair: u spans its kernel).  Returns
+    _normalized(v), or None unless v is positive (hence den(v) > 0)."""
+    (_, g_num), (_, g_den) = rq.numerator(u), rq.denominator(u)
+    jac = rq.p * rq.hessian(u) - value * rq.denominator_hessian(u)
+    border = bmat([[jac, -g_den[:, None]], [g_den[None, :], None]], format="csc")
+    v = u + splu(border, **SPLU_OPTIONS).solve(np.append(value * g_den - g_num, 0.0))[:-1]
+    return _normalized(rq, v) if np.all(v > 0.0) else None
 
 
 def _power_step(rq, u, value):
     """From u with den(u) = 1 and quotient value, damped Newton lowers the
     convex F(v) = num(v)/p - <g_den(u)/p, v> from u value^{-1/(p-1)} (its
     minimizer if u is an eigenvector); F(v) <= F(start) implies R(v) <=
-    value.  Returns (v / den(v)^{1/p}, R(v), Newton solves)."""
+    value.  Returns _normalized(v) followed by (Newton solves, stalled)."""
     p = rq.p
     s = rq.denominator(u)[1] / p
 
@@ -491,6 +567,5 @@ def _power_step(rq, u, value):
     def newton_step(v, g):
         return splu(rq.hessian(v), **SPLU_OPTIONS).solve(g)
 
-    v, solves = damped_newton(energy_grad, newton_step, u * value ** (-1.0 / (p - 1.0)))
-    (num, _), (den, _) = rq.numerator(v), rq.denominator(v)
-    return v / den ** (1.0 / p), num / den, solves
+    v, solves, stalled = damped_newton(energy_grad, newton_step, u * value ** (-1.0 / (p - 1.0)))
+    return _normalized(rq, v) + (solves, stalled)

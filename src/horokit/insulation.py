@@ -34,6 +34,7 @@ from .fem2d import (
     assemble_p2,
     boundary_mass_outer,
     build_mesh,
+    check_polar_tables,
     damped_newton,
 )
 from .spectral import robin_energy
@@ -157,7 +158,7 @@ def radial_energy(n, p, r, delta, beta, n_cells=2048):
     rhs[0] = w[0] / h[0] ** 2
     u_free = _tridiagonal_solve(w / h ** 2, robin, rhs)
     if p != 2.0:
-        u_free, _ = damped_newton(energy_grad, newton_step, u_free)
+        u_free, _, _ = damped_newton(energy_grad, newton_step, u_free)
     energy, _ = energy_grad(u_free)
     return energy
 
@@ -198,6 +199,9 @@ class _ParallelShell:
 
     rho_in: object
     rho_out: object
+
+    def __post_init__(self):
+        check_polar_tables(self.polar_tables)
 
     @classmethod
     def around(cls, body, delta):

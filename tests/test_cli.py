@@ -229,10 +229,19 @@ INSULATION_ARGS = ["insulation", "--body", "{body}"]
     (["ball-tables", "--n", "2", "--r", "nan"], "usage error"),
     (["ball-tables", "--n", "2", "--r", "1", "inf"], "usage error"),
     (["af-check", "--body", "{body}", "--i", "0", "--j", "5"], "error: need 0 <= i < j"),
+    # these ended in a ValueError traceback from the spectral solver: the
+    # shell's outer chart radius rounds to 1, or equals the core's
+    (["insulation", "--body", "{oval}", "--delta", "300", "--beta", "1"], "error: outer boundary"),
+    (["insulation", "--body", "{oval}", "--delta", "1e-300", "--beta", "1"], "error: inner boundary"),
+    # these ended in a RecursionError traceback
+    (["quermass", "--body", "{n5000}"], "error: dimension must be in [2, 256]"),
+    (["ball-tables", "--n", "5000", "--r", "1"], "error: dimension must be in [2, 256]"),
 ])
 def test_cli_bad_numbers_are_errors_without_traceback(tmp_path, capsys, argv, kind):
     files = {"{dom}": write(tmp_path, "dom.json", DOMAIN_SPEC),
-             "{body}": write(tmp_path, "ball.json", BALL_SPEC)}
+             "{body}": write(tmp_path, "ball.json", BALL_SPEC),
+             "{oval}": write(tmp_path, "oval.json", FOURIER_SPEC),
+             "{n5000}": write(tmp_path, "n5000.json", dict(BALL_SPEC, n=5000))}
     assert run_command([files.get(a, a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert kind in err and "Traceback" not in err
@@ -271,6 +280,37 @@ def test_cli_insulation_fuzz_exits_cleanly(tmp_path_factory, n, r, p, delta, bet
     argv = ["insulation", "--body", str(body), f"--p={p!r}", f"--delta={delta!r}",
             f"--beta={beta!r}"]
     assert run_command(argv) in (0, 1, 2)
+
+
+# thicknesses log-uniform over the whole floating-point range
+_EXTREME_DELTAS = st.builds(lambda e: 10.0 ** e, st.floats(-300.0, 300.0))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(delta=st.one_of(_EXTREME_DELTAS, _fuzz_number(-1.0, 50.0, (0.01, 3.0))))
+def test_cli_insulation_oval_delta_fuzz_exits_cleanly(tmp_path_factory, delta):
+    # a non-round planar core at p = 2 takes the spectral solver on the shell
+    body = tmp_path_factory.mktemp("fuzz") / "oval.json"
+    body.write_text(json.dumps(FOURIER_SPEC))
+    argv = ["insulation", "--body", str(body), f"--delta={delta!r}", "--beta=1.0"]
+    assert run_command(argv) in (0, 1, 2)
+
+
+_FUZZ_DIMENSIONS = st.one_of(st.integers(2, 8), st.integers(-3, 300), st.integers(-10**6, 10**6))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(n=_FUZZ_DIMENSIONS, r=_fuzz_number(-1.0, 50.0, (0.05, 2.0)))
+def test_cli_quermass_dimension_fuzz_exits_cleanly(tmp_path_factory, n, r):
+    body = tmp_path_factory.mktemp("fuzz") / "ball.json"
+    body.write_text(json.dumps({"schema": 1, "kind": "ball", "n": n, "params": {"r": r}}))
+    assert run_command(["quermass", "--body", str(body)]) in (0, 1, 2)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(n=_FUZZ_DIMENSIONS, r=_fuzz_number(-1.0, 50.0, (0.05, 2.0)))
+def test_cli_ball_tables_dimension_fuzz_exits_cleanly(n, r):
+    assert run_command(["ball-tables", f"--n={n}", f"--r={r!r}"]) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("command", ["rfk", "hersch"])

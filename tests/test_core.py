@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from horokit.core import (
+    MAX_DIMENSION,
     ball_perimeter,
     ball_quermass,
     ball_volume,
+    check_dimension,
     gauss_legendre_nodes,
     poincare_distance,
     quermass_inverse_radius,
@@ -26,6 +28,21 @@ def test_sphere_measures():
     for i in range(8):
         gamma_form = 2.0 * math.pi ** ((i + 1) / 2) / math.gamma((i + 1) / 2)
         assert sphere_measure(i) == pytest.approx(gamma_form, rel=1e-14)
+
+
+def test_sphere_measure_is_not_recursive():
+    # the recursive form ended in a RecursionError near i = 2000
+    for i in (170, 171, 341):
+        log_form = math.log(2.0) + (i + 1) / 2 * math.log(math.pi) - math.lgamma((i + 1) / 2)
+        assert math.log(sphere_measure(i)) == pytest.approx(log_form, rel=1e-12)
+    assert sphere_measure(10_000) == 0.0  # underflows to zero, no RecursionError
+
+
+def test_check_dimension_bounds():
+    assert check_dimension(2) == 2 and check_dimension(MAX_DIMENSION) == MAX_DIMENSION
+    for n in (1, MAX_DIMENSION + 1, 5000):
+        with pytest.raises(DomainValidationError, match="dimension"):
+            check_dimension(n)
 
 
 @pytest.mark.parametrize("n,r", [(2, 1.0), (2, 0.3), (3, 1.0), (4, 0.7), (5, 2.0)])

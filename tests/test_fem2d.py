@@ -147,13 +147,17 @@ def test_eigen_p_general_keeps_a_clearly_lower_start(monkeypatch):
 
 # tau at h = 0.04 from the Armijo-descent solver this one replaced
 DESCENT_TAU_H004 = {1.5: 0.992003224741169, 3.0: 1.986552913160455}
+# tau and eigen-residual at p = 1.2, h = 0.04 from power steps alone
+POWER_TAU_P12_H004, POWER_RESIDUAL_P12_H004 = 0.7111100872466675, 1.9246338344300553e-05
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_eigen_p_general_matches_descent_values(p):
     res = eigen_p_general(build_mesh(ANNULUS, 0.04), p)
     assert res.tau1 == pytest.approx(DESCENT_TAU_H004[p], rel=1e-9)
-    assert res.meta["iterations"] <= 30
+    # power steps alone took 6 (p = 1.5) and 7 (p = 3) outer steps here, and
+    # 33 on the concentric 0.8 / 1.8 annulus at p = 3, h = 0.03
+    assert res.meta["iterations"] <= 10
     assert res.meta["newton_steps"] >= res.meta["iterations"]
 
 
@@ -161,37 +165,99 @@ def test_eigen_p_general_matches_descent_values(p):
 def test_eigen_p_general_eigen_residual(p):
     # ||g_num - tau g_den|| / ||g_den|| of the discrete p-Laplace equation;
     # the p = 2 eigenvector the solver starts from gives 1.5 (p = 1.5) and
-    # 2.9 (p = 3) here
+    # 2.9 (p = 3) here, power steps alone settle at 5.8e-9 and 2.7e-8, and
+    # the bordered finish reaches 7e-13 and 6e-14
     res = eigen_p_general(build_mesh(ANNULUS, 0.04), p)
-    assert res.residuals["eig_residual"] <= 1e-6
+    assert res.residuals["eig_residual"] <= 1e-10
+
+
+def test_eigen_p_general_bordered_steps_keep_p12():
+    # at p = 1.2 the |g|^{p-2} weights make bordered steps lower the quotient
+    # while raising the residual; they must not be kept
+    res = eigen_p_general(build_mesh(ANNULUS, 0.04), 1.2)
+    assert res.tau1 == pytest.approx(POWER_TAU_P12_H004, rel=1e-9)
+    assert res.residuals["eig_residual"] <= POWER_RESIDUAL_P12_H004
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_eigen_p_general_quotient_never_rises(monkeypatch, p):
-    step = fem2d._power_step
-    quotients = []
+    # per start: (step kind, quotient in, quotient out) of every step tried,
+    # then the quotient the start ends on; every accepted outer step, power
+    # or bordered, begins at the quotient the previous one ended on
+    runs = []
+    inverse_power = fem2d._inverse_power
 
-    def recorded(rq, u, value):
-        out = step(rq, u, value)
-        quotients.append((value, out[1]))
+    def run(rq, u):
+        runs.append([])
+        out = inverse_power(rq, u)
+        runs[-1].append(("end", out[0], None))
         return out
 
-    monkeypatch.setattr(fem2d, "_power_step", recorded)
+    def recorded(kind, step):
+        def wrapped(rq, u, value):
+            out = step(rq, u, value)
+            runs[-1].append((kind, value, None if out is None else out[1]))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(fem2d, "_inverse_power", run)
+    monkeypatch.setattr(fem2d, "_power_step", recorded("power", fem2d._power_step))
+    monkeypatch.setattr(fem2d, "_bordered_step", recorded("bordered", fem2d._bordered_step))
     eigen_p_general(build_mesh(ANNULUS, 0.04), p)
-    assert len(quotients) >= 4
-    assert all(new <= old * (1.0 + 1e-13) for old, new in quotients)
+    accepted = {"power": 0, "bordered": 0}
+    for rows in runs:
+        quotients = [q_in for _, q_in, _ in rows]
+        assert all(new <= old * (1.0 + 1e-13) for old, new in zip(quotients, quotients[1:]))
+        for (kind, _, q_out), (_, q_next, _) in zip(rows, rows[1:]):
+            accepted[kind] += q_out == q_next
+    assert accepted["power"] >= 1 and accepted["bordered"] >= 2
 
 
 def test_eigen_p_general_rejects_a_rising_quotient(monkeypatch):
     step = fem2d._power_step
 
     def rising(rq, u, value):
-        v, _, solves = step(rq, u, value)
-        return v, value * (1.0 + 1e-9), solves
+        v, _, *rest = step(rq, u, value)
+        return (v, value * (1.0 + 1e-9), *rest)
 
     monkeypatch.setattr(fem2d, "_power_step", rising)
     with pytest.raises(NumericError, match="rose"):
         eigen_p_general(build_mesh(ANNULUS, 0.05), 1.5)
+
+
+def test_constant_start_stall_is_not_settled():
+    # at p >= 4 the first Newton step from the constant start exhausts its
+    # halvings (quotient 36368 against 3.128 at p = 5); that start used to
+    # count its zero decrease as settled
+    mesh = build_mesh(ANNULUS, 0.04)
+    rq = fem2d._RayleighP(mesh, 5.0)
+    ref = eigen_p_general(mesh, 5.0)
+    value, _, _, _, settled, _ = fem2d._inverse_power(rq, np.ones(len(rq.free)))
+    assert value == pytest.approx(ref.tau1, rel=1e-9) or not settled
+    assert ref.meta["start"] == "p2_eigenvector"
+
+
+def test_damped_newton_reports_a_stall():
+    # a gradient of the wrong sign points every step uphill: no halving
+    # lowers the energy
+    def energy_grad(sign):
+        return lambda u: (float(u @ u), sign * 2.0 * u)
+
+    u0 = np.array([1.0, -2.0])
+    u, solves, stalled = fem2d.damped_newton(energy_grad(-1.0), lambda u, g: 0.5 * g, u0)
+    assert stalled and solves == 1 and np.array_equal(u, u0)
+    u, _, stalled = fem2d.damped_newton(energy_grad(1.0), lambda u, g: 0.5 * g, u0)
+    assert not stalled and np.max(np.abs(u)) == 0.0
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_denominator_hessian_matches_gradient_differences(p):
+    rq = fem2d._RayleighP(build_mesh(ANNULUS, 0.05), p)
+    rng = np.random.default_rng(0)
+    x = 1.0 + rng.random(len(rq.free))
+    dx = 1e-6 * rng.standard_normal(len(rq.free))
+    central = 0.5 * (rq.denominator(x + dx)[1] - rq.denominator(x - dx)[1])
+    assert np.linalg.norm(rq.denominator_hessian(x) @ dx - central) <= 1e-6 * np.linalg.norm(central)
 
 
 def test_eigen_p_general_agrees_at_p2():
