@@ -27,7 +27,7 @@ from .core import (
     check_dimension,
     gauss_legendre_nodes,
     sphere_measure,
-    sinh_power_integral_vec,
+    sinh_power_integral,
     quermass_from_curvature_integrals,
     QuermassVector,
 )
@@ -215,7 +215,7 @@ class RevolutionBody(_RadialGraph):
     def _volume(self):
         n = self.n
         u, qw = _gauss_legendre(self.n_u, 0.0, np.pi)
-        radial = sinh_power_integral_vec(n - 1, self.height(u))
+        radial = sinh_power_integral(n - 1, self.height(u))
         return float(sphere_measure(n - 2) * np.sum(qw * np.sin(u) ** (n - 2) * radial))
 
     height = _RadialGraph.radius

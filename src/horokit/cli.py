@@ -94,10 +94,8 @@ def cmd_ball_tables(args):
         rows.append([r, ball_volume(args.n, r), ball_perimeter(args.n, r),
                      *[qv[j] for j in range(args.n + 1)]])
     header = ["r", "volume", "perimeter"] + [f"W{j}" for j in range(args.n + 1)]
-    out = _outdir(args)
-    if out:
-        hio.write_csv(out / "ball_tables.csv", header, rows)
-        hio.write_manifest(manifest, out / "ball_tables.manifest.json")
+    _emit(args, manifest, "ball_tables",
+          csv_writer=lambda out: hio.write_csv(out / "ball_tables.csv", header, rows))
     for row in rows:
         print(" ".join(f"{x:.12g}" for x in row))
     return 0
@@ -293,7 +291,7 @@ def make_parser():
     sp.add_argument("--r", type=float, required=True)
     sp.add_argument("--R", type=float, required=True)
     sp.add_argument("--tol", type=_positive_float, default=1e-12,
-                    help="root tolerance in units of the flat estimate (pi/(2(R-r)))^2")
+                    help="relative root tolerance: xtol = tol * the lower bracket end (< tau1)")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_eig_shell)
 

@@ -18,15 +18,17 @@ from numpy.polynomial import legendre
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
-from .errors import DomainValidationError, ConsistencyError, SearchError
+from .errors import DomainValidationError, ConsistencyError, NumericError, SearchError
 
 _LD = np.longdouble
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 # log-space switch-over for sinh/cosh powers, safely under double overflow
 _LOG_SPACE_THRESHOLD = 700.0 * math.log(2.0)
 # largest ambient dimension: of 160 radii in [0.01, 5], some ball passes the
 # quermass terminal check up to n = 265 and none beyond n = 268; at n = 256
-# only radii 0.21-0.25 do, and the unit ball fails it from n = 37 on
+# only radii 0.21-0.25 do (below 0.245 the volume is no normal double), and
+# the unit ball fails it from n = 37 on
 MAX_DIMENSION = 256
 
 
@@ -93,7 +95,8 @@ def sinh_pow(r, k):
 
 
 def sinh_power_integral(m, r, dtype=float):
-    """integral_0^r sinh(t)**m dt.
+    """integral_0^r sinh(t)**m dt in the given dtype, elementwise over a
+    scalar or array r.
 
     For r above 0.25 the exact binomial antiderivative of
     ((e^t - e^-t)/2)^m is used (a sum of expm1 terms, the middle one
@@ -103,74 +106,69 @@ def sinh_power_integral(m, r, dtype=float):
     """
     if m < 0:
         raise DomainValidationError("power must be >= 0")
-    if r < 0:
+    r = np.asarray(r, dtype=dtype)
+    if np.any(r < 0):
         raise DomainValidationError("upper limit must be >= 0")
-    if r == 0:
-        return dtype(0.0)
-    if r <= 0.25:
-        x, w = gauss_legendre_nodes(48)
-        t = dtype(0.5) * dtype(r) * (dtype(1.0) + x.astype(dtype))
-        return dtype(0.5) * dtype(r) * np.sum(w.astype(dtype) * np.sinh(t) ** m)
-    rr = dtype(r)
-    total = dtype(0.0)
-    for k in range(m + 1):
-        a = m - 2 * k
-        c = dtype(math.comb(m, k)) * dtype((-1.0) ** k)
-        if a == 0:
-            total += c * rr
-        else:
-            total += c * np.expm1(dtype(a) * rr) / dtype(a)
-    return total / dtype(2.0) ** m
-
-
-def sinh_power_integral_vec(m, r):
-    """Vectorized float64 integral_0^r sinh^m t dt over an array of radii."""
-    r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
     small = r <= 0.25
     if np.any(small):
         x, w = gauss_legendre_nodes(48)
         rs = r[small]
-        t = 0.5 * rs[:, None] * (1.0 + x[None, :])
-        out[small] = 0.5 * rs * (np.sinh(t) ** m @ w)
+        t = dtype(0.5) * rs[:, None] * (dtype(1.0) + x.astype(dtype))
+        out[small] = dtype(0.5) * rs * np.sum(w.astype(dtype) * np.sinh(t) ** m, axis=1)
     if np.any(~small):
         rl = r[~small]
         total = np.zeros_like(rl)
         for k in range(m + 1):
             a = m - 2 * k
-            c = math.comb(m, k) * (-1.0) ** k
+            c = dtype(math.comb(m, k)) * dtype((-1.0) ** k)
             if a == 0:
                 total += c * rl
             else:
-                total += c * np.expm1(a * rl) / a
-        out[~small] = total / 2.0 ** m
-    return out
+                total += c * np.expm1(dtype(a) * rl) / dtype(a)
+        out[~small] = total / dtype(2.0) ** m
+    return out[()]
+
+
+def _normal(value, what, n, r):
+    """value, unless it is below the smallest normal double (or nan)."""
+    if not value >= _TINY:
+        raise NumericError(f"{what} of the ball of radius {r!r} in dimension {n} "
+                           f"is {value:.3g}, not a normal double")
+    return value
 
 
 def ball_volume(n, r):
-    """Volume of the geodesic ball B_r, omega_{n-1} * integral_0^r sinh^{n-1}."""
+    """Volume of the geodesic ball B_r, omega_{n-1} * integral_0^r sinh^{n-1}.
+
+    A volume below the smallest normal double raises NumericError."""
     n = check_dimension(n)
     if r <= 0:
         raise DomainValidationError(f"ball radius must be > 0, got {r}")
     if n == 2:
         # 2*pi*(cosh r - 1), written cancellation-free
-        return 4.0 * math.pi * math.sinh(0.5 * r) ** 2
-    if n == 3:
+        vol = 4.0 * math.pi * math.sinh(0.5 * r) ** 2
+    elif n == 3:
         # pi*(sinh 2r - 2r); series for small arguments
         x = 2.0 * r
         if x < 1e-2:
             x2 = x * x
-            return math.pi * (x ** 3 / 6.0) * (1.0 + x2 / 20.0 + x2 * x2 / 840.0)
-        return math.pi * (math.sinh(x) - x)
-    return float(sphere_measure(n - 1) * sinh_power_integral(n - 1, r, dtype=_LD))
+            vol = math.pi * (x ** 3 / 6.0) * (1.0 + x2 / 20.0 + x2 * x2 / 840.0)
+        else:
+            vol = math.pi * (math.sinh(x) - x)
+    else:
+        vol = float(sphere_measure(n - 1) * sinh_power_integral(n - 1, r, dtype=_LD))
+    return _normal(vol, "volume", n, r)
 
 
 def ball_perimeter(n, r):
-    """Perimeter (boundary measure) of B_r: omega_{n-1} * sinh^{n-1} r."""
+    """Perimeter (boundary measure) of B_r: omega_{n-1} * sinh^{n-1} r.
+
+    A perimeter below the smallest normal double raises NumericError."""
     n = check_dimension(n)
     if r <= 0:
         raise DomainValidationError(f"ball radius must be > 0, got {r}")
-    return sphere_measure(n - 1) * sinh_pow(r, n - 1)
+    return _normal(sphere_measure(n - 1) * sinh_pow(r, n - 1), "perimeter", n, r)
 
 
 @dataclass(frozen=True)
@@ -188,8 +186,11 @@ class QuermassVector:
         check_dimension(self.n)
         if len(self.w) != self.n + 1:
             raise DomainValidationError("quermass vector must have n+1 entries")
-        if np.any(np.asarray(self.w) <= 0.0):
+        w = np.asarray(self.w)
+        if np.any(w <= 0.0):
             raise DomainValidationError("quermassintegrals of a nonempty body are positive")
+        if np.any(w < _TINY):
+            raise NumericError("quermassintegrals underflow below the smallest normal double")
 
     def __getitem__(self, j):
         return float(self.w[j])

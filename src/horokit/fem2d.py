@@ -7,13 +7,14 @@ free nodes is symmetric positive definite; it is factored once per mesh by
 a sparse LU under a symmetric minimum-degree ordering, and the p = 2
 eigenpair comes from shift-invert Lanczos on that factor.  General p uses
 the nonlinear inverse power iteration on the discrete Rayleigh quotient,
-each step a convex p-energy minimized by damped Newton on sparse LUs of its
-Hessian, which has the stiffness matrix's sparsity pattern.  The power
-iteration converges linearly; once the eigen-residual of an iterate is
-below BORDERED_SWITCH it is finished by Newton steps on the eigen-system
-(g_num(u) - tau g_den(u), den(u) - 1), one sparse LU of the stiffness
-pattern bordered by g_den per step, each kept only if it keeps the iterate
-positive, lowers the residual and does not raise the quotient.
+started once from the p = 2 eigenvector, each step a convex p-energy
+minimized by damped Newton on sparse LUs of its Hessian, which has the
+stiffness matrix's sparsity pattern.  The power iteration converges
+linearly; once the eigen-residual of an iterate is below BORDERED_SWITCH it
+is finished by Newton steps on the eigen-system (g_num(u) - tau g_den(u),
+den(u) - 1), one sparse LU of the stiffness pattern bordered by g_den per
+step, each kept only if it keeps the iterate positive, lowers the residual
+and does not raise the quotient.
 
 Meshes are structured polar triangulations between two boundary curves that
 are star-shaped about the inner base point; the construction is intrinsic
@@ -37,12 +38,11 @@ from .errors import DomainValidationError, NumericError
 
 MIN_ANGLE_DEG = 20.0
 EIG_RESIDUAL_RTOL = 1e-10
-DESCENT_DECREASE = 1e-10   # general-p starts differ only beyond this gap
 POWER_DECREASE = 1e-13     # inverse power settles below this decrease
 MONOTONE_RTOL = 1e-13      # roundoff allowed in the quotient's decrease
 HESSIAN_EPS = 1e-12
 NEWTON_MAX_ITER = 80       # Newton steps of one convex minimization
-POWER_MAX_ITER = 300       # outer inverse power steps from each start
+POWER_MAX_ITER = 300       # outer inverse power steps from the p = 2 start
 BORDERED_SWITCH = 1e-2     # eigen-residual below which bordered Newton steps are tried
 # P1 systems are SPD: minimum degree on A + A^T keeps the factor about half
 # as full as the default COLAMD column ordering, which ignores the symmetry
@@ -290,32 +290,20 @@ def richardson_extrapolate(coarse, fine):
     return fine + (fine - coarse) / 3.0
 
 
-def _dirichlet_system(mesh):
-    """K and M on the free (non-hole) nodes, with the sparse LU of K.
-
-    The one P1 assembly and factorization a mesh needs: the p = 2
-    eigensolver inverts K, also for the first start of the general-p solver.
-    """
-    K, M = assemble_p2(mesh)
-    free = np.setdiff1d(np.arange(mesh.vertices.shape[0]), mesh.inner_nodes)
-    Kf = K[np.ix_(free, free)].tocsc()
-    Mf = M[np.ix_(free, free)].tocsr()
-    return free, Kf, Mf, splu(Kf, **SPLU_OPTIONS)
-
-
 def eigen_p2(mesh):
     """Smallest eigenvalue of (K, M) with inner-Dirichlet elimination.
 
-    Shift-invert Lanczos (ARPACK, shift 0) on the sparse LU of K, started
-    from the constant vector so that repeated runs agree to the last bit;
-    the eigenpair must satisfy ||K u - tau M u|| <= 1e-10 ||M u||.
+    Shift-invert Lanczos (ARPACK, shift 0) on the sparse LU of K on the free
+    (non-hole) nodes, started from the constant vector so that repeated runs
+    agree to the last bit; the eigenpair must satisfy
+    ||K u - tau M u|| <= 1e-10 ||M u||.
     """
-    return _shift_invert_eigenpair(mesh, _dirichlet_system(mesh))
-
-
-def _shift_invert_eigenpair(mesh, system):
-    free, Kf, Mf, lu = system
+    K, M = assemble_p2(mesh)
     nv = mesh.vertices.shape[0]
+    free = np.setdiff1d(np.arange(nv), mesh.inner_nodes)
+    Kf = K[np.ix_(free, free)].tocsc()
+    Mf = M[np.ix_(free, free)].tocsr()
+    lu = splu(Kf, **SPLU_OPTIONS)
     solves = 0
 
     def solve(x):
@@ -463,35 +451,28 @@ def eigen_p_general(mesh, p):
     """Upper-bound approximation of tau_1 for general p in (1, inf).
 
     Nonlinear inverse power iteration (Hein & Buehler 2010) on the P1
-    Rayleigh quotient from the p = 2 eigenvector and from the constant 1,
-    at most POWER_MAX_ITER outer steps each.  Once the eigen-residual
-    ||g_num - tau g_den|| / ||g_den|| of an iterate is below BORDERED_SWITCH,
-    Newton steps on the bordered system (g_num(u) - tau g_den(u), den(u) - 1)
-    (Yao & Zhou 2007) finish the iteration quadratically; a bordered step is
-    taken only if it keeps the iterate positive, lowers the residual and does
-    not raise the quotient, otherwise a power step is.  A start whose inner
-    minimization stalls is not settled.  Not certified globally optimal: the
-    quotient of an admissible function, an upper bound whose quality the
-    radial cross-checks establish.
+    Rayleigh quotient, at most POWER_MAX_ITER outer steps from |u| of the
+    p = 2 eigenvector u.  That start is positive, so the iterates stay
+    nonnegative and aim at the first eigenfunction, in the continuous
+    problem the only one of one sign.  Once the eigen-residual ||g_num - tau g_den|| / ||g_den|| of an
+    iterate is below BORDERED_SWITCH, Newton steps on the bordered system
+    (g_num(u) - tau g_den(u), den(u) - 1) (Yao & Zhou 2007) finish the
+    iteration quadratically; a bordered step is taken only if it keeps the
+    iterate positive, lowers the residual and does not raise the quotient,
+    otherwise a power step is.  A run whose inner minimization stalls, or
+    that hits the step limit, is not settled and raises NumericError.  Not
+    certified globally optimal: the quotient of an admissible function, an
+    upper bound whose quality the radial cross-checks establish.
     """
     if not p > 1.0:
         raise DomainValidationError(f"exponent p must exceed 1, got {p}")
     rq = _RayleighP(mesh, p)
-    p2 = _shift_invert_eigenpair(mesh, _dirichlet_system(mesh))
-    best = None
-    for label, u0 in (("p2_eigenvector", np.abs(p2.u[rq.free])), ("constant", np.ones(len(rq.free)))):
-        run = _inverse_power(rq, u0)
-        # both starts often settle on the same quotient to the last bit; the
-        # p = 2 start is kept unless the other is lower by more than
-        # DESCENT_DECREASE of it, so the label never rests on round-off
-        if best is None or best[0] - run[0] > DESCENT_DECREASE * best[0]:
-            best = run + (label,)
-    value, u, outer, newton, settled, res, label = best
+    value, u, outer, newton, settled, res = _inverse_power(rq, np.abs(eigen_p2(mesh).u[rq.free]))
     if not settled:
         raise NumericError("inverse power iteration stalled or hit the iteration limit without settling")
     u = rq.full(u)
     residuals = {"eig_residual": res, "dirichlet_trace": float(np.max(np.abs(u[mesh.inner_nodes])))}
-    meta = {"n_vertices": rq.nv, "h_mesh": mesh.h_mesh, "p": p, "start": label,
+    meta = {"n_vertices": rq.nv, "h_mesh": mesh.h_mesh, "p": p,
             "iterations": outer, "newton_steps": newton, "upper_bound_only": True}
     return EigResult(tau1=float(value), residuals=residuals, meta=meta, u=u)
 

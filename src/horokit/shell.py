@@ -124,7 +124,8 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
     The bracket starts from the flat-interval estimate (pi/(2(R-r)))^2 and
     expands geometrically until _outer_flux changes sign; brentq then zeroes
     it directly, since it is positive below tau_1 and negative above it.
-    tol is absolute in units of the flat estimate: xtol = tol * tau_flat.
+    tol is relative: xtol = tol * lo, lo being the final lower bracket end,
+    which lies below tau_1 because the flux is positive there.
     Each tau is shot once per call; meta["integrations"] counts every
     solve_ivp call, including the dense final one and its re-integration.
     initial_slope only rescales the eigenfunction (the problem is
@@ -145,10 +146,6 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
     tau_flat = half_wave * half_wave
     if not tau_flat < np.inf:
         raise DomainValidationError(f"shell of width {R - r} is too thin to solve")
-    xtol = tol * tau_flat
-    if not 0.0 < xtol < np.inf:
-        raise DomainValidationError(f"need a finite tol > 0 that keeps tol * tau_flat > 0, "
-                                    f"got tol={tol}")
     fluxes = {}
 
     def flux_at_R(tau):
@@ -169,6 +166,10 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
         if budget <= 0 or hi > 1e12 * tau_flat:
             raise SearchError("no upper bracket for the shell eigenvalue")
 
+    xtol = tol * lo
+    if not 0.0 < xtol < np.inf:
+        raise DomainValidationError(f"need a finite tol > 0 that keeps tol * {lo:.3g} "
+                                    f"(the lower bracket end) > 0, got tol={tol}")
     tau1 = brentq(flux_at_R, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=SEARCH_MAX_ITER)
 
     sol, crossed = _integrate(spec, tau1, dense=True, slope=initial_slope)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -236,6 +238,8 @@ INSULATION_ARGS = ["insulation", "--body", "{body}"]
     # these ended in a RecursionError traceback
     (["quermass", "--body", "{n5000}"], "error: dimension must be in [2, 256]"),
     (["ball-tables", "--n", "5000", "--r", "1"], "error: dimension must be in [2, 256]"),
+    # this printed the subnormal volume 3.93e-320 and exited 0
+    (["ball-tables", "--n", "256", "--r", "0.22"], "error: quermassintegrals underflow"),
 ])
 def test_cli_bad_numbers_are_errors_without_traceback(tmp_path, capsys, argv, kind):
     files = {"{dom}": write(tmp_path, "dom.json", DOMAIN_SPEC),
@@ -311,6 +315,42 @@ def test_cli_quermass_dimension_fuzz_exits_cleanly(tmp_path_factory, n, r):
 @given(n=_FUZZ_DIMENSIONS, r=_fuzz_number(-1.0, 50.0, (0.05, 2.0)))
 def test_cli_ball_tables_dimension_fuzz_exits_cleanly(n, r):
     assert run_command(["ball-tables", f"--n={n}", f"--r={r!r}"]) in (0, 1, 2)
+
+
+_FUZZ_BODIES = st.sampled_from([
+    BALL_SPEC, FOURIER_SPEC,
+    {"schema": 1, "kind": "revolution", "n": 3, "params": {"a0": 1.0, "cos_even": [0.05]}}])
+_FUZZ_DISTANCE = _fuzz_number(-1.0, 1e3, (0.0, 3.0))
+
+
+def _exits_cleanly(argv):
+    # capsys is function-scoped, so each example captures stderr itself
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_command(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(spec=_FUZZ_BODIES, start=_FUZZ_DISTANCE, stop=_FUZZ_DISTANCE, num=st.integers(-1, 32),
+       match=st.sampled_from(["quermass", "perimeter"]), force=st.booleans())
+def test_cli_nagy_deltas_fuzz_exits_cleanly(tmp_path_factory, spec, start, stop, num, match,
+                                            force):
+    body = tmp_path_factory.mktemp("fuzz") / "body.json"
+    body.write_text(json.dumps(spec))
+    argv = ["nagy", "--body", str(body), f"--deltas={start!r}:{stop!r}:{num}", "--match", match]
+    _exits_cleanly(argv + ["--force"] * force)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+# in-range indices are drawn as often as the full range, as in _fuzz_number
+@given(spec=_FUZZ_BODIES, i=st.one_of(st.none(), st.integers(0, 1), st.integers(-2, 6)),
+       j=st.one_of(st.none(), st.integers(1, 2), st.integers(-2, 6)))
+def test_cli_af_check_indices_fuzz_exits_cleanly(tmp_path_factory, spec, i, j):
+    body = tmp_path_factory.mktemp("fuzz") / "body.json"
+    body.write_text(json.dumps(spec))
+    argv = ["af-check", "--body", str(body)]
+    _exits_cleanly(argv + [f"--i={i}"] * (i is not None) + [f"--j={j}"] * (j is not None))
 
 
 @pytest.mark.parametrize("command", ["rfk", "hersch"])

@@ -16,7 +16,7 @@ from horokit.core import (
     sphere_measure,
     sinh_power_integral,
 )
-from horokit.errors import DomainValidationError
+from horokit.errors import DomainValidationError, NumericError
 
 from oracles import quad_ball_volume
 
@@ -67,6 +67,18 @@ def test_ball_volume_degenerate_limit():
         ball_volume(2, 0.0)
     with pytest.raises(DomainValidationError):
         ball_volume(2, -1.0)
+
+
+def test_subnormal_ball_measures_are_refused():
+    # at n = 256 the radius 0.22 passes the quermass terminal check, but its
+    # volume 3.93e-320 and perimeter 4.6e-317 are below the smallest normal
+    with pytest.raises(NumericError, match="volume"):
+        ball_volume(256, 0.22)
+    with pytest.raises(NumericError, match="perimeter"):
+        ball_perimeter(256, 0.22)
+    with pytest.raises(NumericError, match="underflow"):
+        ball_quermass(256, 0.22)
+    assert ball_volume(256, 0.25) > np.finfo(float).tiny
 
 
 def test_ball_perimeter_values_and_derivative():
@@ -165,6 +177,10 @@ def test_sinh_power_integral_positive_and_increasing(m, r):
     val = float(sinh_power_integral(m, r))
     assert val > 0.0
     assert float(sinh_power_integral(m, r + 0.1)) > val
+    # an array takes the same branch per element as scalar calls
+    radii = np.array([0.0, 0.1, r, 0.25, r + 0.1])
+    assert np.array_equal(sinh_power_integral(m, radii),
+                          [sinh_power_integral(m, x) for x in radii])
 
 
 @pytest.mark.parametrize("n,w_rtol", [(5, 1e-12), (48, 1e-11), (384, 1e-10),

@@ -120,29 +120,22 @@ def test_eigen_p2_is_deterministic():
     assert np.array_equal(first.u, second.u)
 
 
-def _start_label(monkeypatch, lower):
-    """eigen_p_general's start label when the constant start ends at
-    lower(q), q being where the p = 2 eigenvector start ended."""
+def test_eigen_p_general_runs_one_start(monkeypatch):
+    # the inverse power method runs once, from the p = 2 eigenvector
     inverse_power = fem2d._inverse_power
-    ends = []
+    starts = []
 
-    def lowered(rq, u0, *args):
-        value, *rest = inverse_power(rq, u0, *args)
-        if np.ptp(u0[u0 != 0.0]) == 0.0:
-            value = lower(ends[0])
-        ends.append(value)
-        return (value, *rest)
+    def spy(rq, u0):
+        starts.append(u0)
+        return inverse_power(rq, u0)
 
-    monkeypatch.setattr(fem2d, "_inverse_power", lowered)
-    return eigen_p_general(build_mesh(ANNULUS, 0.04), 1.7).meta["start"]
-
-
-def test_eigen_p_general_start_label_ignores_round_off(monkeypatch):
-    assert _start_label(monkeypatch, lambda v: np.nextafter(v, 0.0)) == "p2_eigenvector"
-
-
-def test_eigen_p_general_keeps_a_clearly_lower_start(monkeypatch):
-    assert _start_label(monkeypatch, lambda v: v * (1.0 - 1e-6)) == "constant"
+    monkeypatch.setattr(fem2d, "_inverse_power", spy)
+    mesh = build_mesh(ANNULUS, 0.05)
+    res = eigen_p_general(mesh, 1.7)
+    (u0,) = starts
+    free = np.setdiff1d(np.arange(mesh.vertices.shape[0]), mesh.inner_nodes)
+    assert np.array_equal(u0, np.abs(eigen_p2(mesh).u[free]))
+    assert "start" not in res.meta
 
 
 # tau at h = 0.04 from the Armijo-descent solver this one replaced
@@ -234,7 +227,6 @@ def test_constant_start_stall_is_not_settled():
     ref = eigen_p_general(mesh, 5.0)
     value, _, _, _, settled, _ = fem2d._inverse_power(rq, np.ones(len(rq.free)))
     assert value == pytest.approx(ref.tau1, rel=1e-9) or not settled
-    assert ref.meta["start"] == "p2_eigenvector"
 
 
 def test_damped_newton_reports_a_stall():

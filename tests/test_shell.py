@@ -163,3 +163,20 @@ def test_tau_pinned_with_few_integrations(shell, monkeypatch):
     # one shot per tau: the bisecting search took 33-34
     assert res.meta["integrations"] == len(calls) <= 13
     assert res.residuals["flux_outer"] <= 1e-12
+
+
+def test_root_tolerance_is_relative(monkeypatch):
+    # tau_1 is about 1.3e-13 here; a tolerance in units of the flat estimate
+    # (pi/59)^2 let brentq stop about 2 % away from it
+    xtols = []
+    real = shell_module.brentq
+
+    def spy(f, a, b, **kwargs):
+        xtols.append(kwargs["xtol"])
+        return real(f, a, b, **kwargs)
+
+    monkeypatch.setattr(shell_module, "brentq", spy)
+    tol = 1e-12
+    res = shell_eigen(ShellSpec(n=2, p=2.0, r=0.5, R=30.0), tol=tol)
+    (xtol,) = xtols
+    assert 0.0 < xtol <= tol * res.tau1
