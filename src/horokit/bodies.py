@@ -213,10 +213,15 @@ class RevolutionBody(_RadialGraph):
         return curvature_revolution(self, self.n_u // divisor)
 
     def _volume(self):
+        """Radial integral in long double, like core.ball_volume: in double
+        its binomial sum overflows to inf - inf for large n * a0."""
         n = self.n
         u, qw = _gauss_legendre(self.n_u, 0.0, np.pi)
-        radial = sinh_power_integral(n - 1, self.height(u))
-        return float(sphere_measure(n - 2) * np.sum(qw * np.sin(u) ** (n - 2) * radial))
+        radial = sinh_power_integral(n - 1, self.height(u), dtype=np.longdouble)
+        volume = float(sphere_measure(n - 2) * np.sum(qw * np.sin(u) ** (n - 2) * radial))
+        if not math.isfinite(volume):
+            raise NumericError(f"volume of the body is {volume}, not a finite double")
+        return volume
 
     height = _RadialGraph.radius
     height_d1 = _RadialGraph.radius_d1

@@ -90,7 +90,10 @@ def sinh_pow(r, k):
         raise DomainValidationError(f"sinh_pow needs r > 0, got {r}")
     if k * r > _LOG_SPACE_THRESHOLD:
         log_sinh = r + math.log1p(-math.exp(-2.0 * r)) - math.log(2.0)
-        return math.exp(k * log_sinh)
+        try:
+            return math.exp(k * log_sinh)
+        except OverflowError:
+            raise NumericError(f"sinh({r!r})**{k} overflows a double") from None
     return math.sinh(r) ** k
 
 
@@ -131,40 +134,43 @@ def sinh_power_integral(m, r, dtype=float):
 
 
 def _normal(value, what, n, r):
-    """value, unless it is below the smallest normal double (or nan)."""
-    if not value >= _TINY:
+    """value, unless it is not a finite normal double (below _TINY, inf or nan)."""
+    if not _TINY <= value < math.inf:
         raise NumericError(f"{what} of the ball of radius {r!r} in dimension {n} "
-                           f"is {value:.3g}, not a normal double")
+                           f"is {value:.3g}, not a finite normal double")
     return value
 
 
 def ball_volume(n, r):
     """Volume of the geodesic ball B_r, omega_{n-1} * integral_0^r sinh^{n-1}.
 
-    A volume below the smallest normal double raises NumericError."""
+    A volume that is no finite normal double raises NumericError."""
     n = check_dimension(n)
     if r <= 0:
         raise DomainValidationError(f"ball radius must be > 0, got {r}")
-    if n == 2:
-        # 2*pi*(cosh r - 1), written cancellation-free
-        vol = 4.0 * math.pi * math.sinh(0.5 * r) ** 2
-    elif n == 3:
-        # pi*(sinh 2r - 2r); series for small arguments
-        x = 2.0 * r
-        if x < 1e-2:
-            x2 = x * x
-            vol = math.pi * (x ** 3 / 6.0) * (1.0 + x2 / 20.0 + x2 * x2 / 840.0)
+    try:
+        if n == 2:
+            # 2*pi*(cosh r - 1), written cancellation-free
+            vol = 4.0 * math.pi * math.sinh(0.5 * r) ** 2
+        elif n == 3:
+            # pi*(sinh 2r - 2r); series for small arguments
+            x = 2.0 * r
+            if x < 1e-2:
+                x2 = x * x
+                vol = math.pi * (x ** 3 / 6.0) * (1.0 + x2 / 20.0 + x2 * x2 / 840.0)
+            else:
+                vol = math.pi * (math.sinh(x) - x)
         else:
-            vol = math.pi * (math.sinh(x) - x)
-    else:
-        vol = float(sphere_measure(n - 1) * sinh_power_integral(n - 1, r, dtype=_LD))
+            vol = float(sphere_measure(n - 1) * sinh_power_integral(n - 1, r, dtype=_LD))
+    except OverflowError:  # math.sinh or its square past the double range
+        vol = math.inf
     return _normal(vol, "volume", n, r)
 
 
 def ball_perimeter(n, r):
     """Perimeter (boundary measure) of B_r: omega_{n-1} * sinh^{n-1} r.
 
-    A perimeter below the smallest normal double raises NumericError."""
+    A perimeter that is no finite normal double raises NumericError."""
     n = check_dimension(n)
     if r <= 0:
         raise DomainValidationError(f"ball radius must be > 0, got {r}")

@@ -16,13 +16,18 @@ with tau and passes pi_p/2 at tau_1, so the outer flux is > 0 for every
 tau < tau_1 and < 0 for every tau > tau_1. Brent's method therefore
 converges on any bracket of that sign change, and no bisection onto the
 first branch is needed.
+
+Each shot is one run of a scalar Dormand-Prince 5(4) stepper (_dopri45):
+the steps, step-size control and 4th-order continuous extension of scipy's
+RK45, on a state of two Python floats, without solve_ivp's per-step array
+machinery.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
@@ -32,6 +37,13 @@ from .errors import DomainValidationError, NumericError, SearchError
 DENSE_POINTS = 512
 SEARCH_MAX_ITER = 200      # bracket expansions, and brentq's iterations
 RAYLEIGH_POINTS = 4096     # trapezoid nodes of rayleigh_quotient_radial
+
+# Dormand-Prince 5(4) tableau and step-size control, as scipy's RK45 has them
+RK_C = RK45.C[1:].tolist()
+RK_A = [row[:s] for s, row in enumerate(RK45.A.tolist()) if s]
+RK_B, RK_E = RK45.B.tolist(), RK45.E.tolist()
+RK_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 @dataclass(frozen=True)
@@ -67,46 +79,141 @@ class EigResult:
     meta: dict = field(default_factory=dict)
 
 
-def _integrate(spec, tau, rtol=1e-11, atol=1e-13, dense=False, slope=1.0):
-    """Shoot once from v(r) = 0, v'(r) = slope; stop early if v crosses zero."""
-    n, p, r, R = spec.n, spec.p, spec.r, spec.R
-    expo, pm1, nm1 = 1.0 / (p - 1.0), p - 1.0, n - 1
-    sinh, copysign = math.sinh, math.copysign
+def _rms(a, b):
+    """RMS norm of the pair (a, b), as scipy's RK45 measures its errors."""
+    return math.sqrt(0.5 * (a * a + b * b))
 
-    # Python floats: numpy scalar ufuncs cost about three times as much per
-    # call. A float power raises where numpy returned inf, and an infinite
-    # slope only makes solve_ivp reject the trial step (p near 1 needs that).
-    def rhs(t, y):
-        v, W = y.tolist()
+
+def _initial_step(f, t, v, W, fv, fW, span, max_step, rtol, atol):
+    """Starting step of Hairer, Norsett & Wanner (Sec. II.4) for RK45."""
+    sv, sW = atol + abs(v) * rtol, atol + abs(W) * rtol
+    d0, d1 = _rms(v / sv, W / sW), _rms(fv / sv, fW / sW)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    gv, gW = f(t + h0, v + h0 * fv, W + h0 * fW)
+    d2 = _rms((gv - fv) / sv, (gW - fW) / sW) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -RK_ERROR_EXPONENT
+    return min(100.0 * h0, h1, span, max_step)
+
+
+def _dopri45(f, t0, t1, y0, rtol, atol, max_step, guard, dense=False):
+    """Integrate (v, W)' = f(t, v, W) from t0 to t1 in the steps of scipy's RK45.
+
+    The Dormand-Prince 5(4) pair with RK45's step control, on Python floats.
+    A non-finite error estimate (an overflowing trial slope) is rejected with
+    MIN_FACTOR. The shot stops after the first accepted step that ends past
+    guard with v <= 0. Returns (W, crossed, steps): W at the end of the last
+    step, whether v crossed zero, and with dense the accepted steps as
+    (t_old, h, (v_old, W_old), stages) for _continuous_extension.
+    """
+    c2, c3, c4, c5, c6 = RK_C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = RK_A
+    b1, b2, b3, b4, b5, b6 = RK_B
+    e1, e2, e3, e4, e5, e6, e7 = RK_E
+    t, (v, W) = t0, y0
+    fv, fW = f(t, v, W)
+    h_abs = _initial_step(f, t, v, W, fv, fW, t1 - t0, max_step, rtol, atol)
+    steps = [] if dense else None
+    while t < t1:
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NumericError("radial integration failed: required step size "
+                                   "is less than spacing between numbers")
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            k2v, k2W = f(t + c2 * h, v + a21 * fv * h, W + a21 * fW * h)
+            k3v, k3W = f(t + c3 * h, v + (a31 * fv + a32 * k2v) * h,
+                         W + (a31 * fW + a32 * k2W) * h)
+            k4v, k4W = f(t + c4 * h, v + (a41 * fv + a42 * k2v + a43 * k3v) * h,
+                         W + (a41 * fW + a42 * k2W + a43 * k3W) * h)
+            k5v, k5W = f(t + c5 * h, v + (a51 * fv + a52 * k2v + a53 * k3v + a54 * k4v) * h,
+                         W + (a51 * fW + a52 * k2W + a53 * k3W + a54 * k4W) * h)
+            k6v, k6W = f(t + c6 * h,
+                         v + (a61 * fv + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v) * h,
+                         W + (a61 * fW + a62 * k2W + a63 * k3W + a64 * k4W + a65 * k5W) * h)
+            v_new = v + h * (b1 * fv + b2 * k2v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+            W_new = W + h * (b1 * fW + b2 * k2W + b3 * k3W + b4 * k4W + b5 * k5W + b6 * k6W)
+            k7v, k7W = f(t_new, v_new, W_new)
+            ev = e1 * fv + e2 * k2v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v
+            eW = e1 * fW + e2 * k2W + e3 * k3W + e4 * k4W + e5 * k5W + e6 * k6W + e7 * k7W
+            error = _rms(ev * h / (atol + max(abs(v), abs(v_new)) * rtol),
+                         eW * h / (atol + max(abs(W), abs(W_new)) * rtol))
+            if error < 1.0:
+                factor = MAX_FACTOR if error == 0.0 else \
+                    min(MAX_FACTOR, SAFETY * error ** RK_ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            rejected = True
+            h_abs *= max(MIN_FACTOR, SAFETY * error ** RK_ERROR_EXPONENT) \
+                if error < math.inf else MIN_FACTOR
+        if dense:
+            steps.append((t, h, (v, W), ((fv, fW), (k2v, k2W), (k3v, k3W), (k4v, k4W),
+                                         (k5v, k5W), (k6v, k6W), (k7v, k7W))))
+        t, v, W, fv, fW = t_new, v_new, W_new, k7v, k7W
+        if t > guard and v <= 0.0:
+            return W, True, steps
+    return W, False, steps
+
+
+def _continuous_extension(steps, t):
+    """RK45's 4th-order interpolant of the accepted steps at the sorted points t.
+
+    Each point takes the polynomial of the step whose interval holds it, and
+    points outside all steps that of the nearest one; returns the rows (v, W).
+    """
+    t_old, h, y_old, stages = (np.array(a) for a in zip(*steps))
+    j = np.clip(np.searchsorted(t_old, t, side="left") - 1, 0, len(t_old) - 1)
+    x = (t - t_old[j]) / h[j]
+    powers = np.cumprod(np.repeat(x[:, None], RK45.P.shape[1], axis=1), axis=1)
+    q = np.einsum("msk,sq->mkq", stages[j], RK45.P)
+    return (y_old[j] + h[j, None] * np.einsum("mkq,mq->mk", q, powers)).T
+
+
+def _radial_rhs(spec, tau):
+    """Right-hand side (v', W') of the radial equation in the flux variable W."""
+    n, p = spec.n, spec.p
+    expo, pm1, nm1 = 1.0 / (p - 1.0), p - 1.0, n - 1
+    sinh, copysign, inf = math.sinh, math.copysign, math.inf
+
+    # A float power past the double range raises OverflowError; an infinite
+    # slope only makes the stepper reject its trial step (p near 1 needs that).
+    def rhs(t, v, W):
         s = sinh(t) ** nm1
         try:
             dv = (abs(W) / s) ** expo
         except OverflowError:
-            dv = math.inf
+            dv = inf
         try:
             f = abs(v) ** pm1
         except OverflowError:
-            f = math.inf
-        return (copysign(dv, W), -tau * s * copysign(f, v))
+            f = inf
+        return copysign(dv, W), -tau * s * copysign(f, v)
 
-    eps = 1e-9 * (R - r)
+    return rhs
 
-    def crossing(t, y):
-        return y[0] if t > r + eps else 1.0
 
-    crossing.terminal = True
-    crossing.direction = -1.0
+def _integrate(spec, tau, rtol=1e-11, atol=1e-13, slope=1.0, dense_at=None):
+    """Shoot once from v(r) = 0, v'(r) = slope; stop early if v crosses zero.
 
-    flux0 = np.sinh(r) ** (n - 1) * abs(slope) ** (p - 2.0) * slope
-    try:
-        sol = solve_ivp(rhs, (r, R), [0.0, flux0], rtol=rtol, atol=atol,
-                        events=crossing, dense_output=dense, max_step=(R - r) / 40.0)
-    except ArithmeticError as exc:  # sinh overflow or a zero weight in rhs
+    Returns (W, crossed, profile): W where the shot stopped, whether v
+    crossed zero, and the rows (v, W) at the points dense_at (else None).
+    """
+    n, p, r, R = spec.n, spec.p, spec.r, spec.R
+    try:  # sinh overflow or a zero weight in the right-hand side
+        flux0 = math.sinh(r) ** (n - 1) * abs(slope) ** (p - 2.0) * slope
+        W, crossed, steps = _dopri45(_radial_rhs(spec, tau), r, R, (0.0, flux0), rtol, atol,
+                                     (R - r) / 40.0, r + 1e-9 * (R - r),
+                                     dense=dense_at is not None)
+    except ArithmeticError as exc:
         raise NumericError(f"radial integration failed: {exc}") from exc
-    if not sol.success and len(sol.t_events[0]) == 0:
-        raise NumericError(f"radial integration failed: {sol.message}")
-    crossed = len(sol.t_events[0]) > 0
-    return sol, crossed
+    profile = None if dense_at is None else _continuous_extension(steps, dense_at)
+    return W, crossed, profile
 
 
 def _outer_flux(spec, tau, slope=1.0):
@@ -114,8 +221,8 @@ def _outer_flux(spec, tau, slope=1.0):
 
     It is > 0 below tau_1 and < 0 above it (see the module docstring).
     """
-    sol, crossed = _integrate(spec, tau, slope=slope)
-    return -1.0 if crossed else float(sol.y[1][-1])
+    W, crossed, _ = _integrate(spec, tau, slope=slope)
+    return -1.0 if crossed else W
 
 
 def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
@@ -126,8 +233,9 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
     it directly, since it is positive below tau_1 and negative above it.
     tol is relative: xtol = tol * lo, lo being the final lower bracket end,
     which lies below tau_1 because the flux is positive there.
-    Each tau is shot once per call; meta["integrations"] counts every
-    solve_ivp call, including the dense final one and its re-integration.
+    Each tau is shot once per call; meta["integrations"] counts every shot
+    of the Dormand-Prince stepper, including the dense final one and its
+    re-integration at looser tolerance.
     initial_slope only rescales the eigenfunction (the problem is
     homogeneous), which makes it a cheap simplicity cross-check.
 
@@ -172,20 +280,18 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
                                     f"(the lower bracket end) > 0, got tol={tol}")
     tau1 = brentq(flux_at_R, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=SEARCH_MAX_ITER)
 
-    sol, crossed = _integrate(spec, tau1, dense=True, slope=initial_slope)
+    t = np.linspace(r, R, DENSE_POINTS)
+    _, crossed, (v, W) = _integrate(spec, tau1, slope=initial_slope, dense_at=t)
     if crossed:
         raise NumericError("interior zero at the converged eigenvalue; wrong branch")
-    t = np.linspace(r, R, DENSE_POINTS)
-    y = sol.sol(t)
-    v, W = y[0], y[1]
     if np.any(v[1:] < 0.0):
         raise NumericError("profile fails interior positivity; wrong branch")
     s = np.sinh(t) ** (n - 1)
     dv = np.sign(W) * (np.abs(W) / s) ** (1.0 / (p - 1.0))
     # re-integration at looser tolerance bounds the ODE error
-    sol_f, _ = _integrate(spec, tau1, rtol=1e-9, atol=1e-11, dense=True,
-                          slope=initial_slope)
-    ode_max = float(np.max(np.abs(sol_f.sol(t)[0] - v)))
+    _, _, (v_loose, _) = _integrate(spec, tau1, rtol=1e-9, atol=1e-11,
+                                    slope=initial_slope, dense_at=t)
+    ode_max = float(np.max(np.abs(v_loose - v)))
     residuals = {
         "bc_inner": float(abs(v[0])),
         "bc_outer": float(abs(dv[-1])),

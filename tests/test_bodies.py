@@ -167,6 +167,16 @@ def test_boundary_measures_revolution_ball():
     assert meas["volume"] == pytest.approx(ball_volume(3, 1.0), rel=1e-12)
 
 
+def test_revolution_volume_at_large_n_times_a0(monkeypatch):
+    # the double binomial sum of the radial integral gave nan here
+    body = RevolutionBody(n=200, a0=4.0)
+    assert boundary_measures(body)["volume"] == pytest.approx(ball_volume(200, 4.0), rel=1e-9)
+    monkeypatch.setattr("horokit.bodies.sinh_power_integral",
+                        lambda m, r, dtype: np.full_like(r, np.nan, dtype=dtype))
+    with pytest.raises(NumericError, match="volume"):
+        boundary_measures(RevolutionBody(n=3, a0=1.0))
+
+
 # ---------------------------------------------------------------------------
 # curvature integrals and quermass vectors
 

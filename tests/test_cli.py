@@ -240,12 +240,18 @@ INSULATION_ARGS = ["insulation", "--body", "{body}"]
     (["ball-tables", "--n", "5000", "--r", "1"], "error: dimension must be in [2, 256]"),
     # this printed the subnormal volume 3.93e-320 and exited 0
     (["ball-tables", "--n", "256", "--r", "0.22"], "error: quermassintegrals underflow"),
+    # the volume is inf and the perimeter overflows; the quermass check comes first
+    (["ball-tables", "--n", "5", "--r", "400"], "error: quermass recursion terminal mismatch"),
+    # a nan volume gave "quermassintegrals of a nonempty body are positive"
+    (["quermass", "--body", "{rev200}"], "error: quermass recursion terminal mismatch"),
 ])
 def test_cli_bad_numbers_are_errors_without_traceback(tmp_path, capsys, argv, kind):
     files = {"{dom}": write(tmp_path, "dom.json", DOMAIN_SPEC),
              "{body}": write(tmp_path, "ball.json", BALL_SPEC),
              "{oval}": write(tmp_path, "oval.json", FOURIER_SPEC),
-             "{n5000}": write(tmp_path, "n5000.json", dict(BALL_SPEC, n=5000))}
+             "{n5000}": write(tmp_path, "n5000.json", dict(BALL_SPEC, n=5000)),
+             "{rev200}": write(tmp_path, "rev200.json", {"schema": 1, "kind": "revolution",
+                                                         "n": 200, "params": {"a0": 4.0}})}
     assert run_command([files.get(a, a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert kind in err and "Traceback" not in err

@@ -81,6 +81,21 @@ def test_subnormal_ball_measures_are_refused():
     assert ball_volume(256, 0.25) > np.finfo(float).tiny
 
 
+def test_overflowing_ball_measures_are_refused():
+    # ball_volume(5, 400) returned inf, ball_perimeter(5, 400) raised a bare
+    # OverflowError from sinh_pow, and n = 2, 3 from math.sinh
+    with pytest.raises(NumericError, match="volume"):
+        ball_volume(5, 400.0)
+    with pytest.raises(NumericError, match="overflows"):
+        ball_perimeter(5, 400.0)
+    for n in (2, 3):
+        with pytest.raises(NumericError, match="volume"):
+            ball_volume(n, 1500.0)
+        with pytest.raises(NumericError, match="overflows"):
+            ball_perimeter(n, 1500.0)
+    assert math.isfinite(ball_volume(5, 100.0))
+
+
 def test_ball_perimeter_values_and_derivative():
     assert ball_perimeter(2, 1.0) == pytest.approx(2 * math.pi * math.sinh(1), rel=1e-12)
     assert ball_perimeter(2, 1.0) == pytest.approx(7.3840069, rel=1e-6)

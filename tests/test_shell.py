@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import horokit.shell as shell_module
 from horokit.shell import (
@@ -9,7 +12,7 @@ from horokit.shell import (
     rayleigh_quotient_radial,
     shell_eigen,
 )
-from horokit.errors import DomainValidationError
+from horokit.errors import DomainValidationError, NumericError
 
 from oracles import fd_shell_eigen_p2
 
@@ -143,21 +146,21 @@ PINNED_TAU = {
 }
 
 
-def _counting_solve_ivp(monkeypatch):
+def _counting_dopri45(monkeypatch):
     calls = []
-    real = shell_module.solve_ivp
+    real = shell_module._dopri45
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(shell_module, "solve_ivp", counting)
+    monkeypatch.setattr(shell_module, "_dopri45", counting)
     return calls
 
 
 @pytest.mark.parametrize("shell", sorted(PINNED_TAU))
 def test_tau_pinned_with_few_integrations(shell, monkeypatch):
-    calls = _counting_solve_ivp(monkeypatch)
+    calls = _counting_dopri45(monkeypatch)
     res = shell_eigen(ShellSpec(*shell))
     assert res.tau1 == pytest.approx(PINNED_TAU[shell], rel=1e-12, abs=0.0)
     # one shot per tau: the bisecting search took 33-34
@@ -180,3 +183,93 @@ def test_root_tolerance_is_relative(monkeypatch):
     res = shell_eigen(ShellSpec(n=2, p=2.0, r=0.5, R=30.0), tol=tol)
     (xtol,) = xtols
     assert 0.0 < xtol <= tol * res.tau1
+
+
+def _solve_ivp_shot(spec, tau, t, scale=1.0):
+    """The shot as solve_ivp(RK45) takes it, with the right-hand side times scale.
+
+    Returns the crossing flag, W where the shot stopped, (v, W) at the points
+    t, the mask of the points the shot reached and the number of steps.
+    """
+    r, R = spec.r, spec.R
+    rhs = shell_module._radial_rhs(spec, tau)
+    guard = r + 1e-9 * (R - r)
+
+    def crossing(t, y):
+        return y[0] if t > guard else 1.0
+
+    crossing.terminal = True
+    crossing.direction = -1.0
+    # near p = 1 the overflowing trial slopes make numpy warn inside rk.py
+    with np.errstate(invalid="ignore", over="ignore"):
+        sol = solve_ivp(lambda t, y: np.multiply(rhs(t, *y.tolist()), scale), (r, R),
+                        [0.0, math.sinh(r) ** (spec.n - 1)], rtol=1e-11, atol=1e-13,
+                        events=crossing, dense_output=True, max_step=(R - r) / 40.0)
+        assert sol.success
+        return (len(sol.t_events[0]) > 0, sol.y[1][-1], sol.sol(t), t <= sol.t[-1],
+                len(sol.t) - 1)
+
+
+def _shot_gap(W, profile, ref):
+    """Largest gap of (W(R), v, W) from a reference shot, relative to its scale."""
+    crossed, ref_W, ref_profile, inside, _ = ref
+    # relative to the profile's scale: at tau_1, W(R) itself is roundoff
+    scale = np.max(np.abs(ref_profile[:, inside]), axis=1)
+    gaps = np.max(np.abs(profile[:, inside] - ref_profile[:, inside]), axis=1) / scale
+    return max(*gaps, 0.0 if crossed else abs(W - ref_W) / scale[1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("p", [1.0001, 1.5, 2.0, 3.0, 10.0, 40.0])
+def test_dopri45_matches_solve_ivp_rk45(n, p, monkeypatch):
+    # the scalar stepper takes the same RK45 steps solve_ivp does, up to the
+    # rounding of its stage sums
+    step_counts = []
+    real = shell_module._dopri45
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        step_counts.append(len(out[2]))
+        return out
+
+    spec = ShellSpec(n=n, p=p, r=0.5, R=1.5)
+    tau1 = shell_eigen(spec).tau1
+    t = np.linspace(spec.r, spec.R, shell_module.DENSE_POINTS)
+    monkeypatch.setattr(shell_module, "_dopri45", recording)
+    # 30 tau_1 is past the second branch for p <= 3 at n <= 3: v crosses zero
+    for tau in (0.5 * tau1, 0.9 * tau1, tau1, 1.1 * tau1, 3.0 * tau1, 30.0 * tau1):
+        W, crossed, profile = shell_module._integrate(spec, tau, dense_at=t)
+        ref = _solve_ivp_shot(spec, tau, t)
+        assert crossed == ref[0], tau
+        # roundoff in the error estimates shifts the step sizes a little:
+        # 3 of these 108 shots take one or two steps more or less
+        assert abs(step_counts[-1] - ref[4]) <= 2, tau
+        gap = _shot_gap(W, profile, ref)
+        if gap > 1e-9:
+            # RK45's error estimates can be roundoff: at n = 5, p = 40,
+            # 1.1 tau_1 one ulp in the right-hand side moves solve_ivp's own
+            # W(R) by 2.6e-9, so there the bound is twice that spread
+            spread = max(_shot_gap(ref[1], ref[2], _solve_ivp_shot(spec, tau, t, s))
+                         for s in (1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52))
+            assert gap <= 2.0 * spread, (tau, gap, spread)
+
+
+def test_dopri45_rejects_non_finite_steps_like_solve_ivp():
+    # past the barrier the slope overflows, so no error estimate is finite:
+    # every trial step across it shrinks by MIN_FACTOR until one is below
+    # min_step, after as many right-hand-side calls as solve_ivp makes
+    for barrier in (0.501, 0.7, 1.2):
+        calls = []
+
+        def rhs(t, v, W):
+            calls.append(t)
+            return (math.inf, 0.0) if t > barrier else (1.0, -W)
+
+        with pytest.raises(NumericError, match="step size"):
+            shell_module._dopri45(rhs, 0.5, 1.5, (0.0, 1.0), 1e-11, 1e-13, 0.025, 0.5)
+        ours = len(calls)
+        with np.errstate(invalid="ignore"):
+            sol = solve_ivp(lambda t, y: rhs(t, *y.tolist()), (0.5, 1.5), [0.0, 1.0],
+                            rtol=1e-11, atol=1e-13, max_step=0.025)
+        assert sol.status == -1 and "step size" in sol.message
+        assert ours == sol.nfev
