@@ -13,7 +13,9 @@ from .core import (
     QuermassVector,
 )
 from .bodies import (
+    AnnularDomain2D,
     Body2D,
+    ParallelCurve,
     RevolutionBody,
     make_ball,
     convexity_report,
@@ -26,7 +28,7 @@ from .bodies import (
 )
 from .nagy import af_check, equivalent_ball, isoperimetric_check_2d, nagy_table
 from .shell import ShellSpec, EigResult, shell_eigen, radial_profile_eval
-from .fem2d import AnnularDomain2D, Mesh, build_mesh, eigen_p2, eigen_p_general
+from .fem2d import Mesh, build_mesh, eigen_p2, eigen_p_general
 from .parallels import (
     annulus_match,
     build_parallel_table,

@@ -15,6 +15,12 @@ Derived data (the profile and its half-resolution check, the measures, the
 curvature integrals) is cached on the immutable body.  require_convex is the
 one convex gate, and check_hypotheses the one hypothesis rule of the
 comparisons: convex in H^2, h-convex for n >= 3.
+
+The planar solvers work on one domain type, AnnularDomain2D: a Body2D hole
+inside a second, possibly offset, Body2D or inside the hole's ParallelCurve
+(the insulation shell).  Its polar tables, the chart radii of both
+boundaries as periodic splines of the polar angle, are checked once, when
+the domain is built.
 """
 
 import math
@@ -22,10 +28,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .core import (
+    chart_radius,
     check_dimension,
     gauss_legendre_nodes,
+    geodesic_step,
+    mobius_shift,
     sphere_measure,
     sinh_power_integral,
     quermass_from_curvature_integrals,
@@ -550,3 +560,87 @@ def flow_profile(prof, delta):
         jac *= denom[:, col] ** mult
     return CurvatureProfile(n=prof.n, params=prof.params, kappas=flowed,
                             multiplicity=prof.multiplicity, weights=prof.weights * jac)
+
+
+# ---------------------------------------------------------------------------
+# Planar domains between two boundary curves
+
+
+@dataclass(frozen=True)
+class ParallelCurve:
+    """Outer boundary of the parallel body K_delta of a planar body K."""
+
+    body: Body2D
+    delta: float
+
+    def chart_curve(self, theta):
+        """The normal geodesic flow of the body's boundary, run for delta."""
+        return geodesic_step(self.body.chart_curve(theta), self.body.chart_normal(theta), self.delta)
+
+
+@dataclass(frozen=True)
+class AnnularDomain2D:
+    """Domain between a Dirichlet hole and an outer Neumann boundary.
+
+    The inner body's base point sits at the chart origin; the outer boundary
+    is a body, whose base point is offset by a hyperbolic distance along a
+    fixed direction, or the parallel curve of the hole.  Both boundaries
+    must be star-shaped about the origin.
+    """
+
+    inner: Body2D
+    outer: Body2D | ParallelCurve
+    offset: float = 0.0
+    offset_angle: float = 0.0
+
+    def __post_init__(self):
+        if not (isinstance(self.inner, Body2D) and isinstance(self.outer, (Body2D, ParallelCurve))):
+            raise DomainValidationError(
+                "annular domains are built from a Body2D hole and a Body2D or ParallelCurve outer boundary")
+        if not (math.isfinite(self.offset) and math.isfinite(self.offset_angle)):
+            raise DomainValidationError("offset and offset_angle must be finite")
+        if self.offset < 0.0:
+            raise DomainValidationError("offset must be >= 0")
+        ri, ro = self.polar_tables
+        a = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+        # negated comparisons, so that a nan radius is refused as well
+        if not np.max(ro(a)) < 1.0:
+            raise DomainValidationError("outer boundary too far out: chart radius rounds to 1")
+        if not np.min(ro(a) - ri(a)) > 1e-9:
+            raise DomainValidationError("inner boundary touches or crosses the outer one")
+
+    def outer_chart(self, theta):
+        z = self.outer.chart_curve(theta)
+        if self.offset == 0.0:
+            return z
+        c = chart_radius(self.offset) * np.exp(1j * self.offset_angle)
+        return mobius_shift(z, c)
+
+    @cached_property
+    def polar_tables(self):
+        """Chart radii (rho_in, rho_out) of both boundaries as periodic
+        functions of the polar angle about the origin."""
+        theta = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
+        return (_periodic_radius_interpolant(self.inner.chart_curve(theta)),
+                _periodic_radius_interpolant(self.outer_chart(theta)))
+
+
+def _periodic_radius_interpolant(z):
+    """Chart radius as a periodic cubic spline of the polar angle about 0."""
+    ang = np.unwrap(np.angle(z))
+    if ang[-1] < ang[0]:
+        z = z[::-1]
+        ang = np.unwrap(np.angle(z))
+    if np.any(np.diff(ang) <= 0.0):
+        raise DomainValidationError("boundary curve is not star-shaped about the base point")
+    rad = np.abs(z)
+    a0 = ang[0]
+    angs = np.append(ang, a0 + 2.0 * np.pi)
+    rads = np.append(rad, rad[0])
+    spline = CubicSpline(angs, rads, bc_type="periodic")
+
+    def table(a):
+        a = np.asarray(a, dtype=float)
+        return spline(a0 + np.mod(a - a0, 2.0 * np.pi))
+
+    return table

@@ -16,23 +16,21 @@ den(u) - 1), one sparse LU of the stiffness pattern bordered by g_den per
 step, each kept only if it keeps the iterate positive, lowers the residual
 and does not raise the quotient.
 
-Meshes are structured polar triangulations between two boundary curves that
-are star-shaped about the inner base point; the construction is intrinsic
-(the inner base point is always centred), so hyperbolic isometries of the
-input domain produce identical meshes and eigenvalues.
+Meshes are structured polar triangulations between the two boundary curves
+of a domain, read only through its polar tables (rho_in, rho_out), the chart
+radii of both boundaries as functions of the polar angle about the inner
+base point (bodies.AnnularDomain2D builds and checks them); the construction
+is intrinsic (the inner base point is always centred), so hyperbolic
+isometries of the input domain produce identical meshes and eigenvalues.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.sparse import bmat, coo_matrix, csc_matrix
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .core import chart_radius, mobius_shift
-from .bodies import Body2D
 from .shell import EigResult
 from .errors import DomainValidationError, NumericError
 
@@ -47,80 +45,6 @@ BORDERED_SWITCH = 1e-2     # eigen-residual below which bordered Newton steps ar
 # P1 systems are SPD: minimum degree on A + A^T keeps the factor about half
 # as full as the default COLAMD column ordering, which ignores the symmetry
 SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A"}
-
-
-@dataclass(frozen=True)
-class AnnularDomain2D:
-    """Domain between a Dirichlet hole and an outer Neumann boundary.
-
-    The inner body's base point sits at the chart origin; the outer body's
-    base point is offset by a hyperbolic distance along a fixed direction.
-    Both boundaries must be star-shaped about the origin.
-    """
-
-    inner: Body2D
-    outer: Body2D
-    offset: float = 0.0
-    offset_angle: float = 0.0
-
-    def __post_init__(self):
-        if not isinstance(self.inner, Body2D) or not isinstance(self.outer, Body2D):
-            raise DomainValidationError("annular domains are built from two Body2D")
-        if not (math.isfinite(self.offset) and math.isfinite(self.offset_angle)):
-            raise DomainValidationError("offset and offset_angle must be finite")
-        if self.offset < 0.0:
-            raise DomainValidationError("offset must be >= 0")
-        check_polar_tables(self.polar_tables)
-
-    def inner_chart(self, theta):
-        return self.inner.chart_curve(theta)
-
-    def outer_chart(self, theta):
-        z = self.outer.chart_curve(theta)
-        if self.offset == 0.0:
-            return z
-        c = chart_radius(self.offset) * np.exp(1j * self.offset_angle)
-        return mobius_shift(z, c)
-
-    @cached_property
-    def polar_tables(self):
-        """Chart radii (rho_in, rho_out) of both boundaries as periodic
-        functions of the polar angle about the origin."""
-        theta = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
-        return (_periodic_radius_interpolant(self.inner_chart(theta)),
-                _periodic_radius_interpolant(self.outer_chart(theta)))
-
-
-def check_polar_tables(tables):
-    """Refuse polar tables (rho_in, rho_out) whose outer chart radius rounds
-    to 1 or is not finite, or whose boundaries touch or cross."""
-    ri, ro = tables
-    a = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    if not np.max(ro(a)) < 1.0:
-        raise DomainValidationError("outer boundary too far out: chart radius rounds to 1")
-    if not np.min(ro(a) - ri(a)) > 1e-9:
-        raise DomainValidationError("inner boundary touches or crosses the outer one")
-
-
-def _periodic_radius_interpolant(z):
-    """Chart radius as a periodic cubic spline of the polar angle about 0."""
-    ang = np.unwrap(np.angle(z))
-    if ang[-1] < ang[0]:
-        z = z[::-1]
-        ang = np.unwrap(np.angle(z))
-    if np.any(np.diff(ang) <= 0.0):
-        raise DomainValidationError("boundary curve is not star-shaped about the base point")
-    rad = np.abs(z)
-    a0 = ang[0]
-    angs = np.append(ang, a0 + 2.0 * np.pi)
-    rads = np.append(rad, rad[0])
-    spline = CubicSpline(angs, rads, bc_type="periodic")
-
-    def table(a):
-        a = np.asarray(a, dtype=float)
-        return spline(a0 + np.mod(a - a0, 2.0 * np.pi))
-
-    return table
 
 
 @dataclass(frozen=True)
@@ -460,14 +384,20 @@ def eigen_p_general(mesh, p):
     iteration quadratically; a bordered step is taken only if it keeps the
     iterate positive, lowers the residual and does not raise the quotient,
     otherwise a power step is.  A run whose inner minimization stalls, or
-    that hits the step limit, is not settled and raises NumericError.  Not
+    that hits the step limit, is not settled and raises NumericError, as
+    does one whose arithmetic leaves the double range (p near 1, or p so
+    large that |u|^p underflows).  Not
     certified globally optimal: the quotient of an admissible function, an
     upper bound whose quality the radial cross-checks establish.
     """
-    if not p > 1.0:
-        raise DomainValidationError(f"exponent p must exceed 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise DomainValidationError(f"exponent p must be finite and exceed 1, got {p}")
     rq = _RayleighP(mesh, p)
-    value, u, outer, newton, settled, res = _inverse_power(rq, np.abs(eigen_p2(mesh).u[rq.free]))
+    start = np.abs(eigen_p2(mesh).u[rq.free])
+    try:  # Python floats raise where the quotient leaves the double range
+        value, u, outer, newton, settled, res = _inverse_power(rq, start)
+    except ArithmeticError as exc:
+        raise NumericError(f"inverse power iteration failed at p = {p}: {exc!r}") from exc
     if not settled:
         raise NumericError("inverse power iteration stalled or hit the iteration limit without settling")
     u = rq.full(u)

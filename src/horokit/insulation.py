@@ -1,8 +1,9 @@
 """Thermal-insulation energy of a shell around a heated convex core.
 
 The core is held at unit value, the shell is the outer parallel body at
-distance delta, and the outer boundary carries a Robin penalty with
-parameter beta.  For radial weights the minimizer has constant flux and
+distance delta minus the core (in the plane the bodies.AnnularDomain2D
+whose outer boundary is the core's ParallelCurve), and the outer boundary
+carries a Robin penalty with parameter beta.  For radial weights the minimizer has constant flux and
 the energy reduces to a scalar closed form, which production uses; a 1-D
 convex minimization (radial_energy) is kept as its cross-check.  In the plane
 at p = 2 the spectral Galerkin solver on the polar map (horokit.spectral)
@@ -20,28 +21,21 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
-from .core import gauss_legendre_nodes, sphere_measure, geodesic_step
+from .core import gauss_legendre_nodes, sphere_measure
 from .bodies import (
+    AnnularDomain2D,
     Body2D,
+    ParallelCurve,
     curvature_profile,
     parallel_perimeter_direct,
     require_convex,
 )
 from .nagy import equivalent_ball
-from .fem2d import (
-    SPLU_OPTIONS,
-    _periodic_radius_interpolant,
-    assemble_p2,
-    boundary_mass_outer,
-    build_mesh,
-    check_polar_tables,
-    damped_newton,
-)
+from .fem2d import SPLU_OPTIONS, assemble_p2, boundary_mass_outer, build_mesh, damped_newton
 from .spectral import robin_energy
 from .errors import DomainValidationError, NumericError
 
 BOUND_GRID = 1024          # parallel distances in the one-sided bound's flux integral
-SHELL_SAMPLES = 8192       # boundary samples of a planar shell's outer curve
 EQUALITY_RTOL = 1e-4       # energy agreement that flags the ball case
 
 
@@ -179,39 +173,6 @@ def parallel_bound_energy(body, p, delta, beta):
     return _closed_form_energy(q, beta * L[-1], p)
 
 
-def insulation_domain(body, delta):
-    """Annulus-like domain whose outer boundary is the core's delta-parallel.
-
-    The outer chart curve is the normal geodesic flow of the core boundary,
-    resampled into a polar table for the mesher.
-    """
-    if not isinstance(body, Body2D):
-        raise DomainValidationError("planar insulation domains need a Body2D core")
-    theta = np.linspace(0.0, 2.0 * np.pi, SHELL_SAMPLES, endpoint=False)
-    z0 = body.chart_curve(theta)
-    return z0, geodesic_step(z0, body.chart_normal(theta), delta)
-
-
-@dataclass(frozen=True)
-class _ParallelShell:
-    """The core's boundary and its sampled delta-parallel, read by the
-    mesher and the spectral solver through polar_tables like a domain."""
-
-    rho_in: object
-    rho_out: object
-
-    def __post_init__(self):
-        check_polar_tables(self.polar_tables)
-
-    @classmethod
-    def around(cls, body, delta):
-        return cls(*map(_periodic_radius_interpolant, insulation_domain(body, delta)))
-
-    @property
-    def polar_tables(self):
-        return self.rho_in, self.rho_out
-
-
 def fem_energy_p2(body, delta, beta, h_mesh=0.01):
     """Planar insulation energy at p = 2 by a conformal P1 solve.
 
@@ -221,7 +182,7 @@ def fem_energy_p2(body, delta, beta, h_mesh=0.01):
     order in h_mesh and independent of the spectral solver the verdict uses,
     so the tests cross-check one against the other.
     """
-    mesh = build_mesh(_ParallelShell.around(body, delta), h_mesh)
+    mesh = build_mesh(AnnularDomain2D(inner=body, outer=ParallelCurve(body, delta)), h_mesh)
     K, _ = assemble_p2(mesh)
     B = boundary_mass_outer(mesh)
     A = (K + beta * B).tocsr()
@@ -265,7 +226,8 @@ def insulation_verdict(spec, *, h_mesh=None):
     if body.is_round:
         e_body = radial_energy_closed_form(body.n, spec.p, body.a0, spec.delta, spec.beta)
     elif isinstance(body, Body2D) and spec.p == 2.0:
-        spectral = robin_energy(_ParallelShell.around(body, spec.delta), spec.beta)
+        shell = AnnularDomain2D(inner=body, outer=ParallelCurve(body, spec.delta))
+        spectral = robin_energy(shell, spec.beta)
         e_body, resolution = spectral.value, spectral.resolution
     else:
         e_body = parallel_bound_energy(body, spec.p, spec.delta, spec.beta)

@@ -14,8 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .bodies import Body2D, RevolutionBody, make_ball, convexity_report
-from .fem2d import AnnularDomain2D
+from .bodies import AnnularDomain2D, Body2D, RevolutionBody, make_ball, convexity_report
 from .errors import DataFormatError
 
 SCHEMA_VERSION = 1

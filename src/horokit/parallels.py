@@ -27,9 +27,8 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
 
 from .core import ball_perimeter, geodesic_step
-from .bodies import boundary_measures, curvature_2d, require_convex
+from .bodies import AnnularDomain2D, boundary_measures, curvature_2d, require_convex
 from .fem2d import (
-    AnnularDomain2D,
     build_mesh,
     eigen_p2,  # not called; bench/tracing.py wraps it here until ROADMAP item 1
     eigen_p_general,

@@ -9,6 +9,7 @@ import math
 
 from .core import ball_perimeter, ball_quermass, ball_volume, sphere_measure
 from .bodies import (
+    AnnularDomain2D,
     Body2D,
     make_ball,
     boundary_measures,
@@ -19,7 +20,7 @@ from .bodies import (
 )
 from .nagy import isoperimetric_check_2d, nagy_table
 from .shell import ShellSpec, shell_eigen, rayleigh_quotient_radial
-from .fem2d import AnnularDomain2D, build_mesh, eigen_p2, richardson_extrapolate
+from .fem2d import build_mesh, eigen_p2, richardson_extrapolate
 from .insulation import radial_energy, radial_energy_closed_form
 from .spectral import mixed_eigenpair
 from .parallels import build_parallel_table

@@ -6,8 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from horokit.bodies import Body2D, RevolutionBody, make_ball
-from horokit.fem2d import AnnularDomain2D
+from horokit.bodies import AnnularDomain2D, Body2D, RevolutionBody, make_ball
 from horokit.parallels import build_parallel_table, distance_field, rfk_verdict
 from horokit.shell import ShellSpec, shell_eigen
 

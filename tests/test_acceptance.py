@@ -12,6 +12,7 @@ import numpy as np
 
 from horokit.core import ball_perimeter, ball_quermass, ball_volume, sphere_measure
 from horokit.bodies import (
+    AnnularDomain2D,
     boundary_measures,
     curvature_integrals,
     make_ball,
@@ -20,7 +21,7 @@ from horokit.bodies import (
 )
 from horokit.nagy import af_check, isoperimetric_check_2d, nagy_table
 from horokit.shell import ShellSpec, shell_eigen
-from horokit.fem2d import AnnularDomain2D, build_mesh, eigen_p2
+from horokit.fem2d import build_mesh, eigen_p2
 from horokit.insulation import (
     InsulationSpec,
     fem_energy_p2,

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from horokit.core import ball_perimeter, ball_quermass, ball_volume
 from horokit.bodies import (
+    AnnularDomain2D,
     Body2D,
     CurvatureProfile,
     RevolutionBody,
@@ -18,6 +19,7 @@ from horokit.bodies import (
     curvature_revolution,
     flow_profile,
     make_ball,
+    ParallelCurve,
     parallel_perimeter_direct,
     parallel_volume,
     quermassintegrals,
@@ -359,3 +361,20 @@ def test_derived_data_is_built_once_per_body(monkeypatch):
             quermassintegrals(body)
             parallel_perimeter_direct(body, 0.5)
         assert sizes == [2048, 1024], type(body).__name__
+
+
+# ---------------------------------------------------------------------------
+# planar domains
+
+@pytest.mark.parametrize("r, delta", [(0.5, 0.3), (1.0, 0.8), (2.0, 1.5)])
+def test_parallel_curve_of_ball_is_concentric_circle(r, delta):
+    theta = np.linspace(0.0, 2.0 * np.pi, 257)
+    z = ParallelCurve(make_ball(2, r), delta).chart_curve(theta)
+    assert np.max(np.abs(np.abs(z) - math.tanh((r + delta) / 2.0))) <= 1e-15
+
+
+def test_annular_domain_refuses_revolution_bodies():
+    ball, rev = make_ball(2, 0.5), RevolutionBody(n=3, a0=1.5)
+    for inner, outer in ((rev, ball), (ball, rev)):
+        with pytest.raises(DomainValidationError, match="Body2D"):
+            AnnularDomain2D(inner=inner, outer=outer)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horokit.bodies import Body2D, boundary_measures, make_ball
+from horokit.bodies import AnnularDomain2D, Body2D, boundary_measures, make_ball
 from horokit.cli import run_command
 from horokit.errors import DataFormatError, DomainValidationError
 from horokit.io import (
@@ -17,7 +17,6 @@ from horokit.io import (
     load_body,
     load_domain,
 )
-from horokit.fem2d import AnnularDomain2D
 
 
 def write(tmp_path, name, doc):
@@ -240,10 +239,17 @@ INSULATION_ARGS = ["insulation", "--body", "{body}"]
     (["ball-tables", "--n", "5000", "--r", "1"], "error: dimension must be in [2, 256]"),
     # this printed the subnormal volume 3.93e-320 and exited 0
     (["ball-tables", "--n", "256", "--r", "0.22"], "error: quermassintegrals underflow"),
-    # the volume is inf and the perimeter overflows; the quermass check comes first
-    (["ball-tables", "--n", "5", "--r", "400"], "error: quermass recursion terminal mismatch"),
+    # this said "quermass recursion terminal mismatch: W_n relative error inf"
+    (["ball-tables", "--n", "5", "--r", "400"], "error: volume of the ball of radius 400.0"),
     # a nan volume gave "quermassintegrals of a nonempty body are positive"
     (["quermass", "--body", "{rev200}"], "error: quermass recursion terminal mismatch"),
+    # these ended in a ZeroDivisionError (inf, 1e6) or OverflowError (1.001)
+    # traceback from the inverse power iteration
+    (["eig-domain", "--domain", "{dom}", "--p", "inf", "--h-mesh", "0.05"], "error: exponent"),
+    (["eig-domain", "--domain", "{dom}", "--p", "1e6", "--h-mesh", "0.05"],
+     "error: inverse power iteration failed"),
+    (["eig-domain", "--domain", "{dom}", "--p", "1.001", "--h-mesh", "0.05"],
+     "error: inverse power iteration failed"),
 ])
 def test_cli_bad_numbers_are_errors_without_traceback(tmp_path, capsys, argv, kind):
     files = {"{dom}": write(tmp_path, "dom.json", DOMAIN_SPEC),

@@ -18,7 +18,7 @@ from horokit.core import (
 )
 from horokit.errors import DomainValidationError, NumericError
 
-from oracles import quad_ball_volume
+from oracles import gauss_legendre_reference, quad_ball_volume
 
 
 def test_sphere_measures():
@@ -82,10 +82,12 @@ def test_subnormal_ball_measures_are_refused():
 
 
 def test_overflowing_ball_measures_are_refused():
-    # ball_volume(5, 400) returned inf, ball_perimeter(5, 400) raised a bare
+    # ball_volume(5, 400) returned inf, ball_quermass(5, 400) reported a
+    # terminal mismatch of inf, ball_perimeter(5, 400) raised a bare
     # OverflowError from sinh_pow, and n = 2, 3 from math.sinh
-    with pytest.raises(NumericError, match="volume"):
-        ball_volume(5, 400.0)
+    for measure in (ball_volume, ball_quermass):
+        with pytest.raises(NumericError, match="volume"):
+            measure(5, 400.0)
     with pytest.raises(NumericError, match="overflows"):
         ball_perimeter(5, 400.0)
     for n in (2, 3):
@@ -198,15 +200,16 @@ def test_sinh_power_integral_positive_and_increasing(m, r):
                           [sinh_power_integral(m, x) for x in radii])
 
 
-@pytest.mark.parametrize("n,w_rtol", [(5, 1e-12), (48, 1e-11), (384, 1e-10),
-                                      (1024, 1e-10), (2048, 1e-8)])
+@pytest.mark.parametrize("n,w_rtol", [(5, 1e-12), (48, 1e-11), (384, 1e-11),
+                                      (1024, 1e-11), (2048, 2e-10)])
 def test_gauss_legendre_nodes_match_numpy(n, w_rtol):
-    # same Newton polish and weight formula as leggauss; only the first
-    # node estimates (tridiagonal instead of dense eigensolve) differ
+    # the nodes agree with leggauss; its weights are off by up to 4e-10
+    # relative at n = 384 and 6e-8 at n = 2048, so they are checked against
+    # the long-double reference instead
     x, w = gauss_legendre_nodes(n)
-    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
-    assert np.max(np.abs(x - x_ref)) <= 1e-15
-    assert np.max(np.abs(w / w_ref - 1.0)) <= w_rtol
+    assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 1e-15
+    _, w_ref = gauss_legendre_reference(n)
+    assert np.max(np.abs(w / w_ref - 1)) <= w_rtol
     assert not x.flags.writeable and not w.flags.writeable
 
 

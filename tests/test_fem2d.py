@@ -5,9 +5,8 @@ import pytest
 import scipy.sparse.linalg
 
 from horokit import fem2d
-from horokit.bodies import Body2D, make_ball
+from horokit.bodies import AnnularDomain2D, Body2D, make_ball
 from horokit.fem2d import (
-    AnnularDomain2D,
     assemble_p2,
     build_mesh,
     eigen_p2,

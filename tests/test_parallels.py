@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from horokit.bodies import Body2D, boundary_measures, make_ball, parallel_perimeter_direct
+from horokit.bodies import (
+    AnnularDomain2D,
+    Body2D,
+    boundary_measures,
+    make_ball,
+    parallel_perimeter_direct,
+)
 from horokit.core import poincare_distance
-from horokit.fem2d import AnnularDomain2D
 from horokit.parallels import (
     ParallelTable,
     annulus_match,

@@ -4,12 +4,11 @@ solver and the independent P1 finite element route (fem2d, fem_energy_p2)."""
 import pytest
 
 from horokit import spectral
-from horokit.bodies import Body2D, make_ball
+from horokit.bodies import AnnularDomain2D, Body2D, ParallelCurve, make_ball
 from horokit.errors import NumericError
-from horokit.fem2d import AnnularDomain2D, build_mesh, eigen_p2, richardson_extrapolate
+from horokit.fem2d import build_mesh, eigen_p2, richardson_extrapolate
 from horokit.insulation import (
     InsulationSpec,
-    _ParallelShell,
     fem_energy_p2,
     insulation_verdict,
     radial_energy_closed_form,
@@ -55,7 +54,9 @@ def test_concentric_matches_shell_eigen(r, R):
 
 @pytest.mark.parametrize("r, delta, beta", [(1.0, 1.0, 1.0), (0.8, 0.8, 1.0), (0.5, 1.2, 3.0)])
 def test_ball_core_matches_closed_form(r, delta, beta):
-    result = spectral.robin_energy(_ParallelShell.around(make_ball(2, r), delta), beta)
+    core = make_ball(2, r)
+    shell = AnnularDomain2D(inner=core, outer=ParallelCurve(core, delta))
+    result = spectral.robin_energy(shell, beta)
     expect = radial_energy_closed_form(2, 2.0, r, delta, beta)
     assert abs(result.value - expect) <= 1e-12 * expect
 
@@ -70,7 +71,8 @@ def test_eigenvalue_agrees_with_p1_richardson(name):
 @pytest.mark.parametrize("name", list(CORES))
 def test_robin_energy_agrees_with_p1_richardson(name):
     core = CORES[name]
-    _check_against_p1(spectral.robin_energy(_ParallelShell.around(core, 0.8), 1.0),
+    shell = AnnularDomain2D(inner=core, outer=ParallelCurve(core, 0.8))
+    _check_against_p1(spectral.robin_energy(shell, 1.0),
                       lambda h: fem_energy_p2(core, 0.8, 1.0, h_mesh=h))
 
 
