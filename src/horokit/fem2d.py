@@ -209,6 +209,16 @@ def boundary_mass_outer(mesh):
     return coo_matrix((vals, (ii, jj)), shape=(nv, nv)).tocsr()
 
 
+def _factor(a):
+    """Sparse LU of a under SPLU_OPTIONS; an exactly singular factor raises
+    NumericError.  splu is looked up in this module at each call, so a
+    wrapper set on fem2d.splu sees every factorization."""
+    try:
+        return splu(a, **SPLU_OPTIONS)
+    except RuntimeError as exc:
+        raise NumericError(f"sparse LU failed: {exc}") from exc
+
+
 def richardson_extrapolate(coarse, fine):
     """(h, h/2) Richardson extrapolation of a second-order accurate value."""
     return fine + (fine - coarse) / 3.0
@@ -227,7 +237,7 @@ def eigen_p2(mesh):
     free = np.setdiff1d(np.arange(nv), mesh.inner_nodes)
     Kf = K[np.ix_(free, free)].tocsc()
     Mf = M[np.ix_(free, free)].tocsr()
-    lu = splu(Kf, **SPLU_OPTIONS)
+    lu = _factor(Kf)
     solves = 0
 
     def solve(x):
@@ -394,8 +404,11 @@ def eigen_p_general(mesh, p):
         raise DomainValidationError(f"exponent p must be finite and exceed 1, got {p}")
     rq = _RayleighP(mesh, p)
     start = np.abs(eigen_p2(mesh).u[rq.free])
-    try:  # Python floats raise where the quotient leaves the double range
-        value, u, outer, newton, settled, res = _inverse_power(rq, start)
+    # Python floats raise where the quotient leaves the double range, and so
+    # do numpy arrays here, instead of warning and going on with inf or nan
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            value, u, outer, newton, settled, res = _inverse_power(rq, start)
     except ArithmeticError as exc:
         raise NumericError(f"inverse power iteration failed at p = {p}: {exc!r}") from exc
     if not settled:
@@ -459,7 +472,7 @@ def _bordered_step(rq, u, value):
     (_, g_num), (_, g_den) = rq.numerator(u), rq.denominator(u)
     jac = rq.p * rq.hessian(u) - value * rq.denominator_hessian(u)
     border = bmat([[jac, -g_den[:, None]], [g_den[None, :], None]], format="csc")
-    v = u + splu(border, **SPLU_OPTIONS).solve(np.append(value * g_den - g_num, 0.0))[:-1]
+    v = u + _factor(border).solve(np.append(value * g_den - g_num, 0.0))[:-1]
     return _normalized(rq, v) if np.all(v > 0.0) else None
 
 
@@ -476,7 +489,7 @@ def _power_step(rq, u, value):
         return n / p - float(s @ v), g / p - s
 
     def newton_step(v, g):
-        return splu(rq.hessian(v), **SPLU_OPTIONS).solve(g)
+        return _factor(rq.hessian(v)).solve(g)
 
     v, solves, stalled = damped_newton(energy_grad, newton_step, u * value ** (-1.0 / (p - 1.0)))
     return _normalized(rq, v) + (solves, stalled)

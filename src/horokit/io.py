@@ -117,8 +117,6 @@ def domain_from_dict(doc, where="domain spec"):
         raise DataFormatError(f"{where}: unknown domain kind {kind!r}")
     inner = body_from_dict(_require(doc, "inner", where), where=f"{where}.inner")
     outer = body_from_dict(_require(doc, "outer", where), where=f"{where}.outer")
-    if not isinstance(inner, Body2D) or not isinstance(outer, Body2D):
-        raise DataFormatError(f"{where}: annular domains need planar bodies")
     return AnnularDomain2D(inner=inner, outer=outer,
                            offset=_numbers(doc, "offset", where, 0.0),
                            offset_angle=_numbers(doc, "offset_angle", where, 0.0))

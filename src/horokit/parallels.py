@@ -42,6 +42,7 @@ DEFAULT_N_DELTAS = 384
 MIN_GRID_RES = 4           # the even-ray error estimate needs two rays
 MIN_N_DELTAS = 2
 SCAN_STEPS = 128           # samples per ray that bracket its boundary crossings
+BAND_MARGIN = 0.01         # widens the outer boundary's band of radii
 ROOT_MAX_ITER = 100
 RAY_CHUNK = 1024           # rays scanned at once, bounding the scan's memory
 ROUNDOFF_RTOL = 1e-12      # the error estimates never read below round-off
@@ -82,29 +83,65 @@ def _normal_rays(dom, theta):
     return hole.chart_curve(theta), hole.chart_normal(theta), hole.radius(theta)
 
 
-def _ray_crossings(dom, theta, reach):
+def _radius_band(dom):
+    """Hyperbolic distances (d_lo, d_hi) from the chart origin between which the
+    outer boundary lies, from 4096 polar samples widened by BAND_MARGIN."""
+    rho = dom.polar_tables[1](np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
+    return (max(2.0 * math.atanh(float(np.min(rho))) - BAND_MARGIN, 0.0),
+            2.0 * math.atanh(float(np.max(rho))) + BAND_MARGIN)
+
+
+def _ray_windows(z, nu, r, band):
+    """Parameters [t_lo, t_hi] at which each ray's distance d(t) from the chart
+    origin enters and leaves the band.
+
+    Along the ray from z at radius r with outward normal nu,
+    cosh d(t) = A cosh t + B sinh t = K cosh(t + atanh(B / A)), with
+    A = cosh r, B = sinh r cos psi, cos psi = Re(nu conj z) / |z| and
+    K = sqrt(A^2 - B^2).  The hole is star-shaped about the origin, so
+    cos psi > 0, the phase atanh(B / A) is positive and d grows with t >= 0;
+    t_lo is clamped at the foot point, and cosh d(t) >= cosh t gives
+    t_hi <= d_hi.
+    """
+    a = np.cosh(r)
+    b = np.sinh(r) * (nu * np.conj(z)).real / np.abs(z)
+    k = np.sqrt((a - b) * (a + b))
+    phase = np.arctanh(b / a)
+    d_lo, d_hi = band
+    t_lo = np.arccosh(np.maximum(math.cosh(d_lo) / k, 1.0)) - phase
+    return np.maximum(t_lo, 0.0), np.arccosh(math.cosh(d_hi) / k) - phase
+
+
+def _ray_crossings(dom, theta, band):
     """(ray index, distance) of every outer-boundary crossing of the rays at theta.
 
     Along a ray w(t), f(t) = rho_out(arg w) - |w| is positive inside the
-    outer boundary.  A scan of SCAN_STEPS steps over [0, r(theta) + reach]
-    brackets each sign change, and the Illinois variant of false position
-    shrinks every bracket to round-off.  Past r + reach the ray has left the
-    outer boundary's chart disc, so each ray crosses an odd number of times
-    and its last crossing is an exit.  Crossings come out ordered by ray,
-    then distance.
+    outer boundary.  A crossing lies where the ray's distance from the chart
+    origin is inside band, the outer boundary's range of polar radii, so the
+    scan covers only each ray's window [t_lo, t_hi] of that band (see
+    _ray_windows): f(t_lo) > 0 > f(t_hi).  All rays take the same number of
+    steps, enough that no ray's spacing exceeds (r + d_hi) / SCAN_STEPS,
+    that of a scan of SCAN_STEPS steps over [0, r + d_hi]; on an offset-ball
+    domain that is about 20.  The scan brackets each sign change, and the
+    Illinois variant of false position shrinks every bracket to round-off.
+    Past t_hi the ray stays outside the outer boundary, so each ray crosses
+    an odd number of times and its last crossing is an exit.  Crossings come
+    out ordered by ray, then distance.
     """
     rho_out = dom.polar_tables[1]
     z, nu, r = _normal_rays(dom, np.atleast_1d(theta))
+    t_lo, t_hi = _ray_windows(z, nu, r, band)
+    n_steps = math.ceil(SCAN_STEPS * float(np.max((t_hi - t_lo) / (r + band[1]))))
 
     def f(ray, t):
         w = geodesic_step(z[ray], nu[ray], t)
         return rho_out(np.angle(w)) - np.abs(w)
 
-    steps = np.linspace(0.0, 1.0, SCAN_STEPS + 1)
+    steps = np.linspace(0.0, 1.0, n_steps + 1)
     brackets = []
     for i0 in range(0, len(z), RAY_CHUNK):
         ray = np.arange(i0, min(i0 + RAY_CHUNK, len(z)))[:, None]
-        t = (r[ray] + reach) * steps
+        t = t_lo[ray] + (t_hi - t_lo)[ray] * steps
         ft = f(ray, t)
         i, j = np.nonzero((ft[:, :-1] > 0.0) != (ft[:, 1:] > 0.0))
         brackets.append((ray[i, 0], t[i, j], t[i, j + 1], ft[i, j], ft[i, j + 1]))
@@ -139,13 +176,11 @@ def distance_field(dom, grid_res=DEFAULT_GRID_RES):
     if grid_res < MIN_GRID_RES:
         raise DomainValidationError(f"grid_res must be at least {MIN_GRID_RES}, got {grid_res}")
     require_convex(dom.inner, "hole")
-    rho_out = dom.polar_tables[1]
-    rho_max = float(np.max(rho_out(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))))
-    reach = 2.0 * math.atanh(rho_max) + 0.01
+    band = _radius_band(dom)
 
     prof = curvature_2d(dom.inner, n_theta=grid_res)
     theta = prof.params
-    ray, dist = _ray_crossings(dom, theta, reach)
+    ray, dist = _ray_crossings(dom, theta, band)
     column = np.arange(len(ray)) - np.searchsorted(ray, ray)
     crossings = np.full((grid_res, column.max() + 1), np.nan)
     crossings[ray, column] = dist
@@ -153,7 +188,7 @@ def distance_field(dom, grid_res=DEFAULT_GRID_RES):
     last = np.nanmax(crossings, axis=1)
     best = int(np.argmax(last))
     h = 2.0 * np.pi / grid_res
-    peak = minimize_scalar(lambda t: -_ray_crossings(dom, t, reach)[1][-1],
+    peak = minimize_scalar(lambda t: -_ray_crossings(dom, t, band)[1][-1],
                            bounds=(theta[best] - h, theta[best] + h), method="bounded",
                            options={"xatol": 1e-9})
     return DistanceField(theta=theta, values=crossings[:, 0], reentries=crossings[:, 1:],

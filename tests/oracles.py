@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: quadrature
 instead of closed forms, finite differences in the conformal chart instead
 of the radial curvature formulas, a finite-element generalized eigenproblem
-instead of shooting, circle-circle trigonometry instead of normal flow, and
+instead of shooting, circle-circle trigonometry instead of normal flow, a
+dense bisected scan of every normal ray instead of the windowed one, and
 the signed distance on a chart grid with marching-squares level lengths as
 the general-domain cross-check of the normal-flow parallel lengths.
 """
@@ -145,6 +146,46 @@ def offset_ball_parallel_length(hole_r, outer_R, offset, delta):
     if a >= 1.0:
         return 0.0
     return 2.0 * math.acos(a) * math.sinh(rho)
+
+
+def dense_ray_crossings(dom, theta, n_samples):
+    """Every outer-boundary crossing of the hole's normal rays at theta, by a
+    dense scan and bisection.
+
+    Each ray is sampled at n_samples + 1 points over [0, r + reach], r the
+    chart distance of its foot and reach 0.01 past the outer boundary's
+    largest distance from the origin, with the Mobius map written out; every
+    sign change of rho_out(arg w) - |w| is bisected until its bracket stops
+    shrinking.  Returns a (rays, max crossings) array, NaN-padded.
+    """
+    rho_out = dom.polar_tables[1]
+    rho = rho_out(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
+    reach = 2.0 * math.atanh(float(np.max(rho))) + 0.01
+    z, nu = dom.inner.chart_curve(theta), dom.inner.chart_normal(theta)
+    r = 2.0 * np.arctanh(np.abs(z))
+
+    def f(ray, t):
+        s = np.tanh(t / 2.0) * nu[ray]
+        w = (s + z[ray]) / (1.0 + np.conj(z[ray]) * s)
+        return rho_out(np.angle(w)) - np.abs(w)
+
+    rays = np.arange(len(z))[:, None]
+    t = (r[:, None] + reach) * np.linspace(0.0, 1.0, n_samples + 1)
+    inside = f(rays, t) > 0.0
+    ray, j = np.nonzero(inside[:, :-1] != inside[:, 1:])
+    a, b = t[ray, j], t[ray, j + 1]
+    a_in = inside[ray, j]
+    while True:
+        m = 0.5 * (a + b)
+        moving = (a < m) & (m < b)
+        if not np.any(moving):
+            break
+        side = (f(ray, m) > 0.0) == a_in
+        a, b = np.where(moving & side, m, a), np.where(moving & ~side, m, b)
+    column = np.arange(len(ray)) - np.searchsorted(ray, ray)
+    out = np.full((len(z), column.max() + 1), np.nan)
+    out[ray, column] = 0.5 * (a + b)
+    return out
 
 
 def planar_polar_curvature(r, rp, rpp):

@@ -78,6 +78,10 @@ BALL_40 = {"schema": 1, "kind": "ball", "n": 2, "params": {"r": 40.0}}
     (load_domain, dict(DOMAIN_SPEC, offset_angle=math.nan), DomainValidationError, "finite"),
     # tanh(20) rounds to 1: rfk hit a math domain error, eig-domain exited 0
     (load_domain, dict(DOMAIN_SPEC, outer=BALL_40), DomainValidationError, "rounds to 1"),
+    # annular domains take planar bodies only
+    (load_domain, dict(DOMAIN_SPEC, outer={"schema": 1, "kind": "revolution", "n": 3,
+                                           "params": {"a0": 1.5}}),
+     DomainValidationError, "Body2D"),
 ])
 def test_bad_spec_fields_are_rejected(tmp_path, loader, doc, error, match):
     with pytest.raises(error, match=match):
@@ -244,12 +248,18 @@ INSULATION_ARGS = ["insulation", "--body", "{body}"]
     # a nan volume gave "quermassintegrals of a nonempty body are positive"
     (["quermass", "--body", "{rev200}"], "error: quermass recursion terminal mismatch"),
     # these ended in a ZeroDivisionError (inf, 1e6) or OverflowError (1.001)
-    # traceback from the inverse power iteration
+    # traceback from the inverse power iteration; 1e6 then printed five
+    # RuntimeWarnings before its error
     (["eig-domain", "--domain", "{dom}", "--p", "inf", "--h-mesh", "0.05"], "error: exponent"),
-    (["eig-domain", "--domain", "{dom}", "--p", "1e6", "--h-mesh", "0.05"],
-     "error: inverse power iteration failed"),
+    pytest.param(["eig-domain", "--domain", "{dom}", "--p", "1e6", "--h-mesh", "0.05"],
+                 "error: inverse power iteration failed",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     (["eig-domain", "--domain", "{dom}", "--p", "1.001", "--h-mesh", "0.05"],
      "error: inverse power iteration failed"),
+    # these ended in a "Factor is exactly singular" RuntimeError traceback
+    # from the sparse LU of a Newton step
+    (["eig-domain", "--domain", "{dom}", "--p", "200", "--h-mesh", "0.05"], "error:"),
+    (["rfk", "--domain", "{dom}", "--p", "200", "--h-mesh", "0.05"], "error:"),
 ])
 def test_cli_bad_numbers_are_errors_without_traceback(tmp_path, capsys, argv, kind):
     files = {"{dom}": write(tmp_path, "dom.json", DOMAIN_SPEC),

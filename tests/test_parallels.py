@@ -10,8 +10,9 @@ from horokit.bodies import (
     make_ball,
     parallel_perimeter_direct,
 )
-from horokit.core import poincare_distance
+from horokit.core import geodesic_step, poincare_distance
 from horokit.parallels import (
+    SCAN_STEPS,
     ParallelTable,
     annulus_match,
     build_parallel_table,
@@ -24,9 +25,15 @@ from horokit.parallels import (
 )
 from horokit.errors import DataFormatError, DomainValidationError, PreconditionError
 
-from oracles import grid_distance_field, grid_parallel_length, offset_ball_parallel_length
+from oracles import (dense_ray_crossings, grid_distance_field, grid_parallel_length,
+                     offset_ball_parallel_length)
 
 CONCENTRIC = AnnularDomain2D(inner=make_ball(2, 0.5), outer=make_ball(2, 1.5))
+# 80 petals: some normal rays of the oval hole leave the domain, come back
+# and leave again (the petals need 8192 samples for the outer body's
+# Gauss-Bonnet check in annulus_match)
+PETALS = AnnularDomain2D(inner=Body2D(a0=1.0, cos=[0.0, 0.2]),
+                         outer=Body2D(a0=1.8, cos=[0.0] * 79 + [0.35], n_theta=8192))
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +70,56 @@ def test_distance_field_requires_convex_hole():
     dom = AnnularDomain2D(inner=wavy, outer=make_ball(2, 2.2))
     with pytest.raises(PreconditionError):
         distance_field(dom, grid_res=128)
+
+
+@pytest.mark.parametrize("dom", [CONCENTRIC, PETALS], ids=["concentric", "petals"])
+def test_ray_crossings_match_dense_scan_oracle(dom):
+    # the windowed scan finds every crossing a scan over the whole ray at
+    # four times the step count finds, and nothing else
+    fld = distance_field(dom, grid_res=512)
+    dense = dense_ray_crossings(dom, fld.theta, 4 * SCAN_STEPS)
+    assert dense.shape == fld.crossings.shape
+    assert np.array_equal(np.isnan(dense), np.isnan(fld.crossings))
+    assert np.nanmax(np.abs(dense - fld.crossings)) <= 1e-12
+
+
+@pytest.mark.parametrize("dom", [CONCENTRIC, PETALS,
+                                 AnnularDomain2D(inner=make_ball(2, 0.8), outer=make_ball(2, 1.8),
+                                                 offset=0.2)],
+                         ids=["concentric", "petals", "offset_0.2"])
+def test_scan_windows_bracket_the_outer_boundary(dom):
+    # every ray is inside the domain at t_lo and outside at t_hi, and its
+    # window lies within the full scan range [0, r + reach]
+    from horokit.parallels import _normal_rays, _radius_band, _ray_windows
+    theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+    band = _radius_band(dom)
+    z, nu, r = _normal_rays(dom, theta)
+    t_lo, t_hi = _ray_windows(z, nu, r, band)
+    rho_out = dom.polar_tables[1]
+
+    def f(t):
+        w = geodesic_step(z, nu, t)
+        return rho_out(np.angle(w)) - np.abs(w)
+
+    assert np.all(f(t_lo) > 0.0) and np.all(f(t_hi) < 0.0)
+    assert np.all(t_lo >= 0.0) and np.all(t_hi <= r + band[1])
+
+
+def test_scan_takes_few_samples_on_offset_ball(monkeypatch):
+    # the outer ball's radii span 1.6..2.0 about the hole's centre, so the
+    # rays need about a sixth of the full scan's SCAN_STEPS + 1 samples
+    import horokit.parallels as parallels
+    dom = AnnularDomain2D(inner=make_ball(2, 0.8), outer=make_ball(2, 1.8), offset=0.2)
+    scans = []
+
+    def counting_step(z, nu, t):
+        if np.ndim(t) == 2:  # the scan; the root finder steps one point per ray
+            scans.append(np.shape(t)[1])
+        return geodesic_step(z, nu, t)
+
+    monkeypatch.setattr(parallels, "geodesic_step", counting_step)
+    distance_field(dom, grid_res=512)
+    assert scans and max(scans) <= 25
 
 
 def test_parallel_length_concentric():
@@ -103,17 +160,13 @@ def test_parallel_length_fourier_hole_steiner(rfk_domains, rfk_fields, rfk_table
 
 
 def test_parallel_length_nonconvex_outer_matches_grid_oracle():
-    # 80 petals: some normal rays of the oval hole leave the domain, come
-    # back and leave again, and each return adds to L (the petals need 8192
-    # samples for the outer body's Gauss-Bonnet check in annulus_match)
-    dom = AnnularDomain2D(inner=Body2D(a0=1.0, cos=[0.0, 0.2]),
-                          outer=Body2D(a0=1.8, cos=[0.0] * 79 + [0.35], n_theta=8192))
-    fld = distance_field(dom)
+    # each return of a ray into the petals adds to L
+    fld = distance_field(PETALS)
     assert np.sum(np.isfinite(fld.reentries[:, 0])) > 100
-    grid = grid_distance_field(dom, 1024)
-    R = annulus_match(dom)[1]
+    grid = grid_distance_field(PETALS, 1024)
+    R = annulus_match(PETALS)[1]
     tol = 4.0 * grid.cell * 2.0 / (1.0 - math.tanh(R / 2.0) ** 2)
-    table = build_parallel_table(dom, fld=fld, n_deltas=17)
+    table = build_parallel_table(PETALS, fld=fld, n_deltas=17)
     for delta, length in zip(table.deltas[1:-1], table.L[1:-1]):
         assert length == pytest.approx(grid_parallel_length(grid, delta), abs=tol), delta
 
