@@ -62,9 +62,15 @@ class _RadialGraph:
 
     def _check(self, samples, x):
         """Constructor checks on a grid x over the whole parameter range."""
-        r = self.radius(x)
-        if not np.all(np.isfinite(r)):
+        cos_terms, sin_terms = self._terms
+        coeffs = [self.a0, *(c for _, c in cos_terms), *(c for _, c in sin_terms)]
+        # before the series, where an infinite coefficient would meet sin 0
+        if not all(map(math.isfinite, coeffs)):
             raise DomainValidationError("mean radius and coefficients must be finite")
+        with np.errstate(over="ignore"):  # finite terms may still sum past the double range
+            r = self.radius(x)
+        if not np.all(np.isfinite(r)):
+            raise DomainValidationError("radial graph must stay finite")
         if self.a0 <= 0:
             raise DomainValidationError("mean radius a0 must be > 0")
         if samples < 16:
@@ -319,7 +325,8 @@ def _geodesic_curvature_polar(r, rp, rpp):
     """Geodesic curvature of a polar radial graph in the metric dr^2 + sinh^2 r dth^2."""
     f = np.sinh(r)
     fp = np.cosh(r)
-    kg = (-rpp * f + 2.0 * rp ** 2 * fp + f ** 2 * fp) / (rp ** 2 + f ** 2) ** 1.5
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        kg = (-rpp * f + 2.0 * rp ** 2 * fp + f ** 2 * fp) / (rp ** 2 + f ** 2) ** 1.5
     if np.any(~np.isfinite(kg)):
         raise NumericError("non-finite geodesic curvature")
     return kg
@@ -372,7 +379,8 @@ def curvature_revolution(body, n_u=None):
     if np.any(~np.isfinite(ko)):
         raise NumericError("non-finite orbit curvature")
     n = body.n
-    ds = sphere_measure(n - 2) * sinh_rho ** (n - 2) * speed * qw
+    with np.errstate(over="ignore"):  # CurvatureProfile rejects an infinite weight
+        ds = sphere_measure(n - 2) * sinh_rho ** (n - 2) * speed * qw
     kappas = np.stack([km, ko], axis=1)
     return CurvatureProfile(n=n, params=u, kappas=kappas,
                             multiplicity=(1, n - 2), weights=ds)

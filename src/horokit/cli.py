@@ -6,6 +6,7 @@ of any kind including bad usage.
 """
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -247,7 +248,10 @@ def _table_options(sp):
                     help="rows of the parallel-length table")
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and each cmd_* looks up its layers when it runs."""
     parser = _Parser(prog="horokit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -229,7 +229,8 @@ def quermass_from_curvature_integrals(n, volume, v, terminal_rtol, dtype=float):
         else:
             w[j + 1] = vj / n - (dtype(j) / dtype(n - j + 1)) * w[j - 1]
     w_n_expected = dtype(sphere_measure(n - 1)) / n
-    rel = abs(float((w[n] - w_n_expected) / w_n_expected))
+    # in Python floats a relative error beyond the double range reads inf
+    rel = abs(float(w[n] - w_n_expected) / float(w_n_expected))
     if rel > terminal_rtol:
         raise ConsistencyError(
             f"quermass recursion terminal mismatch: W_n relative error {rel:.3e} "

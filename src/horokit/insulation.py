@@ -85,9 +85,10 @@ def radial_energy_closed_form(n, p, r, delta, beta):
     om = sphere_measure(n - 1)
     x, gw = gauss_legendre_nodes(384)
     t = 0.5 * delta * (1.0 + x)
-    w = om * np.sinh(r + t) ** (n - 1)
-    q = 0.5 * delta * float(np.sum(gw * w ** (-1.0 / (p - 1.0))))
-    try:  # Python floats raise where numpy would overflow to inf
+    try:  # numpy raises here where it would overflow to inf, as Python floats do
+        with np.errstate(over="raise"):
+            w = om * np.sinh(r + t) ** (n - 1)
+            q = 0.5 * delta * float(np.sum(gw * w ** (-1.0 / (p - 1.0))))
         return _closed_form_energy(q, beta * om * math.sinh(r + delta) ** (n - 1), p)
     except ArithmeticError as exc:
         raise NumericError(f"closed-form energy failed: {exc}") from exc

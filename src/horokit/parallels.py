@@ -196,8 +196,22 @@ def distance_field(dom, grid_res=DEFAULT_GRID_RES):
                          delta0=max(float(last[best]), -float(peak.fun)))
 
 
+def _cuts(deltas, near, far):
+    """Index pairs (row, k) with near[k] <= deltas[row] < far[k], deltas ascending.
+
+    The rows that cut piece k are the run [lo_k, hi_k).  Runs are laid out
+    piece by piece, so each row meets its pieces in ascending k, as in a
+    row-major scan of the full deltas-by-pieces mask, and sums per row by
+    bincount add in that order.
+    """
+    lo, hi = np.searchsorted(deltas, near), np.searchsorted(deltas, far)
+    runs = hi - lo
+    k = np.repeat(np.arange(len(near)), runs)
+    return np.arange(len(k)) - np.repeat(np.cumsum(runs) - runs - lo, runs), k
+
+
 def _lengths(fld, deltas, stride=1):
-    """L at each delta from every stride-th ray of the field.
+    """L at each of the ascending deltas from every stride-th ray of the field.
 
     Between neighbouring rays that cross the outer boundary equally often,
     each crossing distance is interpolated linearly in the parameter, and
@@ -244,7 +258,7 @@ def _lengths(fld, deltas, stride=1):
     whole = integral(u0[order], u1[order], order)
     beyond = np.searchsorted(near[order], deltas, side="right")
     A, B = (np.append(np.cumsum(x[::-1])[::-1], 0.0)[beyond] for x in whole)
-    row, k = np.nonzero((near <= deltas[:, None]) & (far > deltas[:, None]))
+    row, k = _cuts(deltas, near, far)
     d = deltas[row]
     cut = u0[k] + (u1[k] - u0[k]) * (c0[k] - d) / (c0[k] - c1[k])
     falling = c0[k] > d

@@ -17,7 +17,12 @@ N_s + 1 Gauss-Lobatto points (quadrature at the nodes, so the mass matrix is
 diagonal) converges spectrally (Trefethen, Spectral Methods in MATLAB, 2000,
 ch. 11; Boyd, Chebyshev and Fourier Spectral Methods, 2001).
 
-The dense systems are solved directly.  Each solver raises its resolution
+The dense systems are solved directly.  Only the free nodes' block of the
+stiffness is built, level by level, and LAPACK works on it in place, so a
+solve holds about one block of memory; the Dirichlet hole row enters the
+Robin problem through its closed-form coupling to the free nodes.  The
+dense eigh stays: at about 900 unknowns, shift-invert Lanczos on a
+Cholesky factor was no faster.  Each solver raises its resolution
 from START until two consecutive values agree within STEP_RTOL and reports
 that last relative step as its error estimate; a domain that needs more
 than MAX_UNKNOWNS unknowns raises NumericError instead of returning a value
@@ -116,24 +121,36 @@ class _PolarOperator:
         self.mass = weight * rho * w * (2.0 / (1.0 - rho ** 2)) ** 2
         self.trace = (2.0 * np.pi / n_theta) * 2.0 / (1.0 - rho_out ** 2) * np.hypot(rho_out, d_out)
 
-    def stiffness(self):
-        """Dense K[(j, i), (l, n)] of the quadrature form over all nodes,
-        flattened, and the number of free nodes."""
-        Ds, Dt, a = self.Ds, self.Dt, self.a
+    def free_block(self):
+        """Dense K[(j, i), (l, n)] of the quadrature form over the free nodes
+        j, l >= 1, flattened, and their coupling to the hole row,
+        sum_n K[(j, i), (0, n)], shaped (N_s, N_theta).
+
+        The block is written one level j of rows at a time: the ray term ss
+        couples the nodes on ray i, the level term tt those on level j, and
+        the cross term Dt[n, i] (c2 a)[j, n] Ds[j, l] and its transpose are
+        rows of Ds times one (N_s + 1, N_theta, N_theta) array, so no
+        temporary is as large as the block.  Since Dt 1 = 0, the transpose
+        adds nothing to the hole coupling.
+        """
+        Ds, Dt = self.Ds, self.Dt
         ns1, nt = self.c1.shape
-        K = np.zeros((ns1, nt, ns1, nt))
-        # s-derivative terms couple nodes on one ray, theta terms one level
-        ss = np.einsum("kj,ki,kl->ijl", Ds, self.c1 + self.c2 * a * a, Ds)
-        rays = np.arange(nt)
-        K[:, rays, :, rays] += ss
-        tt = np.einsum("mi,jm,mn->jin", Dt, self.c2, Dt)
-        levels = np.arange(ns1)
-        K[levels, :, levels, :] += tt
-        cross = np.einsum("ni,jn,jl->jiln", Dt, self.c2 * a, Ds)
-        K -= cross
-        K -= cross.transpose(2, 3, 0, 1)
         n_free = (ns1 - 1) * nt
-        return K.reshape(ns1 * nt, ns1 * nt), n_free
+        c2a = self.c2 * self.a
+        ss = np.einsum("kj,ki,kl->ijl", Ds, self.c1 + c2a * self.a, Ds)
+        tt = np.einsum("mi,jm,mn->jin", Dt, self.c2, Dt)
+        cross = Dt.T * c2a[:, None, :]  # cross[j, i, n] = Dt[n, i] (c2 a)[j, n]
+        mirror = np.ascontiguousarray(cross[1:].transpose(2, 0, 1))  # [i, l, n] = cross[l, n, i]
+        K = np.zeros((n_free, n_free))
+        rays = np.arange(nt)
+        for j in range(1, ns1):
+            rows = K[(j - 1) * nt:j * nt].reshape(nt, ns1 - 1, nt)  # [i, l, n]
+            rows[rays, :, rays] += ss[:, j, 1:]
+            rows[:, j - 1] += tt[j]
+            rows -= Ds[j, 1:, None] * cross[j, :, None, :]
+            rows -= Ds[1:, j, None] * mirror
+        hole = ss[:, 1:, 0].T - Ds[1:, :1] * (c2a[1:] @ Dt)
+        return K, hole
 
     def energy(self, u):
         """Dirichlet integral of nodal values u as a sum of positive terms."""
@@ -169,10 +186,14 @@ def mixed_eigenpair(dom):
 
     def solve(n_theta, n_s):
         op = _PolarOperator(dom, n_theta, n_s)
-        K, n_free = op.stiffness()
+        A, _ = op.free_block()
         scale = 1.0 / np.sqrt(op.mass[1:].ravel())
-        A = K[-n_free:, -n_free:] * scale[:, None] * scale[None, :]
-        _, vec = eigh(A, subset_by_index=[0, 0], overwrite_a=True)
+        A *= scale[:, None]
+        A *= scale[None, :]
+        # A.T is Fortran-ordered, so LAPACK works in place; its upper
+        # triangle is A's lower one
+        _, vec = eigh(A.T, lower=False, subset_by_index=[0, 0], overwrite_a=True,
+                      check_finite=False)
         u = np.zeros_like(op.mass)
         u[1:] = (vec[:, 0] * scale).reshape(-1, n_theta)
         u /= math.sqrt(float(np.sum(op.mass * u * u)))
@@ -191,13 +212,13 @@ def robin_energy(dom, beta):
 
     def solve(n_theta, n_s):
         op = _PolarOperator(dom, n_theta, n_s)
-        K, n_free = op.stiffness()
+        K, hole = op.free_block()
         robin = np.zeros_like(op.mass)
         robin[-1] = beta * op.trace
-        K[np.diag_indices_from(K)] += robin.ravel()
-        factor = cho_factor(K[-n_free:, -n_free:])
+        K[np.diag_indices_from(K)] += robin[1:].ravel()
+        factor = cho_factor(K.T, lower=True, overwrite_a=True)  # K's upper triangle, in place
         u = np.ones_like(op.mass)
-        u[1:] = cho_solve(factor, -K[-n_free:, :n_theta].sum(axis=1)).reshape(-1, n_theta)
+        u[1:] = cho_solve(factor, -hole.ravel()).reshape(-1, n_theta)
         return op.energy(u) + float(np.sum(robin * u * u)), u
 
     return _converge(solve)

@@ -6,7 +6,10 @@ of the radial curvature formulas, a finite-element generalized eigenproblem
 instead of shooting, circle-circle trigonometry instead of normal flow, a
 dense bisected scan of every normal ray instead of the windowed one, and
 the signed distance on a chart grid with marching-squares level lengths as
-the general-domain cross-check of the normal-flow parallel lengths.
+the general-domain cross-check of the normal-flow parallel lengths, the
+whole 4-D spectral stiffness instead of its free block written level by
+level, and an explicit delta-by-piece mask instead of searchsorted runs for
+the pieces each delta cuts.
 """
 
 import math
@@ -308,3 +311,27 @@ def grid_parallel_length(fld, level):
     my = 0.5 * (A[:, 1] + B[:, 1])
     seg = np.hypot(B[:, 0] - A[:, 0], B[:, 1] - A[:, 1])
     return float(np.sum(seg * 2.0 / (1.0 - (mx * mx + my * my))))
+
+
+def dense_polar_stiffness(op):
+    """Dense K[(j, i), (l, n)] of a spectral._PolarOperator's quadrature form
+    over all nodes, hole row included, built as one 4-D array."""
+    Ds, Dt, a = op.Ds, op.Dt, op.a
+    ns1, nt = op.c1.shape
+    K = np.zeros((ns1, nt, ns1, nt))
+    # s-derivative terms couple nodes on one ray, theta terms one level
+    ss = np.einsum("kj,ki,kl->ijl", Ds, op.c1 + op.c2 * a * a, Ds)
+    rays = np.arange(nt)
+    K[:, rays, :, rays] += ss
+    tt = np.einsum("mi,jm,mn->jin", Dt, op.c2, Dt)
+    levels = np.arange(ns1)
+    K[levels, :, levels, :] += tt
+    cross = np.einsum("ni,jn,jl->jiln", Dt, op.c2 * a, Ds)
+    K -= cross
+    K -= cross.transpose(2, 3, 0, 1)
+    return K.reshape(ns1 * nt, ns1 * nt)
+
+
+def masked_cuts(deltas, near, far):
+    """(row, k) with near[k] <= deltas[row] < far[k], from the full mask."""
+    return np.nonzero((near <= deltas[:, None]) & (far > deltas[:, None]))

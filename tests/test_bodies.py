@@ -337,6 +337,8 @@ def test_body_validation_errors():
         with pytest.raises(DomainValidationError, match="finite"):
             Body2D(**bad)
     with pytest.raises(DomainValidationError, match="finite"):
+        Body2D(a0=1e308, cos=[1e308])  # finite terms, infinite sum
+    with pytest.raises(DomainValidationError, match="finite"):
         RevolutionBody(n=3, a0=1.0, cos_even=[math.nan])
     with pytest.raises(DomainValidationError, match="finite"):
         make_ball(3, math.inf)

@@ -2,13 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from horokit.bodies import AnnularDomain2D, Body2D, boundary_measures, make_ball
-from horokit.cli import run_command
+import horokit
+from horokit.cli import make_parser, run_command
 from horokit.errors import DataFormatError, DomainValidationError
 from horokit.io import (
     body_from_dict,
@@ -442,3 +447,35 @@ def test_cli_af_check_needs_both_indices(tmp_path):
     body = write(tmp_path, "rev.json", spec)
     assert run_command(["af-check", "--body", body, "--i", "0"]) == 1
     assert run_command(["af-check", "--body", body, "--j", "1"]) == 1
+
+
+def test_cli_cached_parser_matches_fresh_processes(tmp_path, capsys):
+    # one process parses every command with the same parser; each command,
+    # also one run after a usage error, ends as it does in a fresh process
+    body = write(tmp_path, "f.json", FOURIER_SPEC)
+    commands = [SHELL_ARGS, ["nagy", "--body", body], ["nagy", "--body", body, "--deltas", "oops"],
+                SHELL_ARGS]
+    env = dict(os.environ, PYTHONPATH=str(Path(horokit.__file__).parents[1]))
+
+    def reports(out):
+        # manifests carry wall times; the reports themselves are deterministic
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*"))
+                if not p.name.endswith(".manifest.json")}
+
+    def here(argv, out):
+        code = run_command(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, reports(out)
+
+    def fresh(argv, out):
+        proc = subprocess.run([sys.executable, "-m", "horokit.cli", *argv, "--out", str(out)],
+                              capture_output=True, text=True, env=env, check=False)
+        return proc.returncode, proc.stdout, proc.stderr, reports(out)
+
+    runs = [(here(argv, tmp_path / f"here{k}"), fresh(argv, tmp_path / f"fresh{k}"))
+            for k, argv in enumerate(commands)]
+    assert [h[0] for h, _ in runs] == [0, 0, 1, 0]
+    assert runs[1][0][3] and "usage error" in runs[2][0][2]
+    for (h, f), argv in zip(runs, commands):
+        assert h == f, argv
+    assert make_parser() is make_parser()

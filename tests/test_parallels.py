@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from horokit.bodies import (
     parallel_perimeter_direct,
 )
 from horokit.core import geodesic_step, poincare_distance
+from horokit import parallels
 from horokit.parallels import (
     SCAN_STEPS,
     ParallelTable,
@@ -26,7 +28,7 @@ from horokit.parallels import (
 from horokit.errors import DataFormatError, DomainValidationError, PreconditionError
 
 from oracles import (dense_ray_crossings, grid_distance_field, grid_parallel_length,
-                     offset_ball_parallel_length)
+                     masked_cuts, offset_ball_parallel_length)
 
 CONCENTRIC = AnnularDomain2D(inner=make_ball(2, 0.5), outer=make_ball(2, 1.5))
 # 80 petals: some normal rays of the oval hole leave the domain, come back
@@ -179,6 +181,35 @@ def test_error_estimate_falls_with_ray_count():
                         for k in range(5)])
         assert np.all(est[1:] < est[:-1] / 1.5), est
         assert 3.0 <= (est[0] / est[-1]) ** 0.25 <= 6.0, est
+
+
+def test_parallel_table_memory_and_mask_oracle(rfk_domains, rfk_fields, monkeypatch):
+    # the pieces each delta cuts come from searchsorted runs, not from a
+    # deltas-by-pieces mask: the table stays within a few MiB, and L is
+    # bit-identical to the one summed over the mask's pairs
+    dom, fld = rfk_domains["offset_0.2"], rfk_fields["offset_0.2"]
+    tracemalloc.start()
+    try:
+        table = build_parallel_table(dom, fld=fld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+    monkeypatch.setattr(parallels, "_cuts", masked_cuts)
+    reference = build_parallel_table(dom, fld=fld)
+    assert np.array_equal(table.L, reference.L)
+    assert table.L_err == reference.L_err
+
+
+def test_cuts_match_the_mask_on_edge_cases():
+    # repeated deltas, pieces touching a delta at either end, empty runs
+    deltas = np.array([0.0, 0.0, 0.5, 1.0, 1.0, 2.0])
+    near = np.array([0.0, 0.5, 0.2, 1.0, 2.0, 3.0, -1.0])
+    far = np.array([0.5, 0.5, 1.0, 2.0, 2.5, 4.0, 0.0])
+    row, k = parallels._cuts(deltas, near, far)
+    mask_row, mask_k = masked_cuts(deltas, near, far)
+    order = np.lexsort((k, row))
+    assert np.array_equal(row[order], mask_row) and np.array_equal(k[order], mask_k)
 
 
 def test_parallel_length_matches_body_oracle_when_interior():

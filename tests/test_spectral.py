@@ -1,6 +1,9 @@
 """The spectral p = 2 solver against closed forms, the radial shooting
 solver and the independent P1 finite element route (fem2d, fem_energy_p2)."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from horokit import spectral
@@ -16,6 +19,7 @@ from horokit.insulation import (
 from horokit.shell import ShellSpec, shell_eigen
 
 from conftest import rfk_domain_specs
+from oracles import dense_polar_stiffness
 
 EIGEN_DOMAINS = {
     **rfk_domain_specs(),
@@ -31,6 +35,11 @@ CORES = {
     "cos2_0.08": Body2D(a0=1.0, cos=[0.0, 0.08]),
 }
 P1_AGREEMENT_RTOL = 1e-6
+BLOCK_DOMAINS = {
+    **{name: EIGEN_DOMAINS[name] for name in ("concentric", "offset_0.2", "ripple_4")},
+    "robin_cos2_0.1": AnnularDomain2D(inner=CORES["cos2_0.1"],
+                                      outer=ParallelCurve(CORES["cos2_0.1"], 0.8)),
+}
 
 
 def _check_against_p1(result, p1_value):
@@ -74,6 +83,36 @@ def test_robin_energy_agrees_with_p1_richardson(name):
     shell = AnnularDomain2D(inner=core, outer=ParallelCurve(core, 0.8))
     _check_against_p1(spectral.robin_energy(shell, 1.0),
                       lambda h: fem_energy_p2(core, 0.8, 1.0, h_mesh=h))
+
+
+@pytest.mark.parametrize("resolution", [spectral.START,
+                                        tuple(map(sum, zip(spectral.START, spectral.GROWTH)))])
+@pytest.mark.parametrize("name", list(BLOCK_DOMAINS))
+def test_free_block_matches_dense_oracle(name, resolution):
+    # the free block, written level by level, and its closed-form coupling
+    # to the hole row against the whole 4-D stiffness over every node
+    op = spectral._PolarOperator(BLOCK_DOMAINS[name], *resolution)
+    K = dense_polar_stiffness(op)
+    block, hole = op.free_block()
+    n_free, n_theta = block.shape[0], resolution[0]
+    expect = K[-n_free:, -n_free:]
+    assert np.max(np.abs(block - expect)) <= 1e-13 * np.max(np.abs(expect))
+    expect_hole = K[-n_free:, :n_theta].sum(axis=1).reshape(hole.shape)
+    assert np.max(np.abs(hole - expect_hole)) <= 1e-13 * np.max(np.abs(expect_hole))
+
+
+def test_mixed_eigenpair_memory_stays_near_one_block():
+    # the free block is assembled, scaled and handed to LAPACK in place, so
+    # the traced peak is about one dense block at the final resolution
+    dom = EIGEN_DOMAINS["offset_0.2"]
+    tracemalloc.start()
+    try:
+        result = spectral.mixed_eigenpair(dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = 8 * (result.n_theta * result.n_s) ** 2
+    assert peak <= 1.5 * block_bytes
 
 
 def test_unresolvable_domain_raises():
