@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize_scalar
 
 from .core import ball_perimeter, geodesic_step
 from .bodies import AnnularDomain2D, boundary_measures, curvature_2d, require_convex
@@ -46,6 +45,8 @@ BAND_MARGIN = 0.01         # widens the outer boundary's band of radii
 ROOT_MAX_ITER = 100
 RAY_CHUNK = 1024           # rays scanned at once, bounding the scan's memory
 ROUNDOFF_RTOL = 1e-12      # the error estimates never read below round-off
+PEAK_RAYS = 65             # rays per round of the delta0 refinement
+PEAK_ROUNDS = 3            # each round narrows to the best ray's neighbours
 # the last row sits this far inside delta0: above the crossings' round-off,
 # so a boundary arc at distance delta0 (concentric domains) still counts
 DELTA0_ROW_RTOL = 1e-12
@@ -169,7 +170,9 @@ def distance_field(dom, grid_res=DEFAULT_GRID_RES):
 
     delta0, the largest distance from the hole within the domain, is the
     largest exit, maximized over the parameter between the neighbours of
-    the best ray.
+    the best ray: PEAK_ROUNDS rounds of PEAK_RAYS rays each, every round
+    spanning the neighbours of the previous round's best ray, so each round
+    divides the spacing by (PEAK_RAYS - 1) / 2.
     """
     if not isinstance(dom, AnnularDomain2D):
         raise DomainValidationError("distance fields are built over annular domains")
@@ -188,12 +191,16 @@ def distance_field(dom, grid_res=DEFAULT_GRID_RES):
     last = np.nanmax(crossings, axis=1)
     best = int(np.argmax(last))
     h = 2.0 * np.pi / grid_res
-    peak = minimize_scalar(lambda t: -_ray_crossings(dom, t, band)[1][-1],
-                           bounds=(theta[best] - h, theta[best] + h), method="bounded",
-                           options={"xatol": 1e-9})
+    delta0, lo, hi = float(last[best]), theta[best] - h, theta[best] + h
+    for _ in range(PEAK_ROUNDS):
+        t = np.linspace(lo, hi, PEAK_RAYS)
+        ray, dist = _ray_crossings(dom, t, band)
+        exits = dist[np.append(ray[1:] != ray[:-1], True)]  # each ray's last crossing
+        k = int(np.argmax(exits))
+        delta0 = max(delta0, float(exits[k]))
+        lo, hi = t[max(k - 1, 0)], t[min(k + 1, PEAK_RAYS - 1)]
     return DistanceField(theta=theta, values=crossings[:, 0], reentries=crossings[:, 1:],
-                         speed=prof.weights / h, kappa=prof.kappas[:, 0],
-                         delta0=max(float(last[best]), -float(peak.fun)))
+                         speed=prof.weights / h, kappa=prof.kappas[:, 0], delta0=delta0)
 
 
 def _cuts(deltas, near, far):

@@ -20,13 +20,22 @@ ch. 11; Boyd, Chebyshev and Fourier Spectral Methods, 2001).
 The dense systems are solved directly.  Only the free nodes' block of the
 stiffness is built, level by level, and LAPACK works on it in place, so a
 solve holds about one block of memory; the Dirichlet hole row enters the
-Robin problem through its closed-form coupling to the free nodes.  The
-dense eigh stays: at about 900 unknowns, shift-invert Lanczos on a
-Cholesky factor was no faster.  Each solver raises its resolution
-from START until two consecutive values agree within STEP_RTOL and reports
-that last relative step as its error estimate; a domain that needs more
-than MAX_UNKNOWNS unknowns raises NumericError instead of returning a value
-short of that accuracy.
+Robin problem through its closed-form coupling to the free nodes.  Each
+solver raises its resolution from START until two consecutive values agree
+within STEP_RTOL and reports that last relative step as its error
+estimate; a domain that needs more than MAX_UNKNOWNS unknowns raises
+NumericError instead of returning a value short of that accuracy.
+
+The eigensolve needs one eigenpair.  At START a dense eigh finds it.  Every
+later resolution takes tau_1 from the one before, which is already close,
+shifts the block to just below that value, factors it by
+Cholesky (n^3 / 3 flops against eigh's 4 n^3 / 3 for the tridiagonal
+reduction alone) and runs inverse iteration on the factor, which settles in
+three to five solves (Parlett, The Symmetric Eigenvalue Problem, 1998,
+ch. 4).  The factor exists only while the shift is below tau_1 (Sylvester's
+law of inertia), so a failed Cholesky widens the margin and factors again.
+Both the shift and eigh's start are needed: unshifted inverse iteration
+took hundreds of solves on thin shells.
 """
 
 import math
@@ -42,6 +51,10 @@ START = (33, 16)           # (N_theta, N_s) of the first solve; N_theta stays od
 GROWTH = (16, 2)           # added to (N_theta, N_s) after each unsettled solve
 STEP_RTOL = 1e-11          # consecutive values must agree this closely
 MAX_UNKNOWNS = 2500        # N_theta N_s free nodes; dense cost grows as its cube
+MARGIN = 1e-6              # the shift sits this far, relatively, below the last tau_1
+MARGIN_GROWTH = 1e3        # widens the margin after a failed Cholesky
+ITERATE_TOL = 1e-12        # inverse iteration stops when the unit iterate moves less
+MAX_SOLVES = 500           # triangular solve pairs before inverse iteration gives up
 
 
 @dataclass(frozen=True)
@@ -137,8 +150,9 @@ class _PolarOperator:
         ns1, nt = self.c1.shape
         n_free = (ns1 - 1) * nt
         c2a = self.c2 * self.a
-        ss = np.einsum("kj,ki,kl->ijl", Ds, self.c1 + c2a * self.a, Ds)
-        tt = np.einsum("mi,jm,mn->jin", Dt, self.c2, Dt)
+        # both as batched matrix products, which numpy hands to BLAS
+        ss = (Ds.T * (self.c1 + c2a * self.a).T[:, None, :]) @ Ds  # [i, j, l]
+        tt = (Dt.T * self.c2[:, None, :]) @ Dt  # [j, i, n]
         cross = Dt.T * c2a[:, None, :]  # cross[j, i, n] = Dt[n, i] (c2 a)[j, n]
         mirror = np.ascontiguousarray(cross[1:].transpose(2, 0, 1))  # [i, l, n] = cross[l, n, i]
         K = np.zeros((n_free, n_free))
@@ -160,13 +174,14 @@ class _PolarOperator:
 
 
 def _converge(solve):
-    """Run solve(n_theta, n_s) -> (value, u) from START, growing by GROWTH,
-    until two consecutive values agree within STEP_RTOL."""
+    """Run solve(n_theta, n_s, previous) -> (value, u) from START, growing by
+    GROWTH, until two consecutive values agree within STEP_RTOL; previous is
+    the value at the resolution before, None at START."""
     n_theta, n_s = START
     previous, step = None, math.inf
     while n_theta * n_s <= MAX_UNKNOWNS:
         try:
-            value, u = solve(n_theta, n_s)
+            value, u = solve(n_theta, n_s, previous)
         except LinAlgError as exc:
             raise NumericError(f"dense spectral solve failed: {exc}") from exc
         if previous is not None:
@@ -179,44 +194,97 @@ def _converge(solve):
                        f"{MAX_UNKNOWNS} unknowns (last step {step:.1e})")
 
 
-def mixed_eigenpair(dom):
-    """First eigenpair of the Laplace-Beltrami operator, Dirichlet on the hole
-    and Neumann on the outer boundary; value is tau_1 and u >= 0 has unit
-    weighted L2 norm."""
+def _cholesky(K):
+    """Cholesky factor of the symmetric block K, written over K: K.T is
+    Fortran-ordered, so LAPACK works in place on its lower triangle, K's
+    upper one.  Raises LinAlgError unless K is positive definite."""
+    return cho_factor(K.T, lower=True, overwrite_a=True)
 
-    def solve(n_theta, n_s):
-        op = _PolarOperator(dom, n_theta, n_s)
-        A, _ = op.free_block()
-        scale = 1.0 / np.sqrt(op.mass[1:].ravel())
-        A *= scale[:, None]
-        A *= scale[None, :]
+
+def _scaled_block(op):
+    """The free block in place as M^-1/2 K M^-1/2, with M^-1/2 beside it."""
+    A, _ = op.free_block()
+    scale = 1.0 / np.sqrt(op.mass[1:].ravel())
+    A *= scale[:, None]
+    A *= scale[None, :]
+    return A, scale
+
+
+def _inverse_iteration(op, tau):
+    """Lowest eigenvector of the scaled block by inverse iteration shifted to
+    tau (1 - margin), from the constant vector.
+
+    A failed Cholesky certifies that the shift is not below tau_1; the block
+    is then built afresh, since LAPACK has overwritten it, and the margin
+    widens by MARGIN_GROWTH up to 1, the unshifted block.
+    """
+    margin = MARGIN
+    while True:
+        A, scale = _scaled_block(op)
+        A[np.diag_indices_from(A)] -= tau * (1.0 - margin)
+        try:
+            factor = _cholesky(A)
+            break
+        except LinAlgError:
+            if margin >= 1.0:
+                raise
+        del A  # the failed factor goes before the next block is built
+        margin = min(MARGIN_GROWTH * abs(margin), 1.0)
+    x = np.full(len(scale), 1.0 / math.sqrt(len(scale)))
+    for _ in range(MAX_SOLVES):
+        y = cho_solve(factor, x, check_finite=False)
+        y /= np.linalg.norm(y)
+        moved = float(np.linalg.norm(y - x))
+        x = y
+        if moved <= ITERATE_TOL:
+            return x, scale
+    raise NumericError(f"inverse iteration did not settle within {MAX_SOLVES} solves "
+                       f"(last move {moved:.1e})")
+
+
+def _eigenpair(op, previous):
+    """Lowest eigenpair of the scaled free block M^-1/2 K M^-1/2 on op's grid
+    as (tau_1, u): dense eigh at the first resolution (previous None), then
+    inverse iteration shifted just below the previous resolution's value."""
+    if previous is None:
+        A, scale = _scaled_block(op)
         # A.T is Fortran-ordered, so LAPACK works in place; its upper
         # triangle is A's lower one
         _, vec = eigh(A.T, lower=False, subset_by_index=[0, 0], overwrite_a=True,
                       check_finite=False)
-        u = np.zeros_like(op.mass)
-        u[1:] = (vec[:, 0] * scale).reshape(-1, n_theta)
-        u /= math.sqrt(float(np.sum(op.mass * u * u)))
-        if u[np.unravel_index(np.argmax(np.abs(u)), u.shape)] < 0.0:
-            u = -u
-        # the eigenvector's Rayleigh quotient, summed from positive terms,
-        # holds to roundoff where eigh's eigenvalue drifts with ||K||
-        return op.energy(u), u
+        vec = vec[:, 0]
+    else:
+        vec, scale = _inverse_iteration(op, previous)
+    u = np.zeros_like(op.mass)
+    u[1:] = (vec * scale).reshape(u[1:].shape)
+    u /= math.sqrt(float(np.sum(op.mass * u * u)))
+    if u[np.unravel_index(np.argmax(np.abs(u)), u.shape)] < 0.0:
+        u = -u
+    # the eigenvector's Rayleigh quotient, summed from positive terms,
+    # holds to roundoff where eigh's eigenvalue drifts with ||K||
+    return op.energy(u), u
 
-    return _converge(solve)
+
+def mixed_eigenpair(dom):
+    """First eigenpair of the Laplace-Beltrami operator, Dirichlet on the hole
+    and Neumann on the outer boundary; value is tau_1 and u >= 0 has unit
+    weighted L2 norm.  Dense eigh seeds the first resolution, and a shifted
+    Cholesky factor refines every later one (see _inverse_iteration)."""
+    return _converge(lambda n_theta, n_s, previous:
+                     _eigenpair(_PolarOperator(dom, n_theta, n_s), previous))
 
 
 def robin_energy(dom, beta):
     """Minimum of int |grad u|^2 dx + beta int_outer u^2 lambda ds over u = 1
     on the hole; value is the energy and u the minimizer."""
 
-    def solve(n_theta, n_s):
+    def solve(n_theta, n_s, _previous):
         op = _PolarOperator(dom, n_theta, n_s)
         K, hole = op.free_block()
         robin = np.zeros_like(op.mass)
         robin[-1] = beta * op.trace
         K[np.diag_indices_from(K)] += robin[1:].ravel()
-        factor = cho_factor(K.T, lower=True, overwrite_a=True)  # K's upper triangle, in place
+        factor = _cholesky(K)
         u = np.ones_like(op.mass)
         u[1:] = cho_solve(factor, -hole.ravel()).reshape(-1, n_theta)
         return op.energy(u) + float(np.sum(robin * u * u)), u

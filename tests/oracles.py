@@ -8,8 +8,9 @@ dense bisected scan of every normal ray instead of the windowed one, and
 the signed distance on a chart grid with marching-squares level lengths as
 the general-domain cross-check of the normal-flow parallel lengths, the
 whole 4-D spectral stiffness instead of its free block written level by
-level, and an explicit delta-by-piece mask instead of searchsorted runs for
-the pieces each delta cuts.
+level, dense eigh at every spectral resolution instead of shifted inverse
+iteration, and an explicit delta-by-piece mask instead of searchsorted runs
+for the pieces each delta cuts.
 """
 
 import math
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigh
 from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 
@@ -330,6 +332,28 @@ def dense_polar_stiffness(op):
     K -= cross
     K -= cross.transpose(2, 3, 0, 1)
     return K.reshape(ns1 * nt, ns1 * nt)
+
+
+def dense_eigenpair(op):
+    """(tau_1, u) on a spectral._PolarOperator's grid by dense eigh of the
+    scaled free block: u >= 0 with unit weighted L2 norm, and tau_1 its
+    Rayleigh quotient op.energy(u), as spectral._eigenpair reports them."""
+    K, _ = op.free_block()
+    scale = 1.0 / np.sqrt(op.mass[1:].ravel())
+    _, vec = eigh(scale[:, None] * K * scale[None, :], subset_by_index=[0, 0])
+    u = np.zeros_like(op.mass)
+    u[1:] = (vec[:, 0] * scale).reshape(u[1:].shape)
+    u /= math.sqrt(float(np.sum(op.mass * u * u)))
+    if u[np.unravel_index(np.argmax(np.abs(u)), u.shape)] < 0.0:
+        u = -u
+    return op.energy(u), u
+
+
+def dense_mixed_eigenpair(dom):
+    """spectral.mixed_eigenpair with dense eigh at every resolution."""
+    from horokit import spectral
+    return spectral._converge(lambda n_theta, n_s, _previous: dense_eigenpair(
+        spectral._PolarOperator(dom, n_theta, n_s)))
 
 
 def masked_cuts(deltas, near, far):

@@ -380,6 +380,30 @@ def test_cli_af_check_indices_fuzz_exits_cleanly(tmp_path_factory, spec, i, j):
     _exits_cleanly(argv + [f"--i={i}"] * (i is not None) + [f"--j={j}"] * (j is not None))
 
 
+# (hole radius, outer radius, offset): half of the draws nest the hole inside
+# the outer ball, from thick shells down to ones too thin to settle
+_RFK_BALLS = st.one_of(
+    st.builds(lambda r, width, shift: (r, r + width, shift * width),
+              st.floats(0.05, 2.5), st.floats(0.02, 2.0), st.floats(0.0, 0.95)),
+    st.tuples(_fuzz_number(-1.0, 4.0, (0.05, 2.0)), _fuzz_number(-1.0, 5.0, (0.1, 3.0)),
+              _fuzz_number(-1.0, 3.0, (0.0, 0.5))))
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(balls=_RFK_BALLS,
+       grid_res=st.one_of(st.integers(4, 64), st.integers(-1, 8)),
+       n_deltas=st.one_of(st.integers(2, 16), st.integers(-1, 4)))
+def test_cli_rfk_fuzz_exits_cleanly(tmp_path_factory, balls, grid_res, n_deltas):
+    # p = 2 takes the spectral eigensolve; a domain that does not settle
+    # within its unknowns must exit 1 like any other failure
+    r, R, offset = balls
+    dom = tmp_path_factory.mktemp("fuzz") / "dom.json"
+    dom.write_text(json.dumps(dict(DOMAIN_SPEC, inner=dict(BALL_SPEC, params={"r": r}),
+                                   outer=dict(BALL_SPEC, params={"r": R}), offset=offset)))
+    _exits_cleanly(["rfk", "--domain", str(dom), "--p=2", f"--grid-res={grid_res}",
+                    f"--n-deltas={n_deltas}"])
+
+
 @pytest.mark.parametrize("command", ["rfk", "hersch"])
 def test_cli_too_small_table_is_usage_error(tmp_path, capsys, command):
     # fewer than two rows or than four rays used to end in a traceback

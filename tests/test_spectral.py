@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from horokit import spectral
 from horokit.bodies import AnnularDomain2D, Body2D, ParallelCurve, make_ball
@@ -19,7 +20,7 @@ from horokit.insulation import (
 from horokit.shell import ShellSpec, shell_eigen
 
 from conftest import rfk_domain_specs
-from oracles import dense_polar_stiffness
+from oracles import dense_eigenpair, dense_mixed_eigenpair, dense_polar_stiffness
 
 EIGEN_DOMAINS = {
     **rfk_domain_specs(),
@@ -85,8 +86,13 @@ def test_robin_energy_agrees_with_p1_richardson(name):
                       lambda h: fem_energy_p2(core, 0.8, 1.0, h_mesh=h))
 
 
-@pytest.mark.parametrize("resolution", [spectral.START,
-                                        tuple(map(sum, zip(spectral.START, spectral.GROWTH)))])
+SECOND = tuple(map(sum, zip(spectral.START, spectral.GROWTH)))
+# tau_1 by dense eigh at every resolution (oracles.dense_mixed_eigenpair);
+# ten times thinner than the benchmark domains, with the hole off-centre
+THIN_SHELLS = [(0.5, 0.6, 163.73759720804543), (2.0, 2.1, 164.23502952075307)]
+
+
+@pytest.mark.parametrize("resolution", [spectral.START, SECOND])
 @pytest.mark.parametrize("name", list(BLOCK_DOMAINS))
 def test_free_block_matches_dense_oracle(name, resolution):
     # the free block, written level by level, and its closed-form coupling
@@ -113,6 +119,53 @@ def test_mixed_eigenpair_memory_stays_near_one_block():
         tracemalloc.stop()
     block_bytes = 8 * (result.n_theta * result.n_s) ** 2
     assert peak <= 1.5 * block_bytes
+
+
+@pytest.mark.parametrize("name", list(BLOCK_DOMAINS))
+def test_shifted_inverse_iteration_matches_dense_eigh(name):
+    # the second resolution is the first that takes the shifted Cholesky path
+    dom = BLOCK_DOMAINS[name]
+    previous, _ = spectral._eigenpair(spectral._PolarOperator(dom, *spectral.START), None)
+    op = spectral._PolarOperator(dom, *SECOND)
+    value, u = spectral._eigenpair(op, previous)
+    expect, expect_u = dense_eigenpair(op)
+    assert abs(value - expect) <= 1e-13 * expect
+    assert np.max(np.abs(u - expect_u)) <= 1e-10 * np.max(np.abs(expect_u))
+
+
+@pytest.mark.parametrize("r, R, expect", THIN_SHELLS)
+def test_offset_thin_shells_match_dense_eigh(r, R, expect):
+    dom = AnnularDomain2D(inner=make_ball(2, r), outer=make_ball(2, R), offset=0.02)
+    reference = dense_mixed_eigenpair(dom)
+    assert abs(reference.value - expect) <= 1e-13 * expect
+    result = spectral.mixed_eigenpair(dom)
+    assert (result.n_theta, result.n_s) == (reference.n_theta, reference.n_s)
+    assert abs(result.value - expect) <= 1e-13 * expect
+
+
+def test_shift_above_tau1_retries_with_a_wider_margin(monkeypatch):
+    # a negative margin puts the shift above tau_1: Cholesky must fail, and
+    # the rebuilt block, shifted below, must give the same tau_1
+    dom = EIGEN_DOMAINS["offset_0.2"]
+    expect = spectral.mixed_eigenpair(dom)
+    failed = []
+    cholesky = spectral._cholesky
+
+    def counted(K):
+        try:
+            return cholesky(K)
+        except LinAlgError:
+            failed.append(K.shape)
+            raise
+
+    monkeypatch.setattr(spectral, "MARGIN", -1e-3)
+    monkeypatch.setattr(spectral, "_cholesky", counted)
+    result = spectral.mixed_eigenpair(dom)
+    # one failure at each resolution after START
+    n_later = (result.n_theta - spectral.START[0]) // spectral.GROWTH[0]
+    assert len(failed) == n_later >= 1
+    assert (result.n_theta, result.n_s) == (expect.n_theta, expect.n_s)
+    assert abs(result.value - expect.value) <= 1e-13 * expect.value
 
 
 def test_unresolvable_domain_raises():
