@@ -17,25 +17,25 @@ N_s + 1 Gauss-Lobatto points (quadrature at the nodes, so the mass matrix is
 diagonal) converges spectrally (Trefethen, Spectral Methods in MATLAB, 2000,
 ch. 11; Boyd, Chebyshev and Fourier Spectral Methods, 2001).
 
-The dense systems are solved directly.  Only the free nodes' block of the
-stiffness is built, level by level, and LAPACK works on it in place, so a
-solve holds about one block of memory; the Dirichlet hole row enters the
-Robin problem through its closed-form coupling to the free nodes.  Each
-solver raises its resolution from START until two consecutive values agree
-within STEP_RTOL and reports that last relative step as its error
+No matrix is formed.  The quadrature form is applied as products of the
+small Fourier and Lobatto differentiation matrices, O(N (N_theta + N_s))
+flops for N = N_theta N_s free nodes, and both solvers iterate on that
+apply.  Their preconditioner is the form with its coefficients, and the
+Robin weight, averaged over theta once each ray is scaled by its radial
+stiffness: it commutes with rotations, so the real FFT in theta splits it
+into one N_s x N_s block per Fourier mode, each inverted once per
+resolution (Shen, SIAM J. Sci. Comput. 18, 1997).  On a concentric domain
+it is the operator itself.  The Robin minimizer comes from preconditioned
+conjugate gradients, the eigenpair from single-vector LOBPCG with the
+diagonal mass (Knyazev, SIAM J. Sci. Comput. 23, 2001), started from the
+constant vector at START and from the previous resolution's eigenvector
+afterwards.  A solve stops once its preconditioned residual has fallen to
+SOLVE_RTOL and raises NumericError after MAX_ITERATIONS.
+
+Each solver raises its resolution from START until two consecutive values
+agree within STEP_RTOL and reports that last relative step as its error
 estimate; a domain that needs more than MAX_UNKNOWNS unknowns raises
 NumericError instead of returning a value short of that accuracy.
-
-The eigensolve needs one eigenpair.  At START a dense eigh finds it.  Every
-later resolution takes tau_1 from the one before, which is already close,
-shifts the block to just below that value, factors it by
-Cholesky (n^3 / 3 flops against eigh's 4 n^3 / 3 for the tridiagonal
-reduction alone) and runs inverse iteration on the factor, which settles in
-three to five solves (Parlett, The Symmetric Eigenvalue Problem, 1998,
-ch. 4).  The factor exists only while the shift is below tau_1 (Sylvester's
-law of inertia), so a failed Cholesky widens the margin and factors again.
-Both the shift and eigh's start are needed: unshifted inverse iteration
-took hundreds of solves on thin shells.
 """
 
 import math
@@ -43,18 +43,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, eigvalsh_tridiagonal
+from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 
 from .errors import NumericError
 
 START = (33, 16)           # (N_theta, N_s) of the first solve; N_theta stays odd
 GROWTH = (16, 2)           # added to (N_theta, N_s) after each unsettled solve
 STEP_RTOL = 1e-11          # consecutive values must agree this closely
-MAX_UNKNOWNS = 2500        # N_theta N_s free nodes; dense cost grows as its cube
-MARGIN = 1e-6              # the shift sits this far, relatively, below the last tau_1
-MARGIN_GROWTH = 1e3        # widens the margin after a failed Cholesky
-ITERATE_TOL = 1e-12        # inverse iteration stops when the unit iterate moves less
-MAX_SOLVES = 500           # triangular solve pairs before inverse iteration gives up
+MAX_UNKNOWNS = 2500        # N_theta N_s free nodes; a domain needing more raises NumericError
+SOLVE_RTOL = 1e-12         # a solve stops once its preconditioned residual falls this far
+MAX_ITERATIONS = 1000      # iterations of one solve before it gives up
+GRAM_RTOL = 1e-14          # LOBPCG drops basis directions below this Gram eigenvalue
 
 
 @dataclass(frozen=True)
@@ -77,9 +76,10 @@ class SpectralResult:
 
 
 def _lobatto(n):
-    """Gauss-Lobatto-Legendre nodes, weights and differentiation matrix on
-    [0, 1] with n + 1 nodes.  The interior nodes are the zeros of the Jacobi
-    polynomial P^(1,1)_{n-1}, from its symmetric tridiagonal matrix."""
+    """Gauss-Lobatto-Legendre nodes, weights, differentiation matrix and
+    barycentric weights on [0, 1] with n + 1 nodes.  The interior nodes are
+    the zeros of the Jacobi polynomial P^(1,1)_{n-1}, from its symmetric
+    tridiagonal matrix."""
     k = np.arange(1.0, n - 1)
     inner = eigvalsh_tridiagonal(np.zeros(n - 1),
                                  np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0))))
@@ -93,7 +93,7 @@ def _lobatto(n):
     D = (bary[None, :] / bary[:, None]) / diff
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -D.sum(axis=1))
-    return 0.5 * (x + 1.0), 0.5 * w, 2.0 * D
+    return 0.5 * (x + 1.0), 0.5 * w, 2.0 * D, bary
 
 
 def _fourier(n):
@@ -113,20 +113,19 @@ def _fourier(n):
 class _PolarOperator:
     """Stiffness, diagonal mass and outer trace weight on one node grid.
 
-    Arrays over nodes are shaped (N_s + 1, N_theta), so flattened the hole
-    row s = 0 comes first and the free nodes s > 0 form the trailing block.
+    Arrays over nodes are shaped (N_s + 1, N_theta), hole row s = 0 first.
     """
 
     def __init__(self, dom, n_theta, n_s):
         rho_in_fn, rho_out_fn = dom.polar_tables
         theta, self.Dt = _fourier(n_theta)
-        s, ws, self.Ds = _lobatto(n_s)
+        self.s, ws, self.Ds, _ = _lobatto(n_s)
         rho_in, rho_out = rho_in_fn(theta), rho_out_fn(theta)
         w = rho_out - rho_in
         # boundary derivatives by the same Fourier differentiation as u
         d_in, d_out = self.Dt @ rho_in, self.Dt @ rho_out
-        rho = rho_in + s[:, None] * w
-        rho_theta = d_in + s[:, None] * (d_out - d_in)
+        rho = rho_in + self.s[:, None] * w
+        rho_theta = d_in + self.s[:, None] * (d_out - d_in)
         weight = ws[:, None] * (2.0 * np.pi / n_theta)
         self.c1 = weight * rho / w
         self.c2 = weight * w / rho
@@ -134,37 +133,12 @@ class _PolarOperator:
         self.mass = weight * rho * w * (2.0 / (1.0 - rho ** 2)) ** 2
         self.trace = (2.0 * np.pi / n_theta) * 2.0 / (1.0 - rho_out ** 2) * np.hypot(rho_out, d_out)
 
-    def free_block(self):
-        """Dense K[(j, i), (l, n)] of the quadrature form over the free nodes
-        j, l >= 1, flattened, and their coupling to the hole row,
-        sum_n K[(j, i), (0, n)], shaped (N_s, N_theta).
-
-        The block is written one level j of rows at a time: the ray term ss
-        couples the nodes on ray i, the level term tt those on level j, and
-        the cross term Dt[n, i] (c2 a)[j, n] Ds[j, l] and its transpose are
-        rows of Ds times one (N_s + 1, N_theta, N_theta) array, so no
-        temporary is as large as the block.  Since Dt 1 = 0, the transpose
-        adds nothing to the hole coupling.
-        """
-        Ds, Dt = self.Ds, self.Dt
-        ns1, nt = self.c1.shape
-        n_free = (ns1 - 1) * nt
-        c2a = self.c2 * self.a
-        # both as batched matrix products, which numpy hands to BLAS
-        ss = (Ds.T * (self.c1 + c2a * self.a).T[:, None, :]) @ Ds  # [i, j, l]
-        tt = (Dt.T * self.c2[:, None, :]) @ Dt  # [j, i, n]
-        cross = Dt.T * c2a[:, None, :]  # cross[j, i, n] = Dt[n, i] (c2 a)[j, n]
-        mirror = np.ascontiguousarray(cross[1:].transpose(2, 0, 1))  # [i, l, n] = cross[l, n, i]
-        K = np.zeros((n_free, n_free))
-        rays = np.arange(nt)
-        for j in range(1, ns1):
-            rows = K[(j - 1) * nt:j * nt].reshape(nt, ns1 - 1, nt)  # [i, l, n]
-            rows[rays, :, rays] += ss[:, j, 1:]
-            rows[:, j - 1] += tt[j]
-            rows -= Ds[j, 1:, None] * cross[j, :, None, :]
-            rows -= Ds[1:, j, None] * mirror
-        hole = ss[:, 1:, 0].T - Ds[1:, :1] * (c2a[1:] @ Dt)
-        return K, hole
+    def apply(self, u):
+        """K u for the quadrature form K of energy, so energy(u) = sum(u * K u),
+        on nodal arrays u shaped (..., N_s + 1, N_theta)."""
+        us = self.Ds @ u
+        flux = self.c2 * (u @ self.Dt.T - self.a * us)
+        return self.Ds.T @ (self.c1 * us - self.a * flux) + flux @ self.Dt
 
     def energy(self, u):
         """Dirichlet integral of nodal values u as a sum of positive terms."""
@@ -173,105 +147,166 @@ class _PolarOperator:
         return float(np.sum(self.c1 * us * us + self.c2 * (ut - self.a * us) ** 2))
 
 
+def _preconditioner(op, robin):
+    """r -> P^-1 r on the free nodes of nodal arrays, hole row returned zero.
+
+    P = G A G, with G scaling each ray by the square root of its radial
+    stiffness c1 + c2 a^2 relative to the mean over rays, and A the form plus
+    the weight robin with every coefficient divided by G^2 and then averaged
+    over theta.  A commutes with rotations, so the real FFT over theta, in
+    which d/dtheta is i k, splits it into one Hermitian positive definite
+    block over the free levels per mode k.  The scaling keeps A close to the
+    form on shells whose width varies strongly along the hole; on a
+    concentric domain G = 1 and P is the form itself.
+    """
+    n_theta = op.c1.shape[1]
+    Ds = op.Ds
+    radial = op.c1 + op.c2 * op.a ** 2
+    g2 = radial.sum(axis=0) / radial.sum(axis=0).mean()
+    g = np.sqrt(g2)
+    ss, tt, ts, rb = ((c / g2).mean(axis=1) for c in (radial, op.c2, op.c2 * op.a, robin))
+    k = np.arange(n_theta // 2 + 1)[:, None, None]
+    blocks = ((Ds.T * ss) @ Ds + np.diag(rb) + k ** 2 * np.diag(tt)
+              + 1j * k * (ts[:, None] * Ds - Ds.T * ts))
+    inverse = np.linalg.inv(blocks[:, 1:, 1:])
+
+    def solve(r):
+        z = np.zeros_like(r)
+        modes = np.fft.rfft(r[1:] / g, axis=1).T[:, :, None]
+        z[1:] = np.fft.irfft((inverse @ modes)[:, :, 0].T, n=n_theta, axis=1) / g
+        return z
+
+    return solve
+
+
+def _interpolate(u, op):
+    """Nodal values u of another grid at op's nodes: Fourier in theta,
+    barycentric Lagrange in s.  Both grids keep N_theta odd, so the Fourier
+    modes carry over without a Nyquist term."""
+    n_theta = op.c1.shape[1]
+    u = np.fft.irfft(np.fft.rfft(u, axis=1), n=n_theta, axis=1) * (n_theta / u.shape[1])
+    s, _, _, bary = _lobatto(u.shape[0] - 1)
+    diff = op.s[:, None] - s[None, :]
+    exact = diff == 0.0  # the end nodes always coincide
+    diff[exact] = 1.0
+    lagrange = bary / diff
+    lagrange /= lagrange.sum(axis=1, keepdims=True)
+    hit = exact.any(axis=1)
+    lagrange[hit] = exact[hit]
+    return lagrange @ u
+
+
 def _converge(solve):
     """Run solve(n_theta, n_s, previous) -> (value, u) from START, growing by
     GROWTH, until two consecutive values agree within STEP_RTOL; previous is
-    the value at the resolution before, None at START."""
+    the field u at the resolution before, None at START."""
     n_theta, n_s = START
-    previous, step = None, math.inf
+    previous, field, step = None, None, math.inf
     while n_theta * n_s <= MAX_UNKNOWNS:
         try:
-            value, u = solve(n_theta, n_s, previous)
+            value, u = solve(n_theta, n_s, field)
         except LinAlgError as exc:
-            raise NumericError(f"dense spectral solve failed: {exc}") from exc
+            raise NumericError(f"spectral solve failed: {exc}") from exc
         if previous is not None:
             step = abs(value - previous) / abs(value)
             if step <= STEP_RTOL:
                 return SpectralResult(value=value, u=u, n_theta=n_theta, n_s=n_s, step=step)
-        previous = value
+        previous, field = value, u
         n_theta, n_s = n_theta + GROWTH[0], n_s + GROWTH[1]
     raise NumericError(f"spectral solve did not settle to {STEP_RTOL:.0e} within "
                        f"{MAX_UNKNOWNS} unknowns (last step {step:.1e})")
 
 
-def _cholesky(K):
-    """Cholesky factor of the symmetric block K, written over K: K.T is
-    Fortran-ordered, so LAPACK works in place on its lower triangle, K's
-    upper one.  Raises LinAlgError unless K is positive definite."""
-    return cho_factor(K.T, lower=True, overwrite_a=True)
+def _unsettled(method, residual):
+    return NumericError(f"{method} did not reach a residual of {SOLVE_RTOL:.0e} within "
+                        f"{MAX_ITERATIONS} iterations (last {residual:.1e})")
 
 
-def _scaled_block(op):
-    """The free block in place as M^-1/2 K M^-1/2, with M^-1/2 beside it."""
-    A, _ = op.free_block()
-    scale = 1.0 / np.sqrt(op.mass[1:].ravel())
-    A *= scale[:, None]
-    A *= scale[None, :]
-    return A, scale
-
-
-def _inverse_iteration(op, tau):
-    """Lowest eigenvector of the scaled block by inverse iteration shifted to
-    tau (1 - margin), from the constant vector.
-
-    A failed Cholesky certifies that the shift is not below tau_1; the block
-    is then built afresh, since LAPACK has overwritten it, and the margin
-    widens by MARGIN_GROWTH up to 1, the unshifted block.
-    """
-    margin = MARGIN
-    while True:
-        A, scale = _scaled_block(op)
-        A[np.diag_indices_from(A)] -= tau * (1.0 - margin)
-        try:
-            factor = _cholesky(A)
+def _conjugate_gradients(op, u, robin, precondition):
+    """Minimizes the form plus sum(robin u^2) over the free nodes of u, in
+    place, from their values in u; the hole row of u is the Dirichlet data."""
+    r = -(op.apply(u) + robin * u)
+    z = precondition(r)
+    rz = start = float(np.vdot(r, z))
+    d = z
+    for _ in range(MAX_ITERATIONS):
+        Kd = op.apply(d) + robin * d
+        alpha = rz / float(np.vdot(d, Kd))
+        u += alpha * d
+        r -= alpha * Kd
+        z = precondition(r)
+        rz, previous = float(np.vdot(r, z)), rz
+        if rz <= SOLVE_RTOL ** 2 * start:
+            return u
+        if not math.isfinite(rz):
             break
-        except LinAlgError:
-            if margin >= 1.0:
-                raise
-        del A  # the failed factor goes before the next block is built
-        margin = min(MARGIN_GROWTH * abs(margin), 1.0)
-    x = np.full(len(scale), 1.0 / math.sqrt(len(scale)))
-    for _ in range(MAX_SOLVES):
-        y = cho_solve(factor, x, check_finite=False)
-        y /= np.linalg.norm(y)
-        moved = float(np.linalg.norm(y - x))
-        x = y
-        if moved <= ITERATE_TOL:
-            return x, scale
-    raise NumericError(f"inverse iteration did not settle within {MAX_SOLVES} solves "
-                       f"(last move {moved:.1e})")
+        d = z + (rz / previous) * d
+    raise _unsettled("conjugate gradients", math.sqrt(abs(rz / start)))
 
 
-def _eigenpair(op, previous):
-    """Lowest eigenpair of the scaled free block M^-1/2 K M^-1/2 on op's grid
-    as (tau_1, u): dense eigh at the first resolution (previous None), then
-    inverse iteration shifted just below the previous resolution's value."""
-    if previous is None:
-        A, scale = _scaled_block(op)
-        # A.T is Fortran-ordered, so LAPACK works in place; its upper
-        # triangle is A's lower one
-        _, vec = eigh(A.T, lower=False, subset_by_index=[0, 0], overwrite_a=True,
-                      check_finite=False)
-        vec = vec[:, 0]
-    else:
-        vec, scale = _inverse_iteration(op, previous)
-    u = np.zeros_like(op.mass)
-    u[1:] = (vec * scale).reshape(u[1:].shape)
+def _lobpcg(op, x, precondition):
+    """Lowest eigenvector of K x = tau M x over the free nodes, M the diagonal
+    mass, by single-vector LOBPCG from x, whose hole row is zero: each step
+    takes the Rayleigh-Ritz minimizer over x, its preconditioned residual w
+    and the previous step p.  The basis is M-orthonormalized through the
+    eigenvectors of its Gram matrix, which drops a direction that has become
+    dependent near convergence (Stathopoulos and Wu, SIAM J. Sci. Comput.
+    23, 2002)."""
+    mass = op.mass
+    Kx = op.apply(x)
+    p = Kp = None
+    for iteration in range(MAX_ITERATIONS + 1):
+        norm = float(np.vdot(x, mass * x))
+        tau = float(np.vdot(x, Kx)) / norm
+        r = Kx - tau * mass * x
+        w = precondition(r)
+        rw = float(np.vdot(r, w))
+        if rw <= SOLVE_RTOL ** 2 * tau * norm:
+            return x
+        if iteration == MAX_ITERATIONS or not math.isfinite(rw):
+            break
+        basis = np.stack([x, w] if p is None else [x, w, p])
+        images = np.stack([Kx, op.apply(w)] if p is None else [Kx, op.apply(w), Kp])
+        flat, kflat = basis.reshape(len(basis), -1), images.reshape(len(basis), -1)
+        gram = (flat * mass.ravel()) @ flat.T
+        scale = 1.0 / np.sqrt(np.diag(gram))
+        d, V = np.linalg.eigh(gram * np.outer(scale, scale))
+        keep = d > GRAM_RTOL * d[-1]
+        Q = scale[:, None] * V[:, keep] / np.sqrt(d[keep])
+        ritz = Q.T @ (flat @ kflat.T) @ Q
+        c = Q @ np.linalg.eigh(0.5 * (ritz + ritz.T))[1][:, 0]
+        # the Ritz vector, and the step p: its part along w and the old p
+        steps = np.array([c, np.r_[0.0, c[1:]]])
+        x, p = (steps @ flat).reshape(basis[:2].shape)
+        Kx, Kp = (steps @ kflat).reshape(basis[:2].shape)
+    raise _unsettled("LOBPCG", math.sqrt(abs(rw / (tau * norm))))
+
+
+def _eigenpair(op, start):
+    """Lowest eigenpair of the free nodes on op's grid as (tau_1, u), by
+    LOBPCG from the nodal array start, whose hole row is ignored."""
+    x = start.copy()
+    x[0] = 0.0
+    u = _lobpcg(op, x, _preconditioner(op, np.zeros_like(op.mass)))
     u /= math.sqrt(float(np.sum(op.mass * u * u)))
     if u[np.unravel_index(np.argmax(np.abs(u)), u.shape)] < 0.0:
         u = -u
-    # the eigenvector's Rayleigh quotient, summed from positive terms,
-    # holds to roundoff where eigh's eigenvalue drifts with ||K||
+    # the eigenvector's Rayleigh quotient, summed from positive terms
     return op.energy(u), u
 
 
 def mixed_eigenpair(dom):
     """First eigenpair of the Laplace-Beltrami operator, Dirichlet on the hole
     and Neumann on the outer boundary; value is tau_1 and u >= 0 has unit
-    weighted L2 norm.  Dense eigh seeds the first resolution, and a shifted
-    Cholesky factor refines every later one (see _inverse_iteration)."""
-    return _converge(lambda n_theta, n_s, previous:
-                     _eigenpair(_PolarOperator(dom, n_theta, n_s), previous))
+    weighted L2 norm.  LOBPCG starts from the constant vector at START and
+    from the previous resolution's eigenvector, interpolated, afterwards."""
+
+    def solve(n_theta, n_s, previous):
+        op = _PolarOperator(dom, n_theta, n_s)
+        return _eigenpair(op, np.ones_like(op.mass) if previous is None
+                          else _interpolate(previous, op))
+
+    return _converge(solve)
 
 
 def robin_energy(dom, beta):
@@ -280,13 +315,11 @@ def robin_energy(dom, beta):
 
     def solve(n_theta, n_s, _previous):
         op = _PolarOperator(dom, n_theta, n_s)
-        K, hole = op.free_block()
         robin = np.zeros_like(op.mass)
         robin[-1] = beta * op.trace
-        K[np.diag_indices_from(K)] += robin[1:].ravel()
-        factor = _cholesky(K)
-        u = np.ones_like(op.mass)
-        u[1:] = cho_solve(factor, -hole.ravel()).reshape(-1, n_theta)
+        u = np.zeros_like(op.mass)
+        u[0] = 1.0
+        u = _conjugate_gradients(op, u, robin, _preconditioner(op, robin))
         return op.energy(u) + float(np.sum(robin * u * u)), u
 
     return _converge(solve)

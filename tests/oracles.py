@@ -336,9 +336,11 @@ def dense_polar_stiffness(op):
 
 def dense_eigenpair(op):
     """(tau_1, u) on a spectral._PolarOperator's grid by dense eigh of the
-    scaled free block: u >= 0 with unit weighted L2 norm, and tau_1 its
-    Rayleigh quotient op.energy(u), as spectral._eigenpair reports them."""
-    K, _ = op.free_block()
+    scaled free block of dense_polar_stiffness: u >= 0 with unit weighted L2
+    norm, and tau_1 its Rayleigh quotient op.energy(u), as
+    spectral._eigenpair reports them."""
+    n_hole = op.mass.shape[1]
+    K = dense_polar_stiffness(op)[n_hole:, n_hole:]
     scale = 1.0 / np.sqrt(op.mass[1:].ravel())
     _, vec = eigh(scale[:, None] * K * scale[None, :], subset_by_index=[0, 0])
     u = np.zeros_like(op.mass)

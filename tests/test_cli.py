@@ -395,13 +395,42 @@ _RFK_BALLS = st.one_of(
        n_deltas=st.one_of(st.integers(2, 16), st.integers(-1, 4)))
 def test_cli_rfk_fuzz_exits_cleanly(tmp_path_factory, balls, grid_res, n_deltas):
     # p = 2 takes the spectral eigensolve; a domain that does not settle
-    # within its unknowns must exit 1 like any other failure
+    # within its unknowns must exit 1 like any other failure.  hersch builds
+    # the same table without the eigensolve
     r, R, offset = balls
     dom = tmp_path_factory.mktemp("fuzz") / "dom.json"
     dom.write_text(json.dumps(dict(DOMAIN_SPEC, inner=dict(BALL_SPEC, params={"r": r}),
                                    outer=dict(BALL_SPEC, params={"r": R}), offset=offset)))
-    _exits_cleanly(["rfk", "--domain", str(dom), "--p=2", f"--grid-res={grid_res}",
-                    f"--n-deltas={n_deltas}"])
+    for command in ("rfk", "hersch"):
+        _exits_cleanly([command, "--domain", str(dom), "--p=2", f"--grid-res={grid_res}",
+                        f"--n-deltas={n_deltas}"])
+
+
+# (a0, relative cos amplitudes, gap to the outer ball): wavy holes of up to
+# six modes, amplitude k^-2 of a0 times the draw so that most stay convex,
+# inside a centred ball from thick shells down to thin ones; half of the
+# draws are in range, as in _RFK_BALLS
+_RFK_FOURIER_HOLES = st.one_of(
+    st.tuples(st.floats(0.05, 2.0), st.lists(st.floats(-0.4, 0.4), min_size=1, max_size=6),
+              st.floats(0.02, 1.5)),
+    st.tuples(_fuzz_number(-1.0, 3.0, (0.05, 2.0)),
+              st.lists(_fuzz_number(-2.0, 2.0, (-0.4, 0.4)), min_size=1, max_size=6),
+              _fuzz_number(-1.0, 2.0, (0.02, 1.5))))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(hole=_RFK_FOURIER_HOLES)
+def test_cli_rfk_fourier_hole_fuzz_exits_cleanly(tmp_path_factory, hole):
+    # the spectral eigensolve on wavy holes and thin shells; non-convex holes
+    # and outer balls that do not contain the hole are usage errors
+    a0, rel, gap = hole
+    cos = [a0 * c / (k * k) for k, c in enumerate(rel, start=1)]
+    R = a0 + sum(abs(c) for c in cos) + gap
+    dom = tmp_path_factory.mktemp("fuzz") / "dom.json"
+    inner = dict(FOURIER_SPEC, params={"a0": a0, "cos": cos})
+    outer = dict(BALL_SPEC, params={"r": R})
+    dom.write_text(json.dumps(dict(DOMAIN_SPEC, inner=inner, outer=outer)))
+    _exits_cleanly(["rfk", "--domain", str(dom), "--p=2", "--grid-res=64", "--n-deltas=16"])
 
 
 @pytest.mark.parametrize("command", ["rfk", "hersch"])

@@ -2,10 +2,10 @@
 solver and the independent P1 finite element route (fem2d, fem_energy_p2)."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
 
 from horokit import spectral
 from horokit.bodies import AnnularDomain2D, Body2D, ParallelCurve, make_ball
@@ -95,42 +95,61 @@ THIN_SHELLS = [(0.5, 0.6, 163.73759720804543), (2.0, 2.1, 164.23502952075307)]
 @pytest.mark.parametrize("resolution", [spectral.START, SECOND])
 @pytest.mark.parametrize("name", list(BLOCK_DOMAINS))
 def test_free_block_matches_dense_oracle(name, resolution):
-    # the free block, written level by level, and its closed-form coupling
-    # to the hole row against the whole 4-D stiffness over every node
+    # the matrix-free apply on a batch of random nodal vectors, and the hole
+    # coupling of the free nodes (the apply on the hole row of ones), against
+    # the whole 4-D stiffness over every node
     op = spectral._PolarOperator(BLOCK_DOMAINS[name], *resolution)
     K = dense_polar_stiffness(op)
-    block, hole = op.free_block()
-    n_free, n_theta = block.shape[0], resolution[0]
-    expect = K[-n_free:, -n_free:]
-    assert np.max(np.abs(block - expect)) <= 1e-13 * np.max(np.abs(expect))
-    expect_hole = K[-n_free:, :n_theta].sum(axis=1).reshape(hole.shape)
-    assert np.max(np.abs(hole - expect_hole)) <= 1e-13 * np.max(np.abs(expect_hole))
+    v = np.random.default_rng(0).standard_normal((3,) + op.mass.shape)
+    expect = (v.reshape(3, -1) @ K.T).reshape(v.shape)
+    assert np.max(np.abs(op.apply(v) - expect)) <= 1e-13 * np.max(np.abs(expect))
+    n_theta = resolution[0]
+    hole = np.zeros_like(op.mass)
+    hole[0] = 1.0
+    expect_hole = K[n_theta:, :n_theta].sum(axis=1)
+    coupling = op.apply(hole)[1:].ravel()
+    assert np.max(np.abs(coupling - expect_hole)) <= 1e-13 * np.max(np.abs(expect_hole))
 
 
-def test_mixed_eigenpair_memory_stays_near_one_block():
-    # the free block is assembled, scaled and handed to LAPACK in place, so
-    # the traced peak is about one dense block at the final resolution
-    dom = EIGEN_DOMAINS["offset_0.2"]
+def _traced_peak(solve):
     tracemalloc.start()
     try:
-        result = spectral.mixed_eigenpair(dom)
+        result = solve()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block_bytes = 8 * (result.n_theta * result.n_s) ** 2
-    assert peak <= 1.5 * block_bytes
+    return result, peak
+
+
+def test_mixed_eigenpair_memory_stays_near_one_block():
+    # no N x N array: the traced peak, about 80 nodal fields of 8 N bytes
+    # (the preconditioner's mode blocks), against N fields for one dense block
+    dom = EIGEN_DOMAINS["offset_0.2"]
+    result, peak = _traced_peak(lambda: spectral.mixed_eigenpair(dom))
+    assert peak <= 160 * 8 * result.n_theta * result.n_s
+
+
+def test_robin_energy_memory_stays_below_a_dense_block():
+    # the same guard for the conjugate gradient solve
+    shell = BLOCK_DOMAINS["robin_cos2_0.1"]
+    result, peak = _traced_peak(lambda: spectral.robin_energy(shell, 1.0))
+    assert peak <= 160 * 8 * result.n_theta * result.n_s
 
 
 @pytest.mark.parametrize("name", list(BLOCK_DOMAINS))
-def test_shifted_inverse_iteration_matches_dense_eigh(name):
-    # the second resolution is the first that takes the shifted Cholesky path
+def test_lobpcg_matches_dense_eigh(name):
+    # from the constant vector at START, and at SECOND from START's
+    # eigenvector interpolated to the finer grid, as mixed_eigenpair runs
     dom = BLOCK_DOMAINS[name]
-    previous, _ = spectral._eigenpair(spectral._PolarOperator(dom, *spectral.START), None)
-    op = spectral._PolarOperator(dom, *SECOND)
-    value, u = spectral._eigenpair(op, previous)
-    expect, expect_u = dense_eigenpair(op)
-    assert abs(value - expect) <= 1e-13 * expect
-    assert np.max(np.abs(u - expect_u)) <= 1e-10 * np.max(np.abs(expect_u))
+    previous = None
+    for resolution in (spectral.START, SECOND):
+        op = spectral._PolarOperator(dom, *resolution)
+        start = np.ones_like(op.mass) if previous is None else spectral._interpolate(previous, op)
+        value, u = spectral._eigenpair(op, start)
+        expect, expect_u = dense_eigenpair(op)
+        assert abs(value - expect) <= 1e-13 * expect
+        assert np.max(np.abs(u - expect_u)) <= 1e-10 * np.max(np.abs(expect_u))
+        previous = u
 
 
 @pytest.mark.parametrize("r, R, expect", THIN_SHELLS)
@@ -143,29 +162,31 @@ def test_offset_thin_shells_match_dense_eigh(r, R, expect):
     assert abs(result.value - expect) <= 1e-13 * expect
 
 
-def test_shift_above_tau1_retries_with_a_wider_margin(monkeypatch):
-    # a negative margin puts the shift above tau_1: Cholesky must fail, and
-    # the rebuilt block, shifted below, must give the same tau_1
-    dom = EIGEN_DOMAINS["offset_0.2"]
-    expect = spectral.mixed_eigenpair(dom)
-    failed = []
-    cholesky = spectral._cholesky
+def test_interpolation_keeps_polynomials_and_modes():
+    # degree <= N_s in s times Fourier modes below N_theta / 2 carry over
+    # exactly, also at the nodes the two grids share, without a warning
+    op = spectral._PolarOperator(EIGEN_DOMAINS["concentric"], *SECOND)
 
-    def counted(K):
-        try:
-            return cholesky(K)
-        except LinAlgError:
-            failed.append(K.shape)
-            raise
+    def field(s, theta):
+        return (1.0 + s - 3.0 * s ** 5 + s ** 16) * (2.0 + np.cos(3 * theta) + np.sin(16 * theta))
 
-    monkeypatch.setattr(spectral, "MARGIN", -1e-3)
-    monkeypatch.setattr(spectral, "_cholesky", counted)
-    result = spectral.mixed_eigenpair(dom)
-    # one failure at each resolution after START
-    n_later = (result.n_theta - spectral.START[0]) // spectral.GROWTH[0]
-    assert len(failed) == n_later >= 1
-    assert (result.n_theta, result.n_s) == (expect.n_theta, expect.n_s)
-    assert abs(result.value - expect.value) <= 1e-13 * expect.value
+    s_old = spectral._lobatto(spectral.START[1])[0]
+    theta_old = 2.0 * np.pi * np.arange(spectral.START[0]) / spectral.START[0]
+    theta = 2.0 * np.pi * np.arange(SECOND[0]) / SECOND[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = spectral._interpolate(field(s_old[:, None], theta_old), op)
+    assert np.max(np.abs(u - field(op.s[:, None], theta))) <= 1e-12
+
+
+def test_iteration_cap_raises(monkeypatch):
+    # one iteration settles neither solve on a non-concentric domain; the
+    # solver must say so instead of returning an unconverged value
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 1)
+    with pytest.raises(NumericError, match="LOBPCG did not reach"):
+        spectral.mixed_eigenpair(EIGEN_DOMAINS["offset_0.2"])
+    with pytest.raises(NumericError, match="conjugate gradients did not reach"):
+        spectral.robin_energy(BLOCK_DOMAINS["robin_cos2_0.1"], 1.0)
 
 
 def test_unresolvable_domain_raises():
