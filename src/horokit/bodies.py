@@ -611,10 +611,11 @@ class AnnularDomain2D:
             raise DomainValidationError("offset must be >= 0")
         ri, ro = self.polar_tables
         a = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+        rho_out = ro(a)
         # negated comparisons, so that a nan radius is refused as well
-        if not np.max(ro(a)) < 1.0:
+        if not np.max(rho_out) < 1.0:
             raise DomainValidationError("outer boundary too far out: chart radius rounds to 1")
-        if not np.min(ro(a) - ri(a)) > 1e-9:
+        if not np.min(rho_out - ri(a)) > 1e-9:
             raise DomainValidationError("inner boundary touches or crosses the outer one")
 
     def outer_chart(self, theta):
@@ -634,7 +635,11 @@ class AnnularDomain2D:
 
 
 def _periodic_radius_interpolant(z):
-    """Chart radius as a periodic cubic spline of the polar angle about 0."""
+    """Chart radius as a periodic cubic spline of the polar angle about 0.
+
+    The returned table(a, nu=0) gives the spline's nu-th derivative at the
+    angles a.
+    """
     ang = np.unwrap(np.angle(z))
     if ang[-1] < ang[0]:
         z = z[::-1]
@@ -647,8 +652,8 @@ def _periodic_radius_interpolant(z):
     rads = np.append(rad, rad[0])
     spline = CubicSpline(angs, rads, bc_type="periodic")
 
-    def table(a):
+    def table(a, nu=0):
         a = np.asarray(a, dtype=float)
-        return spline(a0 + np.mod(a - a0, 2.0 * np.pi))
+        return spline(a0 + np.mod(a - a0, 2.0 * np.pi), nu)
 
     return table

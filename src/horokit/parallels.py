@@ -10,11 +10,13 @@ hole lies on exactly one normal ray, at parameter delta.  The parallel
 
 and all the machinery is one-dimensional: the distances at which the normal
 rays cross the outer boundary (every crossing, so a ray that leaves and
-re-enters a non-convex domain counts twice), the table of L(delta) with its
-even-ray error estimate, the reparametrizations M (from L) and M-tilde
-(from the matched annulus), the tabulated comparison functions
-G <= G-tilde, the transplanted test-function upper bound for the first
-mixed eigenvalue, and the end-to-end verdict
+re-enters a non-convex domain counts twice; each ray is scanned only where
+its distance from the origin lies in the outer boundary's band of radii over
+the polar angles the ray sweeps, and bracketed Newton finishes each
+crossing), the table of L(delta) with its even-ray error estimate, the
+reparametrizations M (from L) and M-tilde (from the matched annulus), the
+tabulated comparison functions G <= G-tilde, the transplanted test-function
+upper bound for the first mixed eigenvalue, and the end-to-end verdict
 
     tau_1(domain) <= transplant bound <= tau_1(matched annulus).
 """
@@ -44,7 +46,9 @@ SCAN_STEPS = 128           # samples per ray that bracket its boundary crossings
 BAND_MARGIN = 0.01         # widens the outer boundary's band of radii
 ROOT_MAX_ITER = 100
 RAY_CHUNK = 1024           # rays scanned at once, bounding the scan's memory
-ROUNDOFF_RTOL = 1e-12      # the error estimates never read below round-off
+# relative round-off: the error estimates never read below it, and a Newton
+# step below it leaves a crossing's next iterate at round-off
+ROUNDOFF_RTOL = 1e-12
 PEAK_RAYS = 65             # rays per round of the delta0 refinement
 PEAK_ROUNDS = 3            # each round narrows to the best ray's neighbours
 # the last row sits this far inside delta0: above the crossings' round-off,
@@ -85,16 +89,47 @@ def _normal_rays(dom, theta):
 
 
 def _radius_band(dom):
-    """Hyperbolic distances (d_lo, d_hi) from the chart origin between which the
-    outer boundary lies, from 4096 polar samples widened by BAND_MARGIN."""
-    rho = dom.polar_tables[1](np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
-    return (max(2.0 * math.atanh(float(np.min(rho))) - BAND_MARGIN, 0.0),
-            2.0 * math.atanh(float(np.max(rho))) + BAND_MARGIN)
+    """Bands of hyperbolic distance from the chart origin in which the outer
+    boundary lies: (d_lo, d_hi) over the whole boundary, and arc_band.
+
+    Both come from 4096 polar samples widened by BAND_MARGIN.  arc_band(w0,
+    w1) gives, for each pair of chart points, the band over the arc of polar
+    angles swept from w0 to w1 (shorter than pi), from the samples in the
+    arc and one more at each end.  The extremes of those samples come from a
+    sparse table over the periodic samples: level j holds the extremes of
+    every run of 2**j samples, and two overlapping runs cover any arc.
+    """
+    n = 4096
+    step = 2.0 * np.pi / n
+    d = 2.0 * np.arctanh(dom.polar_tables[1](step * np.arange(n)))
+    lows, highs = [d], [d]
+    while 2 ** len(lows) <= n:
+        span = 2 ** (len(lows) - 1)
+        lows.append(np.minimum(lows[-1], np.roll(lows[-1], -span)))
+        highs.append(np.maximum(highs[-1], np.roll(highs[-1], -span)))
+    lows, highs = np.array(lows), np.array(highs)
+
+    def widen(lo, hi):
+        return np.maximum(lo - BAND_MARGIN, 0.0), hi + BAND_MARGIN
+
+    def arc_band(w0, w1):
+        sweep = np.angle(w1 * np.conj(w0))
+        start = np.angle(np.where(sweep < 0.0, w1, w0))
+        first = np.floor(start / step)
+        count = np.floor((start + np.abs(sweep)) / step) + 2.0 - first
+        level = np.frexp(count)[1] - 1  # the longest run of 2**level samples in the arc
+        i0 = first.astype(int) % n
+        i1 = (i0 + count.astype(int) - 2 ** level) % n
+        return widen(np.minimum(lows[level, i0], lows[level, i1]),
+                     np.maximum(highs[level, i0], highs[level, i1]))
+
+    lo, hi = widen(np.min(d), np.max(d))
+    return (float(lo), float(hi)), arc_band
 
 
 def _ray_windows(z, nu, r, band):
     """Parameters [t_lo, t_hi] at which each ray's distance d(t) from the chart
-    origin enters and leaves the band.
+    origin enters and leaves the band (d_lo, d_hi), one band or one per ray.
 
     Along the ray from z at radius r with outward normal nu,
     cosh d(t) = A cosh t + B sinh t = K cosh(t + atanh(B / A)), with
@@ -102,15 +137,46 @@ def _ray_windows(z, nu, r, band):
     K = sqrt(A^2 - B^2).  The hole is star-shaped about the origin, so
     cos psi > 0, the phase atanh(B / A) is positive and d grows with t >= 0;
     t_lo is clamped at the foot point, and cosh d(t) >= cosh t gives
-    t_hi <= d_hi.
+    t_hi <= d_hi.  A narrower band gives a window inside the wider one's.
     """
     a = np.cosh(r)
     b = np.sinh(r) * (nu * np.conj(z)).real / np.abs(z)
     k = np.sqrt((a - b) * (a + b))
     phase = np.arctanh(b / a)
     d_lo, d_hi = band
-    t_lo = np.arccosh(np.maximum(math.cosh(d_lo) / k, 1.0)) - phase
-    return np.maximum(t_lo, 0.0), np.arccosh(math.cosh(d_hi) / k) - phase
+    t_lo = np.arccosh(np.maximum(np.cosh(d_lo) / k, 1.0)) - phase
+    return np.maximum(t_lo, 0.0), np.arccosh(np.cosh(d_hi) / k) - phase
+
+
+def _bracketed_newton(g, t, a, b, a_in):
+    """Roots of g in the brackets [a, b], by Newton from t inside each bracket.
+
+    g(k, t) gives the values and derivatives of the functions k at t, and
+    a_in says where the value at a is positive.  Each evaluation shrinks its
+    bracket to the side that keeps the sign change; a Newton step that does
+    not land inside the bracket (a zero or tiny derivative) is replaced by
+    bisection.  A function converges, and leaves the active set, once it
+    evaluates to zero, a bisection step falls to round-off, or a Newton step
+    falls below ROUNDOFF_RTOL relative: Newton converges quadratically, so
+    the point after such a step is at round-off.
+    """
+    root = np.empty_like(t)
+    k = np.arange(len(t))
+    for _ in range(ROOT_MAX_ITER):
+        f, df = g(k, t)
+        on_a = (f > 0.0) == a_in
+        a, b = np.where(on_a, t, a), np.where(on_a, b, t)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            nxt = t - f / df
+        bisect = ~((a < nxt) & (nxt < b))
+        nxt = np.where(bisect, 0.5 * (a + b), nxt)
+        step = np.abs(nxt - t)
+        done = (f == 0.0) | np.where(bisect, step <= 4.0 * np.spacing(t), step <= ROUNDOFF_RTOL * t)
+        root[k[done]] = np.where(f == 0.0, t, nxt)[done]
+        if np.all(done):
+            return root
+        k, t, a, b, a_in = (x[~done] for x in (k, nxt, a, b, a_in))
+    raise NumericError("boundary crossings did not converge")
 
 
 def _ray_crossings(dom, theta, band):
@@ -118,51 +184,56 @@ def _ray_crossings(dom, theta, band):
 
     Along a ray w(t), f(t) = rho_out(arg w) - |w| is positive inside the
     outer boundary.  A crossing lies where the ray's distance from the chart
-    origin is inside band, the outer boundary's range of polar radii, so the
-    scan covers only each ray's window [t_lo, t_hi] of that band (see
-    _ray_windows): f(t_lo) > 0 > f(t_hi).  All rays take the same number of
-    steps, enough that no ray's spacing exceeds (r + d_hi) / SCAN_STEPS,
-    that of a scan of SCAN_STEPS steps over [0, r + d_hi]; on an offset-ball
-    domain that is about 20.  The scan brackets each sign change, and the
-    Illinois variant of false position shrinks every bracket to round-off.
+    origin is inside band, the outer boundary's range of distances from the
+    origin (see _radius_band), so the scan covers only a window of the ray
+    (see _ray_windows), narrowed in two passes.  The window of the whole
+    boundary's band sweeps an arc of polar angles, monotonically, because a
+    geodesic ray meets each radial geodesic at most once (Bridson-Haefliger
+    II.2); every crossing lies in that arc, so within the band of that arc,
+    which gives each ray its own window with f(t_lo) > 0 > f(t_hi).  All
+    rays take the same number of steps, enough that no ray's spacing exceeds
+    (r + d_hi) / SCAN_STEPS, that of a scan of SCAN_STEPS steps over
+    [0, r + d_hi]; on an offset-ball domain that is one or two.  The scan
+    brackets each sign change, and Newton on f, started from the false
+    position of the bracket and kept inside it, finishes every crossing to
+    round-off, with
+    f' = rho_out'(arg w) Im(w'/w) - Re(conj(w) w') / |w| and
+    w' = sech^2(t/2) nu (1 - conj(z) w)^2 / (2 (1 - |z|^2)).
     Past t_hi the ray stays outside the outer boundary, so each ray crosses
     an odd number of times and its last crossing is an exit.  Crossings come
     out ordered by ray, then distance.
     """
     rho_out = dom.polar_tables[1]
+    whole, arc_band = band
     z, nu, r = _normal_rays(dom, np.atleast_1d(theta))
-    t_lo, t_hi = _ray_windows(z, nu, r, band)
-    n_steps = math.ceil(SCAN_STEPS * float(np.max((t_hi - t_lo) / (r + band[1]))))
-
-    def f(ray, t):
-        w = geodesic_step(z[ray], nu[ray], t)
-        return rho_out(np.angle(w)) - np.abs(w)
+    t_lo, t_hi = _ray_windows(z, nu, r, whole)
+    arc = arc_band(geodesic_step(z, nu, t_lo), geodesic_step(z, nu, t_hi))
+    t_lo, t_hi = _ray_windows(z, nu, r, arc)
+    n_steps = math.ceil(SCAN_STEPS * float(np.max((t_hi - t_lo) / (r + whole[1]))))
 
     steps = np.linspace(0.0, 1.0, n_steps + 1)
     brackets = []
     for i0 in range(0, len(z), RAY_CHUNK):
         ray = np.arange(i0, min(i0 + RAY_CHUNK, len(z)))[:, None]
         t = t_lo[ray] + (t_hi - t_lo)[ray] * steps
-        ft = f(ray, t)
+        w = geodesic_step(z[ray], nu[ray], t)
+        ft = rho_out(np.angle(w)) - np.abs(w)
         i, j = np.nonzero((ft[:, :-1] > 0.0) != (ft[:, 1:] > 0.0))
         brackets.append((ray[i, 0], t[i, j], t[i, j + 1], ft[i, j], ft[i, j + 1]))
     ray, a, b, fa, fb = (np.concatenate(x) for x in zip(*brackets))
     if np.any(np.bincount(ray, minlength=len(z)) % 2 == 0):
         raise NumericError("a normal ray does not leave the domain")
-    kept = np.zeros(len(ray))  # +1 after b was kept, -1 after a was kept
-    for _ in range(ROOT_MAX_ITER):
-        m = b - fb * (b - a) / (fb - fa)
-        fm = f(ray, m)
-        if np.all((fm == 0.0) | (b - a <= 4.0 * np.spacing(b))):
-            return ray, m
-        on_a = (fm > 0.0) == (fa > 0.0)
-        # an endpoint kept twice in a row has its value halved (Illinois)
-        fb = np.where(on_a & (kept > 0.0), 0.5 * fb, fb)
-        fa = np.where(~on_a & (kept < 0.0), 0.5 * fa, fa)
-        a, fa = np.where(on_a, m, a), np.where(on_a, fm, fa)
-        b, fb = np.where(on_a, b, m), np.where(on_a, fb, fm)
-        kept = np.where(on_a, 1.0, -1.0)
-    raise NumericError("boundary crossings did not converge")
+    z, nu = z[ray], nu[ray]
+
+    def f(k, t):
+        w = geodesic_step(z[k], nu[k], t)
+        dw = ((1.0 - np.tanh(0.5 * t) ** 2) * nu[k] * (1.0 - np.conj(z[k]) * w) ** 2
+              / (2.0 * (1.0 - np.abs(z[k]) ** 2)))
+        angle, radius = np.angle(w), np.abs(w)
+        return (rho_out(angle) - radius,
+                rho_out(angle, 1) * (dw / w).imag - (np.conj(w) * dw).real / radius)
+
+    return ray, _bracketed_newton(f, b - fb * (b - a) / (fb - fa), a, b, fa > 0.0)
 
 
 def distance_field(dom, grid_res=DEFAULT_GRID_RES):

@@ -50,7 +50,7 @@ from .errors import NumericError
 START = (33, 16)           # (N_theta, N_s) of the first solve; N_theta stays odd
 GROWTH = (16, 2)           # added to (N_theta, N_s) after each unsettled solve
 STEP_RTOL = 1e-11          # consecutive values must agree this closely
-MAX_UNKNOWNS = 2500        # N_theta N_s free nodes; a domain needing more raises NumericError
+MAX_UNKNOWNS = 10000       # N_theta N_s free nodes; a domain needing more raises NumericError
 SOLVE_RTOL = 1e-12         # a solve stops once its preconditioned residual falls this far
 MAX_ITERATIONS = 1000      # iterations of one solve before it gives up
 GRAM_RTOL = 1e-14          # LOBPCG drops basis directions below this Gram eigenvalue

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,9 @@ CONCENTRIC = AnnularDomain2D(inner=make_ball(2, 0.5), outer=make_ball(2, 1.5))
 # Gauss-Bonnet check in annulus_match)
 PETALS = AnnularDomain2D(inner=Body2D(a0=1.0, cos=[0.0, 0.2]),
                          outer=Body2D(a0=1.8, cos=[0.0] * 79 + [0.35], n_theta=8192))
+OFFSET_BALL = AnnularDomain2D(inner=make_ball(2, 0.8), outer=make_ball(2, 1.8), offset=0.2)
+# the oval hole's normal rays are not radial, so each sweeps an arc of angles
+OVAL_HOLE = AnnularDomain2D(inner=Body2D(a0=0.8, cos=[0.0, 0.1]), outer=make_ball(2, 1.8), offset=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +78,7 @@ def test_distance_field_requires_convex_hole():
         distance_field(dom, grid_res=128)
 
 
-@pytest.mark.parametrize("dom", [CONCENTRIC, PETALS], ids=["concentric", "petals"])
+@pytest.mark.parametrize("dom", [CONCENTRIC, PETALS, OVAL_HOLE], ids=["concentric", "petals", "oval_hole"])
 def test_ray_crossings_match_dense_scan_oracle(dom):
     # the windowed scan finds every crossing a scan over the whole ray at
     # four times the step count finds, and nothing else
@@ -85,43 +89,107 @@ def test_ray_crossings_match_dense_scan_oracle(dom):
     assert np.nanmax(np.abs(dense - fld.crossings)) <= 1e-12
 
 
-@pytest.mark.parametrize("dom", [CONCENTRIC, PETALS,
-                                 AnnularDomain2D(inner=make_ball(2, 0.8), outer=make_ball(2, 1.8),
-                                                 offset=0.2)],
-                         ids=["concentric", "petals", "offset_0.2"])
+@pytest.mark.parametrize("dom", [CONCENTRIC, PETALS, OFFSET_BALL, OVAL_HOLE],
+                         ids=["concentric", "petals", "offset_0.2", "oval_hole"])
 def test_scan_windows_bracket_the_outer_boundary(dom):
-    # every ray is inside the domain at t_lo and outside at t_hi, and its
-    # window lies within the full scan range [0, r + reach]
+    # every ray is inside the domain at t_lo and outside at t_hi of the
+    # window from its arc's band, and that window lies within the window of
+    # the whole boundary's band, itself within the full scan range [0, r + reach]
     from horokit.parallels import _normal_rays, _radius_band, _ray_windows
     theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    band = _radius_band(dom)
+    whole, arc_band = _radius_band(dom)
     z, nu, r = _normal_rays(dom, theta)
-    t_lo, t_hi = _ray_windows(z, nu, r, band)
+    t_lo, t_hi = _ray_windows(z, nu, r, whole)
+    arc = arc_band(geodesic_step(z, nu, t_lo), geodesic_step(z, nu, t_hi))
+    s_lo, s_hi = _ray_windows(z, nu, r, arc)
     rho_out = dom.polar_tables[1]
 
     def f(t):
         w = geodesic_step(z, nu, t)
         return rho_out(np.angle(w)) - np.abs(w)
 
-    assert np.all(f(t_lo) > 0.0) and np.all(f(t_hi) < 0.0)
-    assert np.all(t_lo >= 0.0) and np.all(t_hi <= r + band[1])
+    assert np.all(f(s_lo) > 0.0) and np.all(f(s_hi) < 0.0)
+    assert np.all(t_lo <= s_lo) and np.all(s_lo < s_hi) and np.all(s_hi <= t_hi)
+    assert np.all(t_lo >= 0.0) and np.all(t_hi <= r + whole[1])
+    if dom is OVAL_HOLE:  # the oval's rays are not radial: some sweep past several samples
+        sweep = np.angle(geodesic_step(z, nu, t_hi) * np.conj(geodesic_step(z, nu, t_lo)))
+        assert np.max(np.abs(sweep)) > 3 * (2.0 * np.pi / 4096)
+
+
+def test_arc_band_matches_the_samples_of_each_arc():
+    # the sparse-table lookup equals the extremes of the samples from the one
+    # at or before each arc's start to the one after its end, across angle 0
+    from horokit.parallels import BAND_MARGIN, _radius_band
+    _, arc_band = _radius_band(PETALS)
+    step = 2.0 * np.pi / 4096
+    d = 2.0 * np.arctanh(PETALS.polar_tables[1](step * np.arange(4096)))
+    rng = np.random.default_rng(3)
+    start, sweep = rng.uniform(-np.pi, np.pi, 200), rng.uniform(-3.1, 3.1, 200)
+    sweep[:5] = 0.0
+    lo, hi = arc_band(0.5 * np.exp(1j * start), 0.7 * np.exp(1j * (start + sweep)))
+    for k in range(200):
+        a = start[k] + min(sweep[k], 0.0)
+        idx = np.arange(math.floor(a / step), math.floor((a + abs(sweep[k])) / step) + 2) % 4096
+        assert lo[k] == max(np.min(d[idx]) - BAND_MARGIN, 0.0)
+        assert hi[k] == np.max(d[idx]) + BAND_MARGIN
 
 
 def test_scan_takes_few_samples_on_offset_ball(monkeypatch):
-    # the outer ball's radii span 1.6..2.0 about the hole's centre, so the
-    # rays need about a sixth of the full scan's SCAN_STEPS + 1 samples
+    # the outer ball's radii span 1.6..2.0 about the hole's centre, but the
+    # few polar angles each ray sweeps see only a sliver of that band, so one
+    # step of the scan's spacing covers every ray's window
     import horokit.parallels as parallels
-    dom = AnnularDomain2D(inner=make_ball(2, 0.8), outer=make_ball(2, 1.8), offset=0.2)
     scans = []
 
     def counting_step(z, nu, t):
-        if np.ndim(t) == 2:  # the scan; the root finder steps one point per ray
+        if np.ndim(t) == 2:  # the scan; the windows and Newton step one point per ray
             scans.append(np.shape(t)[1])
         return geodesic_step(z, nu, t)
 
     monkeypatch.setattr(parallels, "geodesic_step", counting_step)
-    distance_field(dom, grid_res=512)
-    assert scans and max(scans) <= 25
+    distance_field(OFFSET_BALL, grid_res=512)
+    assert scans and max(scans) == 2
+
+
+@pytest.mark.parametrize("dom, cap", [(OFFSET_BALL, 3), (PETALS, 6)], ids=["offset_0.2", "petals"])
+def test_newton_passes_are_few(monkeypatch, dom, cap):
+    # Newton from the false position of each scan bracket: three passes on
+    # the offset ball; the petals' wide brackets, 30 scan steps across a
+    # wavy boundary, take a few more in the field and three in the delta0 rounds
+    import horokit.parallels as parallels
+    newton = parallels._bracketed_newton
+    passes = []
+
+    def counting_newton(g, *args):
+        passes.append(0)
+
+        def counted(k, t):
+            passes[-1] += 1
+            return g(k, t)
+
+        return newton(counted, *args)
+
+    monkeypatch.setattr(parallels, "_bracketed_newton", counting_newton)
+    distance_field(dom)
+    assert len(passes) == 1 + parallels.PEAK_ROUNDS
+    assert max(passes) <= cap and passes[1:] == [3] * parallels.PEAK_ROUNDS
+
+
+def test_bracketed_newton_survives_a_zero_derivative():
+    # cos t - 1/2 on [-1, 1.5] from t = 0, where the derivative vanishes: the
+    # step bisects instead, and Newton then finishes; (1 - t)^3 from its root
+    # t = 1, where value and derivative vanish together; no RuntimeWarning
+    from horokit.parallels import _bracketed_newton
+
+    def g(k, t):
+        return (np.where(k == 0, np.cos(t) - 0.5, (1.0 - t) ** 3),
+                np.where(k == 0, -np.sin(t), -3.0 * (1.0 - t) ** 2))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = _bracketed_newton(g, np.array([0.0, 1.0]), np.array([-1.0, 0.0]),
+                                 np.array([1.5, 2.5]), np.array([True, True]))
+    assert root[0] == pytest.approx(math.pi / 3.0, abs=1e-15) and root[1] == 1.0
 
 
 def test_parallel_length_concentric():

@@ -189,10 +189,19 @@ def test_iteration_cap_raises(monkeypatch):
         spectral.robin_energy(BLOCK_DOMAINS["robin_cos2_0.1"], 1.0)
 
 
+def test_thin_offset_shell_settles():
+    # a shell 0.05 thick, off centre, needs many rays and levels: it
+    # settles at (129, 28), 3612 unknowns
+    dom = AnnularDomain2D(make_ball(2, 3.0), make_ball(2, 3.05), offset=0.02)
+    res = spectral.mixed_eigenpair(dom)
+    assert res.step <= spectral.STEP_RTOL
+    assert res.n_theta * res.n_s <= spectral.MAX_UNKNOWNS
+
+
 def test_unresolvable_domain_raises():
-    # a 13-fold ripple on the hole needs more than MAX_UNKNOWNS nodes to
+    # a 21-fold ripple on the hole needs more than MAX_UNKNOWNS nodes to
     # settle to STEP_RTOL; the solver must say so instead of returning
-    dom = AnnularDomain2D(inner=Body2D(a0=0.8, cos=[0.0] * 12 + [0.03]),
+    dom = AnnularDomain2D(inner=Body2D(a0=0.8, cos=[0.0] * 20 + [0.03]),
                           outer=make_ball(2, 1.8))
     with pytest.raises(NumericError, match="did not settle"):
         spectral.mixed_eigenpair(dom)
