@@ -47,6 +47,7 @@ CONVEXITY_TOL = 1e-9
 GAUSS_BONNET_RTOL = 1e-8
 BODY_TERMINAL_RTOL = 1e-6
 RESOLUTION_CHECK_RTOL = 1e-6
+POLAR_SAMPLES = 4096  # polar angles at which a domain's boundaries are checked
 
 
 def _as_coeffs(c):
@@ -609,13 +610,11 @@ class AnnularDomain2D:
             raise DomainValidationError("offset and offset_angle must be finite")
         if self.offset < 0.0:
             raise DomainValidationError("offset must be >= 0")
-        ri, ro = self.polar_tables
-        a = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-        rho_out = ro(a)
+        rho_out = self.outer_polar_samples
         # negated comparisons, so that a nan radius is refused as well
         if not np.max(rho_out) < 1.0:
             raise DomainValidationError("outer boundary too far out: chart radius rounds to 1")
-        if not np.min(rho_out - ri(a)) > 1e-9:
+        if not np.min(rho_out - self.polar_tables[0](self.polar_angles)) > 1e-9:
             raise DomainValidationError("inner boundary touches or crosses the outer one")
 
     def outer_chart(self, theta):
@@ -633,12 +632,22 @@ class AnnularDomain2D:
         return (_periodic_radius_interpolant(self.inner.chart_curve(theta)),
                 _periodic_radius_interpolant(self.outer_chart(theta)))
 
+    @property
+    def polar_angles(self):
+        """POLAR_SAMPLES equally spaced polar angles, from 0."""
+        return np.linspace(0.0, 2.0 * np.pi, POLAR_SAMPLES, endpoint=False)
+
+    @cached_property
+    def outer_polar_samples(self):
+        """Chart radius of the outer boundary at polar_angles."""
+        return self.polar_tables[1](self.polar_angles)
+
 
 def _periodic_radius_interpolant(z):
     """Chart radius as a periodic cubic spline of the polar angle about 0.
 
     The returned table(a, nu=0) gives the spline's nu-th derivative at the
-    angles a.
+    angles a, and table.value_and_slope(a) gives orders 0 and 1 together.
     """
     ang = np.unwrap(np.angle(z))
     if ang[-1] < ang[0]:
@@ -652,8 +661,22 @@ def _periodic_radius_interpolant(z):
     rads = np.append(rad, rad[0])
     spline = CubicSpline(angs, rads, bc_type="periodic")
 
-    def table(a, nu=0):
-        a = np.asarray(a, dtype=float)
-        return spline(a0 + np.mod(a - a0, 2.0 * np.pi), nu)
+    def wrap(a):
+        return a0 + np.mod(np.asarray(a, dtype=float) - a0, 2.0 * np.pi)
 
+    def table(a, nu=0):
+        return spline(wrap(a), nu)
+
+    def value_and_slope(a):
+        # the spline's own periodic wrap and power sums, so bit for bit
+        # table(a) and table(a, 1), from one interval search
+        x = spline.x
+        a = x[0] + (wrap(a) - x[0]) % (x[-1] - x[0])
+        i = np.clip(np.searchsorted(x, a, side="right") - 1, 0, len(x) - 2)
+        s = a - x[i]
+        s2 = s * s
+        c3, c2, c1, c0 = spline.c[::-1, i]
+        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s), c2 + c1 * s * 2.0 + c0 * s2 * 3.0
+
+    table.value_and_slope = value_and_slope
     return table

@@ -92,16 +92,17 @@ def _radius_band(dom):
     """Bands of hyperbolic distance from the chart origin in which the outer
     boundary lies: (d_lo, d_hi) over the whole boundary, and arc_band.
 
-    Both come from 4096 polar samples widened by BAND_MARGIN.  arc_band(w0,
-    w1) gives, for each pair of chart points, the band over the arc of polar
-    angles swept from w0 to w1 (shorter than pi), from the samples in the
-    arc and one more at each end.  The extremes of those samples come from a
-    sparse table over the periodic samples: level j holds the extremes of
-    every run of 2**j samples, and two overlapping runs cover any arc.
+    Both come from the domain's outer_polar_samples, widened by BAND_MARGIN.
+    arc_band(w0, w1) gives, for each pair of chart points, the band over the
+    arc of polar angles swept from w0 to w1 (shorter than pi), from the
+    samples in the arc and one more at each end.  The extremes of those
+    samples come from a sparse table over the periodic samples: level j
+    holds the extremes of every run of 2**j samples, and two overlapping
+    runs cover any arc.
     """
-    n = 4096
+    d = 2.0 * np.arctanh(dom.outer_polar_samples)
+    n = len(d)
     step = 2.0 * np.pi / n
-    d = 2.0 * np.arctanh(dom.polar_tables[1](step * np.arange(n)))
     lows, highs = [d], [d]
     while 2 ** len(lows) <= n:
         span = 2 ** (len(lows) - 1)
@@ -196,7 +197,7 @@ def _ray_crossings(dom, theta, band):
     [0, r + d_hi]; on an offset-ball domain that is one or two.  The scan
     brackets each sign change, and Newton on f, started from the false
     position of the bracket and kept inside it, finishes every crossing to
-    round-off, with
+    round-off, with rho_out and rho_out' from one table lookup and
     f' = rho_out'(arg w) Im(w'/w) - Re(conj(w) w') / |w| and
     w' = sech^2(t/2) nu (1 - conj(z) w)^2 / (2 (1 - |z|^2)).
     Past t_hi the ray stays outside the outer boundary, so each ray crosses
@@ -229,9 +230,9 @@ def _ray_crossings(dom, theta, band):
         w = geodesic_step(z[k], nu[k], t)
         dw = ((1.0 - np.tanh(0.5 * t) ** 2) * nu[k] * (1.0 - np.conj(z[k]) * w) ** 2
               / (2.0 * (1.0 - np.abs(z[k]) ** 2)))
-        angle, radius = np.angle(w), np.abs(w)
-        return (rho_out(angle) - radius,
-                rho_out(angle, 1) * (dw / w).imag - (np.conj(w) * dw).real / radius)
+        radius = np.abs(w)
+        rho, slope = rho_out.value_and_slope(np.angle(w))
+        return rho - radius, slope * (dw / w).imag - (np.conj(w) * dw).real / radius
 
     return ray, _bracketed_newton(f, b - fb * (b - a) / (fb - fa), a, b, fa > 0.0)
 
