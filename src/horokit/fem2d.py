@@ -115,9 +115,8 @@ def build_mesh(dom, h_mesh):
     if h_mesh <= 0:
         raise DomainValidationError("h_mesh must be > 0")
     rho_in_fn, rho_out_fn = dom.polar_tables
-    a = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    ri, ro = rho_in_fn(a), rho_out_fn(a)
-    gap = ro - ri
+    a, ro = dom.polar_angles, dom.outer_polar_samples
+    gap = ro - rho_in_fn(a)
     # boundary arc element sqrt(rho'^2 + rho^2) governs the angular density
     dro = np.gradient(ro, a)
     arc = float(np.max(np.sqrt(dro ** 2 + ro ** 2)))

@@ -4,8 +4,10 @@ The core is held at unit value, the shell is the outer parallel body at
 distance delta minus the core (in the plane the bodies.AnnularDomain2D
 whose outer boundary is the core's ParallelCurve), and the outer boundary
 carries a Robin penalty with parameter beta.  For radial weights the minimizer has constant flux and
-the energy reduces to a scalar closed form, which production uses; a 1-D
-convex minimization (radial_energy) is kept as its cross-check.  In the plane
+the energy reduces to a scalar closed form in the flux integral of the
+shell weight, taken on a 384-node Gauss-Legendre rule; production uses it
+for ball cores and for the parallel-coordinate bound, and a 1-D convex
+minimization (radial_energy) is kept as its cross-check.  In the plane
 at p = 2 the spectral Galerkin solver on the polar map (horokit.spectral)
 evaluates the energy on non-circular cores, and a conformal P1 finite
 element solve (fem_energy_p2) is kept as its independent cross-check; for
@@ -35,7 +37,6 @@ from .fem2d import SPLU_OPTIONS, assemble_p2, boundary_mass_outer, build_mesh, d
 from .spectral import robin_energy
 from .errors import DomainValidationError, NumericError
 
-BOUND_GRID = 1024          # parallel distances in the one-sided bound's flux integral
 EQUALITY_RTOL = 1e-4       # energy agreement that flags the ball case
 
 
@@ -61,37 +62,35 @@ class InsulationSpec:
         return self.body.n
 
 
-def _closed_form_energy(q, boundary_weight, p):
+def _constant_flux_energy(weight, p, delta, beta):
     """Energy of the constant-flux minimizer of a 1-D weighted p-energy.
 
-    With Q = int_0^span w^{-1/(p-1)} for the shell weight w and W_b the
-    Robin weight, the flux scale is s = W_b^{1/(p-1)} / (1 + W_b^{1/(p-1)} Q)
-    and the energy is s^{p-1}; one that over- or underflows is a NumericError.
+    weight(s) is the vectorised shell weight L on [0, delta].  With
+    Q = int_0^delta L^{-1/(p-1)} ds by 384-node Gauss-Legendre (exact to
+    round-off, since the shell weights of balls and parallel bodies are
+    analytic in s) and the Robin weight W_b = beta L(delta), the flux scale
+    is s = W_b^{1/(p-1)} / (1 + W_b^{1/(p-1)} Q) and the energy is s^{p-1};
+    one that over- or underflows is a NumericError.
     """
-    wb = boundary_weight ** (1.0 / (p - 1.0))
-    s = wb / (1.0 + wb * q)
-    energy = float(s ** (p - 1.0))
+    x, gw = gauss_legendre_nodes(384)
+    try:  # numpy raises here where it would overflow to inf, as Python floats do
+        with np.errstate(over="raise"):
+            w = weight(np.append(0.5 * delta * (1.0 + x), delta))
+            q = 0.5 * delta * float(np.sum(gw * w[:-1] ** (-1.0 / (p - 1.0))))
+            wb = (beta * w[-1]) ** (1.0 / (p - 1.0))
+            energy = float((wb / (1.0 + wb * q)) ** (p - 1.0))
+    except ArithmeticError as exc:
+        raise NumericError(f"closed-form energy failed: {exc}") from exc
     if not 0.0 < energy < math.inf:
         raise NumericError(f"closed-form energy {energy!r} is outside the floating-point range")
     return energy
 
 
 def radial_energy_closed_form(n, p, r, delta, beta):
-    """Closed-form shell energy for a ball core of radius r.
-
-    The flux integral Q of _closed_form_energy is taken by 384-node
-    Gauss-Legendre (the weight is analytic).
-    """
+    """Closed-form shell energy for a ball core of radius r, whose shell
+    weight omega_{n-1} sinh^{n-1}(r + s) is analytic."""
     om = sphere_measure(n - 1)
-    x, gw = gauss_legendre_nodes(384)
-    t = 0.5 * delta * (1.0 + x)
-    try:  # numpy raises here where it would overflow to inf, as Python floats do
-        with np.errstate(over="raise"):
-            w = om * np.sinh(r + t) ** (n - 1)
-            q = 0.5 * delta * float(np.sum(gw * w ** (-1.0 / (p - 1.0))))
-        return _closed_form_energy(q, beta * om * math.sinh(r + delta) ** (n - 1), p)
-    except ArithmeticError as exc:
-        raise NumericError(f"closed-form energy failed: {exc}") from exc
+    return _constant_flux_energy(lambda s: om * np.sinh(r + s) ** (n - 1), p, delta, beta)
 
 
 def _interval_weights(n, r, R, grid):
@@ -164,14 +163,14 @@ def parallel_bound_energy(body, p, delta, beta):
     Test functions constant on the equidistants of the core reduce the
     energy to the 1-D functional with weight L(s) = P(core_s) (the parallel
     perimeter) and Robin weight beta L(delta); its constant-flux minimum is
-    evaluated in closed form.  The true energy can only be lower.
+    evaluated in closed form from L at the 384 Gauss nodes and at delta.
+    The true energy can only be lower.
     """
     require_convex(body, "core")
     prof = curvature_profile(body)
-    s = np.linspace(0.0, delta, BOUND_GRID)
-    L = np.array([parallel_perimeter_direct(body, sv, profile=prof) for sv in s])
-    q = float(np.trapezoid(L ** (-1.0 / (p - 1.0)), s))
-    return _closed_form_energy(q, beta * L[-1], p)
+    return _constant_flux_energy(
+        lambda s: np.array([parallel_perimeter_direct(body, sv, profile=prof) for sv in s]),
+        p, delta, beta)
 
 
 def fem_energy_p2(body, delta, beta, h_mesh=0.01):

@@ -7,10 +7,12 @@ instead of shooting, circle-circle trigonometry instead of normal flow, a
 dense bisected scan of every normal ray instead of the windowed one, and
 the signed distance on a chart grid with marching-squares level lengths as
 the general-domain cross-check of the normal-flow parallel lengths, the
-whole 4-D spectral stiffness instead of its free block written level by
-level, dense eigh at every spectral resolution instead of shifted inverse
-iteration, and an explicit delta-by-piece mask instead of searchsorted runs
-for the pieces each delta cuts.
+whole 4-D spectral stiffness as a dense matrix against the matrix-free
+apply that LOBPCG and conjugate gradients run on, dense eigh at every
+spectral resolution against LOBPCG, adaptive quadrature of the parallel
+perimeters instead of the Gauss rule behind the constant-flux energy, and
+an explicit delta-by-piece mask instead of searchsorted runs for the pieces
+each delta cuts.
 """
 
 import math
@@ -29,6 +31,17 @@ def quad_ball_volume(n, r):
     val, _ = quad(lambda t: math.sinh(t) ** (n - 1), 0.0, r,
                   epsabs=1e-14, epsrel=1e-13)
     return sphere_measure(n - 1) * val
+
+
+def quad_parallel_bound_energy(body, p, delta, beta):
+    """Constant-flux energy of the parallel-coordinate bound by adaptive
+    quadrature: Q = int_0^delta L^{-1/(p-1)} ds of the direct parallel
+    perimeters L, W = (beta L(delta))^{1/(p-1)}, energy (W / (1 + W Q))^{p-1}."""
+    from horokit.bodies import parallel_perimeter_direct
+    q, _ = quad(lambda s: parallel_perimeter_direct(body, s) ** (-1.0 / (p - 1.0)),
+                0.0, delta, epsabs=0.0, epsrel=2e-14, limit=200)
+    w = (beta * parallel_perimeter_direct(body, delta)) ** (1.0 / (p - 1.0))
+    return (w / (1.0 + w * q)) ** (p - 1.0)
 
 
 def gauss_legendre_reference(n):

@@ -185,6 +185,10 @@ def test_cli_insulation(tmp_path):
     assert code == 0
 
 
+def test_cli_selftest_passes():
+    assert run_command(["selftest"]) == 0
+
+
 def test_cli_exit_code_2_on_failed_verdict(tmp_path, monkeypatch):
     # no honest theorem violation is constructible, so exercise the exit
     # mapping by stubbing the table with a verdict-false report
@@ -325,6 +329,32 @@ def test_cli_insulation_oval_delta_fuzz_exits_cleanly(tmp_path_factory, delta):
     body.write_text(json.dumps(FOURIER_SPEC))
     argv = ["insulation", "--body", str(body), f"--delta={delta!r}", "--beta=1.0"]
     assert run_command(argv) in (0, 1, 2)
+
+
+# non-round cores off the ball and off p = 2 take the one-sided
+# parallel-coordinate bound: Fourier ovals of up to four modes and
+# revolution bodies, amplitudes as in _RFK_FOURIER_HOLES so that most stay
+# (h-)convex; the thickness and the Robin parameter are log-uniform
+_ONE_SIDED_CORES = st.one_of(
+    st.builds(lambda a0, rel: dict(FOURIER_SPEC, params={
+                  "a0": a0, "cos": [a0 * c / (k * k) for k, c in enumerate(rel, start=1)]}),
+              st.floats(0.05, 2.0), st.lists(st.floats(-0.4, 0.4), min_size=1, max_size=4)),
+    st.builds(lambda n, a0, c: {"schema": 1, "kind": "revolution", "n": n,
+                                "params": {"a0": a0, "cos_even": [a0 * c]}},
+              st.integers(3, 5), st.floats(0.05, 2.0), st.floats(-0.2, 0.2)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(spec=_ONE_SIDED_CORES,
+       p=st.one_of(st.floats(1.01, 1.2), st.floats(1.01, 8.0)).filter(lambda p: p != 2.0),
+       delta=st.builds(lambda e: 10.0 ** e, st.floats(-6.0, math.log10(30.0))),
+       beta=st.builds(lambda e: 10.0 ** e, st.floats(-12.0, 12.0)))
+def test_cli_insulation_one_sided_fuzz_exits_cleanly(tmp_path_factory, spec, p, delta, beta):
+    body = tmp_path_factory.mktemp("fuzz") / "core.json"
+    body.write_text(json.dumps(spec))
+    _exits_cleanly(["insulation", "--body", str(body), f"--p={p!r}", f"--delta={delta!r}",
+                    f"--beta={beta!r}"])
 
 
 _FUZZ_DIMENSIONS = st.one_of(st.integers(2, 8), st.integers(-3, 300), st.integers(-10**6, 10**6))

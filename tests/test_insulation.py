@@ -13,7 +13,9 @@ from horokit.insulation import (
     radial_energy,
     radial_energy_closed_form,
 )
-from horokit.errors import DomainValidationError, PreconditionError
+from horokit.errors import DomainValidationError, NumericError, PreconditionError
+
+from oracles import quad_parallel_bound_energy
 
 
 def _richardson(n, p, r, delta, beta):
@@ -122,12 +124,31 @@ def test_parallel_bound_dominates_true_energy():
     # are balls), so it must coincide with the closed form
     bound = parallel_bound_energy(make_ball(2, 1.0), 2.0, 1.0, 1.0)
     exact = radial_energy_closed_form(2, 2.0, 1.0, 1.0, 1.0)
-    assert bound == pytest.approx(exact, rel=1e-6)
+    assert bound == pytest.approx(exact, rel=1e-13)
     # ... and on a planar non-ball it stays above the FEM energy
     hole = Body2D(a0=0.8, cos=[0.0, 0.1])
     bound = parallel_bound_energy(hole, 2.0, 0.8, 1.0)
     e_fem = fem_energy_p2(hole, 0.8, 1.0, h_mesh=0.01)
     assert bound >= e_fem - 1e-6 * e_fem
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
+@pytest.mark.parametrize("core", [RevolutionBody(n=3, a0=0.9, cos_even=[0.04]),
+                                  Body2D(a0=0.8, cos=[0.0, 0.1])], ids=["revolution", "oval"])
+def test_parallel_bound_matches_quad_oracle(core, p):
+    # L is analytic in the parallel distance, so the Gauss rule leaves only
+    # round-off against adaptive quadrature of the same perimeters
+    expect = quad_parallel_bound_energy(core, p, 0.8, 1.0)
+    assert parallel_bound_energy(core, p, 0.8, 1.0) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p,delta,beta", [(1.01, 30.0, 1e12), (2.0, 800.0, 1.0)])
+def test_parallel_bound_overflow_is_numeric_error(p, delta, beta):
+    # the Robin weight's power and cosh(delta) overflow; both are refused as
+    # the closed form on a ball refuses them
+    with pytest.raises(NumericError):
+        parallel_bound_energy(Body2D(a0=0.8, cos=[0.0, 0.1]), p, delta, beta)
 
 
 def test_fem_energy_factor_is_sparser_than_colamd(monkeypatch):

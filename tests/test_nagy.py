@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from horokit.nagy import (
     nagy_table,
     perimeter_matched_ball,
 )
+import horokit.nagy
 from horokit.errors import DomainValidationError, PreconditionError
 
 
@@ -181,3 +186,17 @@ def test_equality_implies_round_profile(convex_suite_2d):
             assert spread <= 1e-5
         else:
             assert spread > 1e-5
+
+
+def test_nagy_import_leaves_solver_modules_unloaded():
+    # the package root re-exports nothing, so a fresh import of the Nagy
+    # tables loads only the geometry layers below them
+    env = dict(os.environ, PYTHONPATH=str(Path(horokit.nagy.__file__).parents[1]))
+    code = ("import sys, horokit.nagy; print(' '.join(sorted(m for m in sys.modules"
+            " if m.startswith('horokit.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert "horokit.nagy" in loaded
+    assert not loaded & {"horokit.fem2d", "horokit.spectral", "horokit.parallels",
+                         "horokit.insulation"}
