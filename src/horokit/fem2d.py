@@ -9,12 +9,13 @@ eigenpair comes from shift-invert Lanczos on that factor.  General p uses
 the nonlinear inverse power iteration on the discrete Rayleigh quotient,
 started once from the p = 2 eigenvector, each step a convex p-energy
 minimized by damped Newton on sparse LUs of its Hessian, which has the
-stiffness matrix's sparsity pattern.  The power iteration converges
-linearly; once the eigen-residual of an iterate is below BORDERED_SWITCH it
-is finished by Newton steps on the eigen-system (g_num(u) - tau g_den(u),
-den(u) - 1), one sparse LU of the stiffness pattern bordered by g_den per
-step, each kept only if it keeps the iterate positive, lowers the residual
-and does not raise the quotient.
+stiffness matrix's sparsity pattern.  Every outer step first tries a
+Newton step on the eigen-system (g_num(u) - tau g_den(u), den(u) - 1), full
+and then halved, from one sparse LU of the stiffness pattern bordered by
+g_den; a trial is kept only if it keeps the iterate positive, lowers the
+eigen-residual and does not raise the quotient, and otherwise the step is a
+power step, which converges only linearly.  Every bordered system of one
+solve is factored on the fill-reducing order of the first one.
 
 Meshes are structured polar triangulations between the two boundary curves
 of a domain, read only through its polar tables (rho_in, rho_out), the chart
@@ -41,7 +42,6 @@ MONOTONE_RTOL = 1e-13      # roundoff allowed in the quotient's decrease
 HESSIAN_EPS = 1e-12
 NEWTON_MAX_ITER = 80       # Newton steps of one convex minimization
 POWER_MAX_ITER = 300       # outer inverse power steps from the p = 2 start
-BORDERED_SWITCH = 1e-2     # eigen-residual below which bordered Newton steps are tried
 # P1 systems are SPD: minimum degree on A + A^T keeps the factor about half
 # as full as the default COLAMD column ordering, which ignores the symmetry
 SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A"}
@@ -208,12 +208,13 @@ def boundary_mass_outer(mesh):
     return coo_matrix((vals, (ii, jj)), shape=(nv, nv)).tocsr()
 
 
-def _factor(a):
-    """Sparse LU of a under SPLU_OPTIONS; an exactly singular factor raises
-    NumericError.  splu is looked up in this module at each call, so a
-    wrapper set on fem2d.splu sees every factorization."""
+def _factor(a, permc_spec=SPLU_OPTIONS["permc_spec"]):
+    """Sparse LU of a under the column ordering permc_spec (SPLU_OPTIONS' by
+    default); an exactly singular factor raises NumericError.  splu is looked
+    up in this module at each call, so a wrapper set on fem2d.splu sees every
+    factorization."""
     try:
-        return splu(a, **SPLU_OPTIONS)
+        return splu(a, permc_spec=permc_spec)
     except RuntimeError as exc:
         raise NumericError(f"sparse LU failed: {exc}") from exc
 
@@ -291,6 +292,7 @@ class _RayleighP:
         self.slot = np.full(rows.shape, len(keys))
         self.slot[both] = slot
         self.pattern = (keys % nf, np.searchsorted(keys // nf, np.arange(nf + 1)))
+        self.border_order = None  # elimination order of the bordered systems
 
     def full(self, x):
         u = np.zeros(self.nv)
@@ -387,17 +389,17 @@ def eigen_p_general(mesh, p):
     Rayleigh quotient, at most POWER_MAX_ITER outer steps from |u| of the
     p = 2 eigenvector u.  That start is positive, so the iterates stay
     nonnegative and aim at the first eigenfunction, in the continuous
-    problem the only one of one sign.  Once the eigen-residual ||g_num - tau g_den|| / ||g_den|| of an
-    iterate is below BORDERED_SWITCH, Newton steps on the bordered system
-    (g_num(u) - tau g_den(u), den(u) - 1) (Yao & Zhou 2007) finish the
-    iteration quadratically; a bordered step is taken only if it keeps the
-    iterate positive, lowers the residual and does not raise the quotient,
-    otherwise a power step is.  A run whose inner minimization stalls, or
-    that hits the step limit, is not settled and raises NumericError, as
-    does one whose arithmetic leaves the double range (p near 1, or p so
-    large that |u|^p underflows).  Not
-    certified globally optimal: the quotient of an admissible function, an
-    upper bound whose quality the radial cross-checks establish.
+    problem the only one of one sign.  Every outer step first tries a Newton
+    step on the bordered system (g_num(u) - tau g_den(u), den(u) - 1) (Yao &
+    Zhou 2007), full and then halved, which converges quadratically near the
+    eigenpair; a trial is taken only if it keeps the iterate positive, lowers
+    the eigen-residual ||g_num - tau g_den|| / ||g_den|| and does not raise
+    the quotient, otherwise a power step is.  A run whose inner minimization
+    stalls, or that hits the step limit, is not settled and raises
+    NumericError, as does one whose arithmetic leaves the double range (p
+    near 1, or p so large that |u|^p underflows).  Not certified globally
+    optimal: the quotient of an admissible function, an upper bound whose
+    quality the radial cross-checks establish.
     """
     if not 1.0 < p < math.inf:
         raise DomainValidationError(f"exponent p must be finite and exceed 1, got {p}")
@@ -435,19 +437,14 @@ def _inverse_power(rq, u):
     """Outer steps from u until the quotient settles; returns (quotient,
     u with den(u) = 1, outer steps, Newton solves, settled, eigen-residual).
 
-    Below BORDERED_SWITCH each step tries _bordered_step first and keeps it
-    only if it lowers the residual and does not raise the quotient beyond
-    MONOTONE_RTOL; otherwise it takes a power step.  A power step whose inner
-    minimization stalls ends the run unsettled."""
+    Each step takes _bordered_step's iterate if it accepts one, and a power
+    step otherwise.  A power step whose inner minimization stalls ends the
+    run unsettled."""
     u, value, res = _normalized(rq, u)
     newton = 0
     for outer in range(1, POWER_MAX_ITER + 1):
-        step = None
-        if res < BORDERED_SWITCH:
-            step = _bordered_step(rq, u, value)
-            newton += 1
-            if step is not None and not (step[1] <= value * (1.0 + MONOTONE_RTOL) and step[2] < res):
-                step = None
+        step = _bordered_step(rq, u, value)
+        newton += 1
         if step is None:
             *step, solves, stalled = _power_step(rq, u, value)
             newton += solves
@@ -467,12 +464,35 @@ def _bordered_step(rq, u, value):
     (g_num(u) - tau g_den(u), den(u) - 1) in (u, tau), solved with the
     bordered Jacobian [H_num - tau H_den, -g_den; g_den^T, 0] (its leading
     block is singular at an eigenpair: u spans its kernel).  Returns
-    _normalized(v), or None unless v is positive (hence den(v) > 0)."""
+    _normalized(v) for the first v = u + t du, t = 1 then 1/2, that is
+    positive (hence den(v) > 0), whose quotient does not rise beyond
+    MONOTONE_RTOL and whose eigen-residual is below u's; None if neither is.
+    More halvings would accept tiny steps that raise the residual at p = 1.2.
+
+    The first bordered system of rq is factored under SPLU_OPTIONS, whose
+    minimum degree puts the dense border last; every later one reuses that
+    column order, since ordering a matrix with a dense row costs more than
+    factoring it."""
     (_, g_num), (_, g_den) = rq.numerator(u), rq.denominator(u)
+    res = float(np.linalg.norm(g_num - value * g_den) / np.linalg.norm(g_den))
     jac = rq.p * rq.hessian(u) - value * rq.denominator_hessian(u)
     border = bmat([[jac, -g_den[:, None]], [g_den[None, :], None]], format="csc")
-    v = u + _factor(border).solve(np.append(value * g_den - g_num, 0.0))[:-1]
-    return _normalized(rq, v) if np.all(v > 0.0) else None
+    rhs = np.append(value * g_den - g_num, 0.0)
+    order = rq.border_order
+    if order is None:
+        lu = _factor(border)
+        rq.border_order = np.argsort(lu.perm_c)
+        du = lu.solve(rhs)
+    else:
+        du = np.empty_like(rhs)
+        du[order] = _factor(border[order][:, order], "NATURAL").solve(rhs[order])
+    for t in (1.0, 0.5):
+        v = u + t * du[:-1]
+        if np.all(v > 0.0):
+            step = _normalized(rq, v)
+            if step[1] <= value * (1.0 + MONOTONE_RTOL) and step[2] < res:
+                return step
+    return None
 
 
 def _power_step(rq, u, value):

@@ -68,17 +68,22 @@ def _constant_flux_energy(weight, p, delta, beta):
     weight(s) is the vectorised shell weight L on [0, delta].  With
     Q = int_0^delta L^{-1/(p-1)} ds by 384-node Gauss-Legendre (exact to
     round-off, since the shell weights of balls and parallel bodies are
-    analytic in s) and the Robin weight W_b = beta L(delta), the flux scale
-    is s = W_b^{1/(p-1)} / (1 + W_b^{1/(p-1)} Q) and the energy is s^{p-1};
-    one that over- or underflows is a NumericError.
+    analytic in s) and the Robin weight W_b = beta L(delta), the energy is
+    (W_b^{-1/(p-1)} + Q)^{-(p-1)}.  The weights are divided by the smallest
+    of them, c, before the powers, and c multiplies the result: near p = 1
+    the powers of the weights themselves leave the double range where the
+    energy does not.  A Robin weight or an energy outside the double range
+    is a NumericError.
     """
     x, gw = gauss_legendre_nodes(384)
     try:  # numpy raises here where it would overflow to inf, as Python floats do
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", divide="raise"):
             w = weight(np.append(0.5 * delta * (1.0 + x), delta))
-            q = 0.5 * delta * float(np.sum(gw * w[:-1] ** (-1.0 / (p - 1.0))))
-            wb = (beta * w[-1]) ** (1.0 / (p - 1.0))
-            energy = float((wb / (1.0 + wb * q)) ** (p - 1.0))
+            w[-1] *= beta
+            c = float(w.min())
+            w = (w / c) ** (-1.0 / (p - 1.0))
+            q = 0.5 * delta * float(np.sum(gw * w[:-1]))
+            energy = c * float((w[-1] + q) ** (1.0 - p))
     except ArithmeticError as exc:
         raise NumericError(f"closed-form energy failed: {exc}") from exc
     if not 0.0 < energy < math.inf:

@@ -97,17 +97,22 @@ def test_hyperbolic_area_from_mass_matrix():
     assert area == pytest.approx(exact, rel=1e-4)
 
 
-def test_eigen_p2_factor_is_sparser_than_colamd(monkeypatch):
+def _spy_splu(monkeypatch):
     factored = []
 
     def spy(A, **options):
         lu = scipy.sparse.linalg.splu(A, **options)
-        factored.append((A, lu))
+        factored.append((A, options, lu))
         return lu
 
     monkeypatch.setattr(fem2d, "splu", spy)
+    return factored
+
+
+def test_eigen_p2_factor_is_sparser_than_colamd(monkeypatch):
+    factored = _spy_splu(monkeypatch)
     eigen_p2(build_mesh(ANNULUS, 0.05))
-    (A, lu), = factored
+    (A, _, lu), = factored
     assert lu.nnz < scipy.sparse.linalg.splu(A).nnz
 
 
@@ -171,7 +176,7 @@ def test_eigen_p_general_bordered_steps_keep_p12():
     assert res.residuals["eig_residual"] <= POWER_RESIDUAL_P12_H004
 
 
-@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("p", [1.5, 3.0, 5.0])
 def test_eigen_p_general_quotient_never_rises(monkeypatch, p):
     # per start: (step kind, quotient in, quotient out) of every step tried,
     # then the quotient the start ends on; every accepted outer step, power
@@ -202,7 +207,11 @@ def test_eigen_p_general_quotient_never_rises(monkeypatch, p):
         assert all(new <= old * (1.0 + 1e-13) for old, new in zip(quotients, quotients[1:]))
         for (kind, _, q_out), (_, q_next, _) in zip(rows, rows[1:]):
             accepted[kind] += q_out == q_next
-    assert accepted["power"] >= 1 and accepted["bordered"] >= 2
+    # from the p = 2 start, p = 1.5 and 3 settle on bordered steps alone; at
+    # p = 5 both first trials are refused and a power step runs
+    assert accepted["bordered"] >= 2
+    if p == 5.0:
+        assert accepted["power"] >= 1
 
 
 def test_eigen_p_general_rejects_a_rising_quotient(monkeypatch):
@@ -214,7 +223,36 @@ def test_eigen_p_general_rejects_a_rising_quotient(monkeypatch):
 
     monkeypatch.setattr(fem2d, "_power_step", rising)
     with pytest.raises(NumericError, match="rose"):
-        eigen_p_general(build_mesh(ANNULUS, 0.05), 1.5)
+        eigen_p_general(build_mesh(ANNULUS, 0.05), 5.0)
+
+
+@pytest.mark.parametrize("p,most", [(1.5, 9), (3.0, 8)])
+def test_eigen_p_general_factorization_count(monkeypatch, p, most):
+    # power steps alone, then the bordered finish below an eigen-residual of
+    # 1e-2, took 31 (p = 1.5) and 17 (p = 3) factorizations here
+    factored = _spy_splu(monkeypatch)
+    eigen_p_general(build_mesh(ANNULUS, 0.04), p)
+    assert len(factored) <= most
+
+
+def test_bordered_factors_reuse_one_order(monkeypatch):
+    # every bordered system after the first is factored on the first one's
+    # minimum-degree column order; the factor must be no fuller than a fresh
+    # minimum-degree factor of the same system, and solve it alike
+    factored = _spy_splu(monkeypatch)
+    mesh = build_mesh(ANNULUS, 0.04)
+    eigen_p_general(mesh, 1.5)
+    n = len(np.setdiff1d(np.arange(mesh.vertices.shape[0]), mesh.inner_nodes)) + 1
+    bordered = [(A, options, lu) for A, options, lu in factored if A.shape == (n, n)]
+    assert [options["permc_spec"] for _, options, _ in bordered] == (
+        ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(bordered) - 1))
+    assert len(bordered) >= 3
+    rhs = np.random.default_rng(0).standard_normal(n)
+    for A, _, lu in bordered[1:]:
+        fresh = scipy.sparse.linalg.splu(A, **fem2d.SPLU_OPTIONS)
+        assert lu.nnz <= fresh.nnz
+        x = fresh.solve(rhs)
+        assert np.linalg.norm(lu.solve(rhs) - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_constant_start_stall_is_not_settled():

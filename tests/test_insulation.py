@@ -4,7 +4,8 @@ import pytest
 import scipy.sparse.linalg
 
 from horokit import insulation
-from horokit.bodies import Body2D, RevolutionBody, make_ball
+from horokit.bodies import Body2D, RevolutionBody, make_ball, parallel_perimeter_direct
+from horokit.core import gauss_legendre_nodes, sphere_measure
 from horokit.insulation import (
     InsulationSpec,
     fem_energy_p2,
@@ -142,11 +143,44 @@ def test_parallel_bound_matches_quad_oracle(core, p):
     assert parallel_bound_energy(core, p, 0.8, 1.0) == pytest.approx(expect, rel=1e-12)
 
 
+def _log_constant_flux_energy(weight, p, delta, beta):
+    """(W_b^{-1/(p-1)} + Q)^{-(p-1)} on the closed form's 384 Gauss nodes,
+    every term summed as a logarithm from math.log of the weight."""
+    x, gw = gauss_legendre_nodes(384)
+    k = -1.0 / (p - 1.0)
+    logs = [math.log(0.5 * delta * g) + k * math.log(weight(0.5 * delta * (1.0 + xi)))
+            for xi, g in zip(x, gw)]
+    logs.append(k * (math.log(beta) + math.log(weight(delta))))
+    top = max(logs)
+    return math.exp((1.0 - p) * (top + math.log(math.fsum(math.exp(t - top) for t in logs))))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("p,delta,beta", [(1.01, 30.0, 1e12), (2.0, 800.0, 1.0)])
+@pytest.mark.parametrize("spec", [
+    InsulationSpec(p=1.01, body=RevolutionBody(n=3, a0=0.9, cos_even=[0.04]), delta=5.0, beta=1.0),
+    InsulationSpec(p=1.01, body=Body2D(a0=0.8, cos=[0.0, 0.1]), delta=30.0, beta=1e12),
+    InsulationSpec(p=1.0000001, body=make_ball(2, 1.0), delta=1.0, beta=1.0),
+], ids=["revolution", "oval", "ball"])
+def test_closed_form_near_p1_stays_in_range(spec):
+    # W_b^{1/(p-1)} leaves the double range here (the revolution core's
+    # matched ball, r* = 0.888, at about 13.55; the ball near its p -> 1
+    # limit min(L(0), beta L(delta)) = 2 pi sinh 1) although no energy does
+    report = insulation_verdict(spec)
+    om = sphere_measure(spec.n - 1)
+    ball = _log_constant_flux_energy(lambda s: om * math.sinh(report.r_star + s) ** (spec.n - 1),
+                                     spec.p, spec.delta, spec.beta)
+    body = _log_constant_flux_energy(lambda s: parallel_perimeter_direct(spec.body, s),
+                                     spec.p, spec.delta, spec.beta)
+    assert math.isfinite(report.energy_ball) and math.isfinite(report.energy_body)
+    assert report.energy_ball == pytest.approx(ball, rel=1e-12)
+    assert report.energy_body == pytest.approx(body, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p,delta,beta", [(1.01, 30.0, 1e300), (2.0, 800.0, 1.0)])
 def test_parallel_bound_overflow_is_numeric_error(p, delta, beta):
-    # the Robin weight's power and cosh(delta) overflow; both are refused as
-    # the closed form on a ball refuses them
+    # the Robin weight beta L(delta) and cosh(delta) overflow; both are
+    # refused as the closed form on a ball refuses them
     with pytest.raises(NumericError):
         parallel_bound_energy(Body2D(a0=0.8, cos=[0.0, 0.1]), p, delta, beta)
 
