@@ -120,7 +120,7 @@ def cmd_quermass(args):
 
 def cmd_nagy(args):
     manifest = hio.RunManifest("nagy", {"body": args.body, "match": args.match,
-                                        "force": args.force},
+                                        "deltas": args.deltas, "force": args.force},
                                tolerances={"tol_num_rel": TOL_NUM_REL})
     body, _ = hio.load_body(args.body)
     grid = _parse_deltas(args.deltas) if args.deltas else None
@@ -139,7 +139,8 @@ def cmd_nagy(args):
 def cmd_af_check(args):
     if (args.i is None) != (args.j is None):
         raise _UsageError("--i and --j must be given together")
-    manifest = hio.RunManifest("af-check", {"body": args.body, "i": args.i, "j": args.j})
+    manifest = hio.RunManifest("af-check", {"body": args.body, "i": args.i, "j": args.j,
+                                            "force": args.force})
     body, _ = hio.load_body(args.body)
     n = body.n
     pairs = [(args.i, args.j)] if args.i is not None else \

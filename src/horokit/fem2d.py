@@ -32,6 +32,7 @@ import numpy as np
 from scipy.sparse import bmat, coo_matrix, csc_matrix
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
+from .core import check_exponent
 from .shell import EigResult
 from .errors import DomainValidationError, NumericError
 
@@ -49,7 +50,7 @@ SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A"}
 
 @dataclass(frozen=True)
 class Mesh:
-    """Conforming triangulation with tagged inner/outer boundary loops."""
+    """Conforming triangulation with its inner (Dirichlet) and outer (Neumann) loops."""
 
     vertices: np.ndarray
     triangles: np.ndarray
@@ -58,15 +59,6 @@ class Mesh:
     h_mesh: float
     n_theta: int
     n_layers: int
-
-    @property
-    def boundary_edges(self):
-        """(a, b, tag) rows; tag 'D' on the inner loop, 'N' on the outer."""
-        rows = []
-        for loop, tag in ((self.inner_nodes, "D"), (self.outer_nodes, "N")):
-            nxt = np.roll(loop, -1)
-            rows.extend((int(a), int(b), tag) for a, b in zip(loop, nxt))
-        return rows
 
     def edge_lengths(self):
         v = self.vertices
@@ -401,8 +393,7 @@ def eigen_p_general(mesh, p):
     optimal: the quotient of an admissible function, an upper bound whose
     quality the radial cross-checks establish.
     """
-    if not 1.0 < p < math.inf:
-        raise DomainValidationError(f"exponent p must be finite and exceed 1, got {p}")
+    check_exponent(p)
     rq = _RayleighP(mesh, p)
     start = np.abs(eigen_p2(mesh).u[rq.free])
     # Python floats raise where the quotient leaves the double range, and so

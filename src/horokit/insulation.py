@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
-from .core import gauss_legendre_nodes, sphere_measure
+from .core import check_exponent, gauss_legendre_nodes, sphere_measure
 from .bodies import (
     AnnularDomain2D,
     Body2D,
@@ -50,8 +50,7 @@ class InsulationSpec:
     beta: float
 
     def __post_init__(self):
-        if not 1.0 < self.p < math.inf:
-            raise DomainValidationError(f"exponent p must be finite and exceed 1, got {self.p}")
+        check_exponent(self.p)
         if not 0.0 < self.delta < math.inf:
             raise DomainValidationError(f"shell thickness must be finite and > 0, got {self.delta}")
         if not 0.0 < self.beta < math.inf:

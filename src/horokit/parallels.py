@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .core import ball_perimeter, geodesic_step
+from .core import ball_perimeter, check_exponent, geodesic_step
 from .bodies import AnnularDomain2D, boundary_measures, curvature_2d, require_convex
 from .fem2d import (
     build_mesh,
@@ -347,14 +347,6 @@ def _lengths(fld, deltas, stride=1):
     return np.cosh(deltas) * A + np.sinh(deltas) * B
 
 
-def parallel_length(dom, delta, grid_res=DEFAULT_GRID_RES):
-    """Hyperbolic length of {d = delta} clipped to the domain, by normal flow."""
-    fld = distance_field(dom, grid_res=grid_res)
-    if delta < 0.0 or delta > fld.delta0 + 1e-12:
-        raise DomainValidationError(f"delta={delta} outside [0, delta0={fld.delta0}]")
-    return float(_lengths(fld, [delta])[0])
-
-
 @dataclass(frozen=True)
 class ParallelTable:
     """Sampled parallel lengths and their annulus counterparts.
@@ -376,10 +368,6 @@ class ParallelTable:
     grid_res: int
     L_err: float
     delta0_err: float
-
-    def comparison_tolerance(self):
-        """Discretization slack for tablewise comparisons of L against Ltilde."""
-        return self.L_err
 
 
 def annulus_match(dom):
@@ -428,7 +416,6 @@ class InteriorCoords:
     Mtilde: np.ndarray
     M_star: float
     Mtilde_star: float
-    p: float
 
 
 def interior_coords(table, p):
@@ -437,8 +424,7 @@ def interior_coords(table, p):
     Both cumulative integrals are trapezoidal on the stored grids.  L must
     stay positive in the interior (disconnected parallels are unsupported).
     """
-    if not p > 1.0:
-        raise DomainValidationError("exponent p must exceed 1")
+    check_exponent(p)
     pc = p / (p - 1.0)
     L = table.L
     interior = L[:-1]
@@ -462,7 +448,7 @@ def interior_coords(table, p):
     Mt = np.concatenate([[0.0], np.cumsum(0.5 * (integrand_t[1:] + integrand_t[:-1])
                                           * np.diff(dt))])
     return InteriorCoords(deltas=table.deltas, M=M, deltas_tilde=dt, Mtilde=Mt,
-                          M_star=float(M[-1]), Mtilde_star=float(Mt[-1]), p=p)
+                          M_star=float(M[-1]), Mtilde_star=float(Mt[-1]))
 
 
 def comparison_functions(table, coords):

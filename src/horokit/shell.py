@@ -31,7 +31,7 @@ from scipy.integrate import RK45
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .core import check_dimension
+from .core import check_dimension, check_exponent
 from .errors import DomainValidationError, NumericError, SearchError
 
 DENSE_POINTS = 512
@@ -57,8 +57,7 @@ class ShellSpec:
 
     def __post_init__(self):
         check_dimension(self.n)
-        if not 1.0 < self.p < np.inf:
-            raise DomainValidationError(f"exponent p must be finite and exceed 1, got {self.p}")
+        check_exponent(self.p)
         if not 0.0 < self.r < self.R < np.inf:
             raise DomainValidationError(f"need finite 0 < r < R, got r={self.r}, R={self.R}")
 
@@ -302,16 +301,6 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
             "bracket": (float(lo), float(hi)), "tol": tol,
             "integrations": len(fluxes) + 2}
     return EigResult(tau1=float(tau1), t=t, v=v, dv=dv, residuals=residuals, meta=meta)
-
-
-def radial_profile_eval(res, t):
-    """Monotone-cubic interpolation of the stored profile; exact at nodes."""
-    t_arr = np.asarray(t, dtype=float)
-    lo, hi = res.t[0], res.t[-1]
-    if np.any(t_arr < lo - 1e-12) or np.any(t_arr > hi + 1e-12):
-        raise DomainValidationError(f"evaluation point outside [{lo}, {hi}]")
-    interp = PchipInterpolator(res.t, res.v)
-    return interp(np.clip(t_arr, lo, hi))
 
 
 def rayleigh_quotient_radial(spec, res):

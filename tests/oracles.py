@@ -26,22 +26,27 @@ from scipy.sparse.linalg import eigsh
 
 
 def quad_ball_volume(n, r):
-    """omega_{n-1} * integral of sinh^{n-1} by adaptive quadrature."""
+    """omega_{n-1} * integral of sinh^{n-1} by adaptive quadrature; relative
+    accuracy only, since volumes in high dimensions reach 1e-24 and below."""
     from horokit.core import sphere_measure
     val, _ = quad(lambda t: math.sinh(t) ** (n - 1), 0.0, r,
-                  epsabs=1e-14, epsrel=1e-13)
+                  epsabs=0.0, epsrel=1e-13)
     return sphere_measure(n - 1) * val
 
 
 def quad_parallel_bound_energy(body, p, delta, beta):
     """Constant-flux energy of the parallel-coordinate bound by adaptive
-    quadrature: Q = int_0^delta L^{-1/(p-1)} ds of the direct parallel
-    perimeters L, W = (beta L(delta))^{1/(p-1)}, energy (W / (1 + W Q))^{p-1}."""
+    quadrature of the direct parallel perimeters L.  With the weights scaled
+    by c = min(L(0), beta L(delta)), so that their powers stay in the double
+    range near p = 1, Q = int_0^delta (L / c)^{-1/(p-1)} ds and the energy
+    is c ((beta L(delta) / c)^{-1/(p-1)} + Q)^{1-p}."""
     from horokit.bodies import parallel_perimeter_direct
-    q, _ = quad(lambda s: parallel_perimeter_direct(body, s) ** (-1.0 / (p - 1.0)),
+    k = -1.0 / (p - 1.0)
+    robin = beta * parallel_perimeter_direct(body, delta)
+    c = min(parallel_perimeter_direct(body, 0.0), robin)
+    q, _ = quad(lambda s: (parallel_perimeter_direct(body, s) / c) ** k,
                 0.0, delta, epsabs=0.0, epsrel=2e-14, limit=200)
-    w = (beta * parallel_perimeter_direct(body, delta)) ** (1.0 / (p - 1.0))
-    return (w / (1.0 + w * q)) ** (p - 1.0)
+    return c * ((robin / c) ** k + q) ** (1.0 - p)
 
 
 def gauss_legendre_reference(n):

@@ -184,7 +184,7 @@ def test_criterion_08_parallel_coordinate_lemmas(rfk_tables):
         ok &= gap <= table.delta0 + table.delta0_err
         coords = interior_coords(table, 2.0)
         beta, G, Gt = comparison_functions(table, coords)
-        tol = table.comparison_tolerance()
+        tol = table.L_err
         ok &= bool(np.all(G <= Gt + tol))
         if name != "concentric":
             tail = beta >= 0.75 * beta[-1]

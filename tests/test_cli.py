@@ -136,6 +136,19 @@ def test_cli_nagy_ball_equality(tmp_path):
     assert "wall_time_s" in manifest
 
 
+def test_cli_manifests_record_every_report_option(tmp_path):
+    # a forced af-check and a nagy table on its own delta grid read like
+    # default runs unless their manifests say otherwise
+    body = write(tmp_path, "ball.json", BALL_SPEC)
+    out = tmp_path / "out"
+    assert run_command(["nagy", "--body", body, "--deltas", "0:1:3", "--out", str(out)]) == 0
+    params = json.loads((out / "nagy.json").read_text())["manifest"]["parameters"]
+    assert params["deltas"] == "0:1:3" and params["force"] is False
+    assert run_command(["af-check", "--body", body, "--force", "--out", str(out)]) == 0
+    params = json.loads((out / "af_check.json").read_text())["manifest"]["parameters"]
+    assert params["force"] is True
+
+
 def test_cli_determinism(tmp_path):
     body = write(tmp_path, "f.json", FOURIER_SPEC)
     outs = []

@@ -45,9 +45,23 @@ def test_check_dimension_bounds():
             check_dimension(n)
 
 
-@pytest.mark.parametrize("n,r", [(2, 1.0), (2, 0.3), (3, 1.0), (4, 0.7), (5, 2.0)])
+# from n = 31 on, the alternating binomial sum of sinh_power_integral used to
+# cancel: 0.10 off at (31, 0.26), negative volumes at (41, 0.3) and (255, 1.0)
+@pytest.mark.parametrize("n,r", [(2, 1.0), (2, 0.3), (3, 1.0), (4, 0.7), (5, 2.0),
+                                 (31, 0.26), (33, 0.3), (41, 0.3), (61, 0.5), (101, 1.0),
+                                 (255, 1.0)])
 def test_ball_volume_matches_quadrature(n, r):
-    assert ball_volume(n, r) == pytest.approx(quad_ball_volume(n, r), rel=1e-12)
+    # volumes in high dimensions lie far below approx's default absolute tolerance
+    assert ball_volume(n, r) == pytest.approx(quad_ball_volume(n, r), rel=1e-12, abs=0.0)
+
+
+def test_ball_volume_n3_matches_positive_series():
+    # pi (sinh 2r - 2r) lost up to 7.5e-12 to cancellation, at r = 0.00508
+    for r in [*np.geomspace(1e-4, 0.5, 200), 0.00508]:
+        x = 2.0 * r
+        series = math.pi * math.fsum(x ** (2 * k + 1) / math.factorial(2 * k + 1)
+                                     for k in range(1, 30))
+        assert ball_volume(3, r) == pytest.approx(series, rel=1e-14, abs=0.0), r
 
 
 def test_ball_volume_reference_values():

@@ -23,8 +23,6 @@ def test_build_mesh_structure():
     assert mesh.triangles.shape[1] == 3
     assert len(mesh.inner_nodes) == mesh.n_theta
     assert len(mesh.outer_nodes) == mesh.n_theta
-    tags = {tag for _, _, tag in mesh.boundary_edges}
-    assert tags == {"D", "N"}
     assert mesh.edge_lengths().max() <= 0.05
     assert mesh.min_angle_deg() >= 20.0
     # all triangles positively oriented

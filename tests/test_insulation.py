@@ -133,14 +133,23 @@ def test_parallel_bound_dominates_true_energy():
     assert bound >= e_fem - 1e-6 * e_fem
 
 
-@pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
-@pytest.mark.parametrize("core", [RevolutionBody(n=3, a0=0.9, cos_even=[0.04]),
-                                  Body2D(a0=0.8, cos=[0.0, 0.1])], ids=["revolution", "oval"])
-def test_parallel_bound_matches_quad_oracle(core, p):
+_QUAD_CORES = {"revolution": RevolutionBody(n=3, a0=0.9, cos_even=[0.04]),
+               "oval": Body2D(a0=0.8, cos=[0.0, 0.1])}
+
+
+@pytest.mark.parametrize("name,p,delta,beta", [
+    *[pytest.param(name, p, 0.8, 1.0, id=f"{name}-{p}")
+      for p in (1.1, 1.5, 3.0) for name in _QUAD_CORES],
+    # near p = 1, where the unscaled powers of the weights overflow
+    pytest.param("revolution", 1.01, 5.0, 1.0, id="revolution-1.01"),
+    pytest.param("oval", 1.01, 30.0, 1e12, id="oval-1.01"),
+])
+def test_parallel_bound_matches_quad_oracle(name, p, delta, beta):
     # L is analytic in the parallel distance, so the Gauss rule leaves only
     # round-off against adaptive quadrature of the same perimeters
-    expect = quad_parallel_bound_energy(core, p, 0.8, 1.0)
-    assert parallel_bound_energy(core, p, 0.8, 1.0) == pytest.approx(expect, rel=1e-12)
+    core = _QUAD_CORES[name]
+    expect = quad_parallel_bound_energy(core, p, delta, beta)
+    assert parallel_bound_energy(core, p, delta, beta) == pytest.approx(expect, rel=1e-12)
 
 
 def _log_constant_flux_energy(weight, p, delta, beta):

@@ -23,7 +23,6 @@ from horokit.parallels import (
     distance_field,
     hersch_bound,
     interior_coords,
-    parallel_length,
     rfk_verdict,
 )
 from horokit.errors import DataFormatError, DomainValidationError, PreconditionError
@@ -192,11 +191,9 @@ def test_bracketed_newton_survives_a_zero_derivative():
     assert root[0] == pytest.approx(math.pi / 3.0, abs=1e-15) and root[1] == 1.0
 
 
-def test_parallel_length_concentric():
-    got = parallel_length(CONCENTRIC, 0.5, grid_res=512)
+def test_parallel_length_concentric(concentric_field):
+    got = parallels._lengths(concentric_field, [0.5])[0]
     assert got == pytest.approx(2 * math.pi * math.sinh(1.0), rel=1e-12)
-    with pytest.raises(DomainValidationError):
-        parallel_length(CONCENTRIC, 2.0, grid_res=512)
 
 
 def test_parallel_length_offset_ball_oracle(rfk_tables):
@@ -280,13 +277,13 @@ def test_cuts_match_the_mask_on_edge_cases():
     assert np.array_equal(row[order], mask_row) and np.array_equal(k[order], mask_k)
 
 
-def test_parallel_length_matches_body_oracle_when_interior():
+def test_parallel_length_matches_body_oracle_when_interior(concentric_field):
     # for deltas where the parallel set stays inside the domain, the level
     # length equals the parallel perimeter of the hole
     hole = make_ball(2, 0.5)
     for delta in (0.2, 0.6):
         expect = parallel_perimeter_direct(hole, delta)
-        got = parallel_length(CONCENTRIC, delta, grid_res=512)
+        got = parallels._lengths(concentric_field, [delta])[0]
         assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -341,6 +338,17 @@ def test_interior_coords_rejects_interior_vanishing():
         interior_coords(table, 2.0)
 
 
+def test_interior_coords_rejects_inadmissible_exponents():
+    # p = inf used to give NaN coordinates without an error or a warning
+    deltas = np.linspace(0.0, 1.0, 65)
+    L = np.full_like(deltas, 3.0)
+    table = ParallelTable(deltas=deltas, L=L, delta0=1.0, Ltilde=L.copy(),
+                          r_match=0.5, R_match=1.5, grid_res=0, L_err=1e-3, delta0_err=1e-3)
+    for p in (math.inf, math.nan, 1.0, 0.5):
+        with pytest.raises(DomainValidationError, match="exponent"):
+            interior_coords(table, p)
+
+
 def test_mtilde_below_m_tablewise(rfk_tables):
     for name, table in rfk_tables.items():
         coords = interior_coords(table, 2.0)
@@ -352,7 +360,7 @@ def test_mtilde_below_m_tablewise(rfk_tables):
 
 def test_parallel_table_l_below_ltilde(rfk_tables):
     for name, table in rfk_tables.items():
-        tol = table.comparison_tolerance()
+        tol = table.L_err
         inside = table.deltas <= (table.R_match - table.r_match)
         assert np.all(table.L[inside] <= table.Ltilde[inside] + tol), name
 
@@ -371,7 +379,7 @@ def test_comparison_functions_ordered(rfk_tables):
     for name, table in rfk_tables.items():
         coords = interior_coords(table, 2.0)
         beta, G, Gt = comparison_functions(table, coords)
-        tol = table.comparison_tolerance()
+        tol = table.L_err
         assert np.all(G <= Gt + tol), name
         if name != "concentric":
             # strict gap on a terminal stretch of the beta range

@@ -8,7 +8,6 @@ import horokit.shell as shell_module
 from horokit.shell import (
     ShellSpec,
     _outer_flux,
-    radial_profile_eval,
     rayleigh_quotient_radial,
     shell_eigen,
 )
@@ -81,18 +80,6 @@ def test_eigenvalue_invariant_under_slope_rescaling(shell_benchmark):
     assert res2.tau1 == pytest.approx(res.tau1, rel=1e-10)
     # the profile just rescales
     assert np.allclose(res2.v, 2.0 * res.v, rtol=1e-6, atol=1e-9)
-
-
-def test_radial_profile_eval(shell_benchmark):
-    spec, res = shell_benchmark
-    assert radial_profile_eval(res, spec.r) == 0.0
-    top = radial_profile_eval(res, spec.R)
-    assert top == pytest.approx(np.max(res.v), rel=1e-12)
-    # exact at stored nodes
-    mid_idx = len(res.t) // 2
-    assert radial_profile_eval(res, res.t[mid_idx]) == pytest.approx(res.v[mid_idx], rel=1e-14)
-    with pytest.raises(DomainValidationError):
-        radial_profile_eval(res, spec.R + 0.1)
 
 
 def test_profile_against_tight_reintegration(shell_benchmark):
