@@ -212,8 +212,11 @@ def ball_volume(n, r):
             # 2*pi*(cosh r - 1) cancellation-free: within 5e-16, the general path 6e-15
             vol = 4.0 * math.pi * math.sinh(0.5 * r) ** 2
         else:
-            vol = float(sphere_measure(n - 1) * sinh_power_integral(n - 1, r, dtype=_LD))
-    except OverflowError:  # math.sinh or its square past the double range
+            with np.errstate(over="raise"):
+                vol = float(sphere_measure(n - 1) * sinh_power_integral(n - 1, r, dtype=_LD))
+    # math.sinh or its square past the double range, or a term of the
+    # integral past the long-double one
+    except (OverflowError, FloatingPointError):
         vol = math.inf
     return _normal(vol, "volume", n, r)
 
@@ -244,7 +247,8 @@ class QuermassVector:
         if len(self.w) != self.n + 1:
             raise DomainValidationError("quermass vector must have n+1 entries")
         w = np.asarray(self.w)
-        if np.any(w <= 0.0):
+        # zero is an underflow of a positive value, not a sign of bad input
+        if np.any(w < 0.0):
             raise DomainValidationError("quermassintegrals of a nonempty body are positive")
         if np.any(w < _TINY):
             raise NumericError("quermassintegrals underflow below the smallest normal double")
@@ -294,16 +298,21 @@ def ball_quermass(n, r):
         raise DomainValidationError(f"ball radius must be > 0, got {r}")
     rl = _LD(r)
     om = _LD(sphere_measure(n - 1))
-    sh, ch = np.sinh(rl), np.cosh(rl)
-    v = [om * ch ** j * sh ** (n - 1 - j) for j in range(n)]  # v[j] = V_{n-j-1}
-    v_by_index = np.zeros(n, dtype=_LD)
-    for j in range(n):
-        v_by_index[n - j - 1] = v[j]
-    vol = om * sinh_power_integral(n - 1, r, dtype=_LD)
-    if not float(vol) < math.inf:  # finite in long double, but W_0 is a double
-        raise NumericError(f"volume of the ball of radius {r!r} in dimension {n} "
-                           f"is {float(vol):.3g}, not a finite double")
-    w = quermass_from_curvature_integrals(n, vol, v_by_index, 1e-10, dtype=_LD)
+    try:
+        with np.errstate(over="raise"):
+            sh, ch = np.sinh(rl), np.cosh(rl)
+            v = [om * ch ** j * sh ** (n - 1 - j) for j in range(n)]  # v[j] = V_{n-j-1}
+            v_by_index = np.zeros(n, dtype=_LD)
+            for j in range(n):
+                v_by_index[n - j - 1] = v[j]
+            vol = om * sinh_power_integral(n - 1, r, dtype=_LD)
+            if not float(vol) < math.inf:  # finite in long double, but W_0 is a double
+                raise NumericError(f"volume of the ball of radius {r!r} in dimension {n} "
+                                   f"is {float(vol):.3g}, not a finite double")
+            w = quermass_from_curvature_integrals(n, vol, v_by_index, 1e-10, dtype=_LD)
+    except FloatingPointError:
+        raise NumericError(f"quermassintegrals of the ball of radius {r!r} in dimension {n} "
+                           "overflow the long-double range") from None
     return QuermassVector(n=n, w=w)
 
 

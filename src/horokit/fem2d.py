@@ -15,7 +15,10 @@ and then halved, from one sparse LU of the stiffness pattern bordered by
 g_den; a trial is kept only if it keeps the iterate positive, lowers the
 eigen-residual and does not raise the quotient, and otherwise the step is a
 power step, which converges only linearly.  Every bordered system of one
-solve is factored on the fill-reducing order of the first one.
+solve is assembled in place on the elimination order of the first and
+factored on it: its entries are written straight into the CSC pattern of
+the permuted matrix, and each iterate is differentiated once for its
+quotient, its residual and its Jacobian.
 
 Meshes are structured polar triangulations between the two boundary curves
 of a domain, read only through its polar tables (rho_in, rho_out), the chart
@@ -25,11 +28,12 @@ is intrinsic (the inner base point is always centred), so hyperbolic
 isometries of the input domain produce identical meshes and eigenvalues.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import bmat, coo_matrix, csc_matrix
+from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .core import check_exponent
@@ -261,6 +265,22 @@ def eigen_p2(mesh):
     return EigResult(tau1=tau, residuals=residuals, meta=meta, u=full)
 
 
+def _keep_last(method):
+    """Keep method's result for the last vector it was given (iterates are
+    never written in place): the u that _normalized returns and the bordered
+    step that starts from it are differentiated once, and so is a v that
+    den(v) = 1 leaves unscaled."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def kept(self, x):
+        last = self._kept.get(name)
+        if last is None or not np.array_equal(last[0], x):
+            last = self._kept[name] = (x, method(self, x))
+        return last[1]
+    return kept
+
+
 class _RayleighP:
     """Rayleigh quotient num/den of free-node vectors for general p: num sums
     nu_T |g_T|^p over element gradients g_T, den is the edge-midpoint
@@ -284,7 +304,33 @@ class _RayleighP:
         self.slot = np.full(rows.shape, len(keys))
         self.slot[both] = slot
         self.pattern = (keys % nf, np.searchsorted(keys // nf, np.arange(nf + 1)))
+        self._kept = {}
         self.border_order = None  # elimination order of the bordered systems
+        self._border = None  # their CSC layout in that order, once laid out
+
+    def order_border(self, perm_c):
+        """Lay every later bordered system out on the column order perm_c of
+        a factor of the first.  The layout is built with the next system,
+        when that factor is freed."""
+        self.border_order = np.argsort(perm_c)
+        self._border = None
+
+    def _border_layout(self):
+        """(source, indices, indptr) of the bordered matrix B[order][:, order]
+        (B itself before border_order is set) in canonical CSC: its data is
+        [free-pattern slots, g_den, -g_den][source].  Found once by permuting
+        a matrix of source numbers, counted from 1 so that no entry is an
+        explicit zero."""
+        indices, indptr = self.pattern
+        nf, ns = len(self.free), len(indices)
+        rows = np.concatenate([indices, np.full(nf, nf), np.arange(nf)])
+        cols = np.concatenate([np.repeat(np.arange(nf), np.diff(indptr)), np.arange(nf), np.full(nf, nf)])
+        source = np.arange(1, ns + 2 * nf + 1, dtype=np.int32)
+        marker = csc_matrix((source, (rows, cols)), shape=(nf + 1, nf + 1))
+        if self.border_order is not None:
+            marker = marker[self.border_order][:, self.border_order]
+            marker.sort_indices()
+        return marker.data - 1, marker.indices, marker.indptr
 
     def full(self, x):
         u = np.zeros(self.nv)
@@ -300,51 +346,79 @@ class _RayleighP:
     def _scatter(self, per_vertex):
         return np.bincount(self.t.ravel(), per_vertex.ravel(), minlength=self.nv)[self.free]
 
+    @_keep_last
     def numerator(self, x):
+        """(num, g_num, element gradients): the Hessian reuses the last."""
         p = self.p
-        gx, gy, d = self._gradients(x)
+        gx, gy, d = grads = self._gradients(x)
         g2 = gx * gx + gy * gy + 1e-300
         coef = self.nu * p * g2 ** (p / 2.0 - 1.0)
-        return float(np.sum(self.nu * g2 ** (p / 2.0))), self._scatter(coef[:, None] * d)
+        return float(np.sum(self.nu * g2 ** (p / 2.0))), self._scatter(coef[:, None] * d), grads
 
     def _midpoints(self, x):
         u = self.full(x)
         return 0.5 * (u[self.t] + u[self.t[:, [1, 2, 0]]])  # on the _MID_PAIRS edges
 
+    def _slots(self, he):
+        """Element matrices he summed into the slots of the free pattern."""
+        return np.bincount(self.slot, he.ravel(), minlength=len(self.pattern[0]) + 1)[:-1]
+
     def _assemble(self, he):
         """Free-node CSC matrix of the element matrices he on the fixed pattern."""
         indices, indptr = self.pattern
-        data = np.bincount(self.slot, he.ravel(), minlength=len(indices) + 1)[:-1]
-        return csc_matrix((data, indices, indptr), shape=(len(self.free),) * 2)
+        return csc_matrix((self._slots(he), indices, indptr), shape=(len(self.free),) * 2)
 
+    @_keep_last
     def denominator(self, x):
         p = self.p
         uq = self._midpoints(x)
         dd = 0.5 * p * self.mass_w * np.abs(uq) ** (p - 1.0) * np.sign(uq)
         return float(np.sum(self.mass_w * np.abs(uq) ** p)), self._scatter(dd + dd[:, [2, 0, 1]])
 
-    def hessian(self, x):
-        """Hessian of num/p: on element T, B^T nu_T (s^{p/2-1} I + (p-2)
-        s^{p/2-2} g g^T) B with B = [b; c] and s = |g|^2 + HESSIAN_EPS
-        max |g|^2, which keeps it definite and finite where g vanishes."""
+    def _hessian_elements(self, x):
+        """Element matrices of the Hessian of num/p: on element T, B^T nu_T
+        (s^{p/2-1} I + (p-2) s^{p/2-2} g g^T) B with B = [b; c] and s = |g|^2
+        + HESSIAN_EPS max |g|^2, which keeps it definite and finite where g
+        vanishes."""
         p = self.p
-        gx, gy, d = self._gradients(x)
+        gx, gy, d = self.numerator(x)[2]
         s = gx * gx + gy * gy
         s += HESSIAN_EPS * s.max()
         he = (self.nu * s ** (p / 2.0 - 1.0))[:, None, None] * self.bb
         he += ((p - 2.0) * self.nu * s ** (p / 2.0 - 2.0))[:, None, None] * d[:, :, None] * d[:, None, :]
-        return self._assemble(he)
+        return he
 
-    def denominator_hessian(self, x):
-        """Hessian of den: the same midpoint quadrature of p (p-1) |u|^{p-2}
-        lambda^2 phi_i phi_j; midpoints where u = 0 weigh nothing."""
+    def _denominator_hessian_elements(self, x):
+        """Element matrices of the Hessian of den: the same midpoint quadrature
+        of p (p-1) |u|^{p-2} lambda^2 phi_i phi_j; midpoints where u = 0 weigh
+        nothing."""
         p = self.p
         a = np.abs(self._midpoints(x))
         w = np.zeros_like(a)
         nz = a > 0.0
         w[nz] = p * (p - 1.0) * self.mass_w[nz] * a[nz] ** (p - 2.0)
-        he = sum(w[:, q, None, None] * np.outer(phi, phi) for q, phi in enumerate(_MID_PHI))
-        return self._assemble(he)
+        return sum(w[:, q, None, None] * np.outer(phi, phi) for q, phi in enumerate(_MID_PHI))
+
+    def hessian(self, x):
+        return self._assemble(self._hessian_elements(x))
+
+    def denominator_hessian(self, x):
+        return self._assemble(self._denominator_hessian_elements(x))
+
+    def bordered_jacobian(self, x, tau):
+        """[p H_num - tau H_den, -g_den; g_den^T, 0] at x, filled straight into
+        the CSC pattern of that matrix in border_order.  p H_num and tau H_den
+        are combined slot by slot, as the sum of the two assembled matrices
+        would be."""
+        n = len(self.free) + 1
+        g_den = self.denominator(x)[1]
+        leading = (self.p * self._slots(self._hessian_elements(x))
+                   - tau * self._slots(self._denominator_hessian_elements(x)))
+        if self._border is None:
+            self._border = self._border_layout()
+        source, indices, indptr = self._border
+        data = np.concatenate([leading, g_den, -g_den])[source]
+        return csc_matrix((data, indices, indptr), shape=(n, n))
 
 
 def damped_newton(energy_grad, newton_step, u):
@@ -363,14 +437,15 @@ def damped_newton(energy_grad, newton_step, u):
             break
         t = 1.0
         for _ in range(30):
-            e_new, g_new = energy_grad(u - t * step)
+            v = u - t * step
+            e_new, g_new = energy_grad(v)
             if e_new <= e:
                 break
             t *= 0.5
         else:
             stalled = True
             break
-        u, e, g = u - t * step, e_new, g_new
+        u, e, g = v, e_new, g_new
     return u, solves, stalled
 
 
@@ -418,9 +493,9 @@ def _normalized(rq, v):
     The residual is scale-invariant only in exact arithmetic: near p = 1
     round-off gradients enter it through |g|^{p-1}, and at p = 1.2 that of
     v and that of u differed in the fifth digit."""
-    (num, _), (den, _) = rq.numerator(v), rq.denominator(v)
+    num, den = rq.numerator(v)[0], rq.denominator(v)[0]
     u, value = v / den ** (1.0 / rq.p), num / den
-    (_, g_num), (_, g_den) = rq.numerator(u), rq.denominator(u)
+    g_num, g_den = rq.numerator(u)[1], rq.denominator(u)[1]
     return u, value, float(np.linalg.norm(g_num - value * g_den) / np.linalg.norm(g_den))
 
 
@@ -463,20 +538,21 @@ def _bordered_step(rq, u, value):
     The first bordered system of rq is factored under SPLU_OPTIONS, whose
     minimum degree puts the dense border last; every later one reuses that
     column order, since ordering a matrix with a dense row costs more than
-    factoring it."""
-    (_, g_num), (_, g_den) = rq.numerator(u), rq.denominator(u)
+    factoring it.  rq.bordered_jacobian fills each system straight into the
+    CSC pattern of the matrix in that order (the identity before the first
+    factor), from the element gradients and g_den that _normalized formed
+    at u."""
+    g_num, g_den = rq.numerator(u)[1], rq.denominator(u)[1]
     res = float(np.linalg.norm(g_num - value * g_den) / np.linalg.norm(g_den))
-    jac = rq.p * rq.hessian(u) - value * rq.denominator_hessian(u)
-    border = bmat([[jac, -g_den[:, None]], [g_den[None, :], None]], format="csc")
     rhs = np.append(value * g_den - g_num, 0.0)
     order = rq.border_order
     if order is None:
-        lu = _factor(border)
-        rq.border_order = np.argsort(lu.perm_c)
+        lu = _factor(rq.bordered_jacobian(u, value))
+        rq.order_border(lu.perm_c)
         du = lu.solve(rhs)
     else:
         du = np.empty_like(rhs)
-        du[order] = _factor(border[order][:, order], "NATURAL").solve(rhs[order])
+        du[order] = _factor(rq.bordered_jacobian(u, value), "NATURAL").solve(rhs[order])
     for t in (1.0, 0.5):
         v = u + t * du[:-1]
         if np.all(v > 0.0):
@@ -495,7 +571,7 @@ def _power_step(rq, u, value):
     s = rq.denominator(u)[1] / p
 
     def energy_grad(v):
-        n, g = rq.numerator(v)
+        n, g, _ = rq.numerator(v)
         return n / p - float(s @ v), g / p - s
 
     def newton_step(v, g):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -21,6 +22,7 @@ from horokit.io import (
     domain_to_dict,
     load_body,
     load_domain,
+    write_csv,
 )
 
 
@@ -109,6 +111,23 @@ def test_domain_round_trip(tmp_path):
     clone = load_domain(path)
     assert clone.offset == 0.2
     assert clone.inner.a0 == 0.8
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # one % pass over all rows must write the bytes csv.writer wrote cell
+    # by cell, CRLF line ends included
+    rows = [[-0.0, 5e-324, 1e308], [math.nan, math.inf, -math.inf],
+            [np.float64(0.1), np.float64(-2.5e-300), 1.0 / 3.0]]
+    header = ["a", "b", "c"]
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{float(x):.17g}" for x in row])
+    write_csv(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == ref.getvalue().encode()
+    write_csv(tmp_path / "empty.csv", header, [])
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b,c\r\n"
 
 
 def test_cli_ball_tables(tmp_path, capsys):
@@ -281,6 +300,12 @@ INSULATION_ARGS = ["insulation", "--body", "{body}"]
     # from the sparse LU of a Newton step
     (["eig-domain", "--domain", "{dom}", "--p", "200", "--h-mesh", "0.05"], "error:"),
     (["rfk", "--domain", "{dom}", "--p", "200", "--h-mesh", "0.05"], "error:"),
+    # these said "quermassintegrals of a nonempty body are positive"
+    (["ball-tables", "--n", "256", "--r", "0.2"], "error: quermassintegrals underflow"),
+    (["ball-tables", "--n", "256", "--r", "0.21"], "error: quermassintegrals underflow"),
+    # this warned "overflow encountered in scalar power" before its error
+    pytest.param(["ball-tables", "--n", "3", "--r", "10000"], "error: quermassintegrals of the ball",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ])
 def test_cli_bad_numbers_are_errors_without_traceback(tmp_path, capsys, argv, kind):
     files = {"{dom}": write(tmp_path, "dom.json", DOMAIN_SPEC),

@@ -93,6 +93,23 @@ def test_subnormal_ball_measures_are_refused():
     with pytest.raises(NumericError, match="underflow"):
         ball_quermass(256, 0.22)
     assert ball_volume(256, 0.25) > np.finfo(float).tiny
+    # at 0.2 and 0.21 some quermassintegrals cast to exactly 0.0, which was
+    # refused as bad input ("are positive") instead of as an underflow
+    for r in (0.2, 0.21):
+        with pytest.raises(NumericError, match="underflow"):
+            ball_quermass(256, r)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_long_double_overflow_is_numeric_error():
+    # past the long-double range these warned "overflow encountered in
+    # expm1" or "in scalar power" before their error, or raised the warning
+    # itself under -W error
+    for n, r in ((4, 1e4), (3, 6000.0)):
+        with pytest.raises(NumericError, match="volume"):
+            ball_volume(n, r)
+    with pytest.raises(NumericError, match="overflow"):
+        ball_quermass(3, 1e4)
 
 
 def test_overflowing_ball_measures_are_refused():

@@ -1,7 +1,9 @@
+import collections
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 
 from horokit import fem2d
@@ -251,6 +253,51 @@ def test_bordered_factors_reuse_one_order(monkeypatch):
         assert lu.nnz <= fresh.nnz
         x = fresh.solve(rhs)
         assert np.linalg.norm(lu.solve(rhs) - x) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 5.0])
+def test_bordered_systems_match_bmat_assembly(monkeypatch, p):
+    # every factored bordered system is, bit for bit, the matrix bmat builds
+    # from the assembled Hessians, laid out on the order then in use; splu
+    # sorts its input's indices in place, so the reference is sorted too
+    factored = _spy_splu(monkeypatch)
+    steps = []
+    bordered_step = fem2d._bordered_step
+
+    def recorded(rq, u, value):
+        order = rq.border_order
+        steps.append((rq, u, value, np.arange(len(u) + 1) if order is None else order))
+        return bordered_step(rq, u, value)
+
+    monkeypatch.setattr(fem2d, "_bordered_step", recorded)
+    eigen_p_general(build_mesh(ANNULUS, 0.04), p)
+    n = len(steps[0][1]) + 1
+    bordered = [A for A, _, _ in factored if A.shape == (n, n)]
+    assert len(bordered) == len(steps) >= 2
+    for A, (rq, u, value, order) in zip(bordered, steps):
+        g = rq.denominator(u)[1]
+        jac = p * rq.hessian(u) - value * rq.denominator_hessian(u)
+        ref = scipy.sparse.bmat([[jac, -g[:, None]], [g[None, :], None]], format="csc")[order][:, order]
+        ref.sort_indices()
+        for field in ("indices", "indptr", "data"):
+            assert np.array_equal(getattr(A, field), getattr(ref, field))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_bordered_iterates_are_differentiated_once(monkeypatch, p):
+    # the u that _normalized returns is the one the next bordered step
+    # linearizes at; its element gradients serve both, and the Hessian
+    formed = collections.Counter()
+    gradients = fem2d._RayleighP._gradients
+
+    def spy(rq, x):
+        formed[x.tobytes()] += 1
+        return gradients(rq, x)
+
+    monkeypatch.setattr(fem2d._RayleighP, "_gradients", spy)
+    res = eigen_p_general(build_mesh(ANNULUS, 0.04), p)
+    assert len(formed) >= 2 * res.meta["iterations"]
+    assert max(formed.values()) == 1
 
 
 def test_constant_start_stall_is_not_settled():
