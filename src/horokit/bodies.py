@@ -48,6 +48,7 @@ GAUSS_BONNET_RTOL = 1e-8
 BODY_TERMINAL_RTOL = 1e-6
 RESOLUTION_CHECK_RTOL = 1e-6
 POLAR_SAMPLES = 4096  # polar angles at which a domain's boundaries are checked
+PERIMETER_BLOCK = 16  # parallel distances per (distances, profile nodes) work array
 
 
 def _as_coeffs(c):
@@ -501,22 +502,44 @@ def check_hypotheses(body, force=False):
 
 
 def parallel_perimeter_direct(body, delta, profile=None):
-    """Perimeter of the outer parallel body at distance delta.
+    """Perimeter of the outer parallel body at distance delta, or at every
+    entry of an array of distances (returned in its shape).
 
     Normal-exponential Jacobian form: integral over the boundary of
     prod_i (cosh delta + kappa_i sinh delta) dS.  Convexity keeps the normal
     map injective, so the integrand is exactly the area-element stretch.
+    Distances are evaluated PERIMETER_BLOCK at a time, each row the same
+    sum as for its distance alone; a negative or non-finite distance is
+    refused.
     """
-    if delta < 0:
-        raise DomainValidationError("parallel distance must be >= 0")
+    deltas = np.asarray(delta, dtype=float)
+    # negated comparisons, so that a nan distance is refused as well
+    if not (np.all(deltas >= 0.0) and np.all(deltas < math.inf)):
+        raise DomainValidationError("parallel distance must be finite and >= 0")
     if profile is None:
         require_convex(body, "body")
         profile = curvature_profile(body)
-    c, s = math.cosh(delta), math.sinh(delta)
-    jac = np.ones(len(profile.params))
-    for col, mult in enumerate(profile.multiplicity):
-        jac *= (c + profile.kappas[:, col] * s) ** mult
-    return float(np.sum(jac * profile.weights))
+    flat = deltas.ravel()
+    out = np.empty(len(flat))
+    columns = [(np.ascontiguousarray(profile.kappas[:, col]), mult)
+               for col, mult in enumerate(profile.multiplicity)]
+    for start in range(0, len(flat), PERIMETER_BLOCK):
+        block = flat[start:start + PERIMETER_BLOCK]
+        c = np.array([math.cosh(d) for d in block])[:, None]
+        s = np.array([math.sinh(d) for d in block])[:, None]
+        jac = None  # 1 * f and f ** 1 are exact: the product starts at the first factor
+        for kappa, mult in columns:
+            factor = kappa * s
+            factor += c
+            if mult != 1:
+                factor **= mult
+            if jac is None:
+                jac = factor
+            else:
+                jac *= factor
+        jac *= profile.weights
+        out[start:start + len(block)] = np.sum(jac, axis=1)
+    return float(out[0]) if deltas.ndim == 0 else out.reshape(deltas.shape)
 
 
 def steiner_evaluate(ci, delta):

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainValidationError, ConsistencyError, NumericError, SearchError
 
 _LD = np.longdouble
 _TINY = np.finfo(float).tiny  # smallest normal double
+_EPS = np.finfo(float).eps
+_NEWTON_MAX_STEPS = 200  # of quermass_inverse_radius, a convergence guard
 
 # log-space switch-over for sinh/cosh powers, safely under double overflow
 _LOG_SPACE_THRESHOLD = 700.0 * math.log(2.0)
@@ -319,8 +320,14 @@ def ball_quermass(n, r):
 def quermass_inverse_radius(n, m, w):
     """Radius r with W_m(B_r) = w, for 0 <= m <= n-1.
 
-    r -> W_m(B_r) is strictly increasing, so the root is unique; located by
-    geometric bracket expansion followed by brentq, then residual-checked.
+    r -> W_m(B_r) is strictly increasing and convex, with slope
+    dW_m/dr = ((n-m)/n) omega_{n-1} sinh^{n-1-m} r cosh^m r, so the root is
+    unique.  A geometric bracket expansion locates it; safeguarded Newton
+    steps then start from the upper end, a step that leaves the bracket is
+    replaced by bisection, and every evaluation shrinks the bracket.  Once
+    a Newton step is within eps r, its end is evaluated too, and the one
+    of the two radii with the smaller residual is returned; that
+    evaluation is residual-checked.
     """
     n = check_dimension(n)
     if not 0 <= m <= n - 1:
@@ -339,15 +346,38 @@ def quermass_inverse_radius(n, m, w):
     else:
         raise SearchError("could not bracket quermass inverse from below")
     for _ in range(60):
-        if f(hi) > 0.0:
+        f_hi = f(hi)
+        if f_hi > 0.0:
             break
         hi *= 2.0
     else:
         raise SearchError("could not bracket quermass inverse from above")
-    r = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    resid = abs(ball_quermass(n, r)[m] - w)
-    if resid > 1e-12 * w:
-        raise SearchError(f"inverse radius residual {resid:.3e} exceeds 1e-12 relative")
+    # the slope in long double, whose range holds every power ball_quermass took
+    scale = _LD((n - m) / n * sphere_measure(n - 1))
+    r, resid = hi, f_hi
+    for _ in range(_NEWTON_MAX_STEPS):
+        rl = _LD(r)
+        step = float(resid / (scale * np.sinh(rl) ** (n - 1 - m) * np.cosh(rl) ** m))
+        settled = abs(step) <= _EPS * r
+        new = r - step
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if new == r:
+            break
+        new_resid = f(new)
+        if settled:  # r is within round-off of the root: keep the closer of r and new
+            if abs(new_resid) < abs(resid):
+                r, resid = new, new_resid
+            break
+        r, resid = new, new_resid
+        if resid < 0.0:
+            lo = r
+        else:
+            hi = r
+    else:
+        raise SearchError(f"quermass inverse did not settle in {_NEWTON_MAX_STEPS} Newton steps")
+    if abs(resid) > 1e-12 * w:
+        raise SearchError(f"inverse radius residual {abs(resid):.3e} exceeds 1e-12 relative")
     return float(r)
 
 

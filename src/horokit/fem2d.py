@@ -20,6 +20,16 @@ factored on it: its entries are written straight into the CSC pattern of
 the permuted matrix, and each iterate is differentiated once for its
 quotient, its residual and its Jacobian.
 
+The element kernels work on per-corner columns: every per-element quantity
+(gradient coefficients, mass weights, corner values, element-matrix
+entries) is one contiguous numpy row over the elements.  They keep every
+bit of the (element, corner) broadcast forms they replaced (tests/oracles.py
+keeps those as references): each entry takes the same float operations in
+the same order, three-term sums add (a0 + a1) + a2, the quotient's
+denominator is summed pairwise in (element, midpoint) order, and the sparse
+sums add element matrices in (element, i, j) order.  Near p = 1 one changed
+rounding moves the inverse power iteration's eigen-residual several-fold.
+
 Meshes are structured polar triangulations between the two boundary curves
 of a domain, read only through its polar tables (rho_in, rho_out), the chart
 radii of both boundaries as functions of the polar angle about the inner
@@ -64,24 +74,21 @@ class Mesh:
     n_theta: int
     n_layers: int
 
+    def _corner_coordinates(self):
+        """Chart coordinates (x, y) of the corners, one row per corner."""
+        t = self.triangles.T
+        return self.vertices[:, 0][t], self.vertices[:, 1][t]
+
     def edge_lengths(self):
-        v = self.vertices
-        t = self.triangles
-        e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        d = v[e[:, 0]] - v[e[:, 1]]
-        return np.hypot(d[:, 0], d[:, 1])
+        """Chart lengths of the element edges (k, k+1), edge by edge for k = 0, 1, 2."""
+        x, y = self._corner_coordinates()
+        return np.hypot(x - x[_NEXT], y - y[_NEXT]).ravel()
 
     def min_angle_deg(self):
-        v = self.vertices
-        t = self.triangles
-        p = v[t]
-        angles = []
-        for k in range(3):
-            a = p[:, (k + 1) % 3] - p[:, k]
-            b = p[:, (k + 2) % 3] - p[:, k]
-            cosang = np.sum(a * b, axis=1) / (np.hypot(a[:, 0], a[:, 1]) * np.hypot(b[:, 0], b[:, 1]))
-            angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-        return float(np.min(angles))
+        x, y = self._corner_coordinates()
+        ax, ay, bx, by = x[_NEXT] - x, y[_NEXT] - y, x[_PREV] - x, y[_PREV] - y
+        cosang = (ax * bx + ay * by) / (np.hypot(ax, ay) * np.hypot(bx, by))
+        return float(np.min(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))))
 
 
 def _polar_mesh(rho_in_fn, rho_out_fn, n_theta, n_layers):
@@ -143,46 +150,58 @@ def build_mesh(dom, h_mesh):
     raise NumericError("mesh quality targets not reached; domain too distorted")
 
 
-_MID_PAIRS = ((0, 1), (1, 2), (2, 0))
-_MID_PHI = (np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.0, 0.5]))
+# corner k of an element is followed by corner _NEXT[k] and preceded by
+# _PREV[k]; midpoint q lies on the edge (q, _NEXT[q])
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
 def _element_quadrature(mesh):
     """Areas, P1 gradient coefficients (b, c) and the metric weight lambda at
-    the three edge midpoints (columns in _MID_PAIRS order) of every element."""
-    v = mesh.vertices
-    t = mesh.triangles
-    x = v[t, 0]
-    y = v[t, 1]
-    det = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-           - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    the three edge midpoints of every element; b, c and lambda have one row
+    per corner or midpoint."""
+    x, y = mesh._corner_coordinates()
+    det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
     if np.any(det == 0.0):
         raise NumericError("degenerate triangle in mesh")
     area = 0.5 * np.abs(det)
-    lam = np.empty((len(area), 3))
-    for q, (i, j) in enumerate(_MID_PAIRS):
-        mx = 0.5 * (x[:, i] + x[:, j])
-        my = 0.5 * (y[:, i] + y[:, j])
-        lam[:, q] = 2.0 / (1.0 - (mx * mx + my * my))
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], 1) / det[:, None]
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], 1) / det[:, None]
-    return area, b, c, lam
+    mx, my = 0.5 * (x + x[_NEXT]), 0.5 * (y + y[_NEXT])
+    lam = 2.0 / (1.0 - (mx * mx + my * my))
+    return area, (y[_NEXT] - y[_PREV]) / det, (x[_PREV] - x[_NEXT]) / det, lam
+
+
+def _midpoint_matrices(w):
+    """Element matrices sum_q w_q phi_q phi_q^T of the midpoint rule with
+    weights w (one row per midpoint): phi_q is 1/2 at both ends of edge q,
+    so every entry is a sum of 0.25 w_q, indexed [i, j, element]."""
+    q = 0.25 * w
+    diag = q + q[_PREV]
+    return np.stack([diag[0], q[0], q[2], q[0], diag[1], q[1], q[2], q[1], diag[2]]).reshape(3, 3, -1)
+
+
+def _element_major_rows(rows):
+    """Rows [k, element] of per-corner or per-midpoint values flattened
+    element by element (a stack along axis 1 copies three rows faster than
+    a transposed ravel)."""
+    return np.stack(rows, axis=1).ravel()
+
+
+def _element_major(he):
+    """Element matrices he[i, j, element] flattened element by element, in
+    the (element, i, j) order in which the sparse sums add them."""
+    return he.reshape(9, -1).T.ravel()
 
 
 def assemble_p2(mesh):
     """Flat stiffness matrix and lambda^2-weighted mass matrix."""
     area, b, c, lam = _element_quadrature(mesh)
-    ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * area[:, None, None]
-    me = np.zeros_like(ke)
-    for q, phi in enumerate(_MID_PHI):
-        w = lam[:, q] ** 2 * (area / 3.0)
-        me += w[:, None, None] * (phi[:, None] * phi[None, :])[None, :, :]
+    ke = (b[:, None] * b[None] + c[:, None] * c[None]) * area
+    me = _midpoint_matrices(lam ** 2 * (area / 3.0))
     t = mesh.triangles
     ii = np.repeat(t, 3, axis=1).ravel()
     jj = np.tile(t, (1, 3)).ravel()
     nv = mesh.vertices.shape[0]
-    K = coo_matrix((ke.ravel(), (ii, jj)), shape=(nv, nv)).tocsr()
-    M = coo_matrix((me.ravel(), (ii, jj)), shape=(nv, nv)).tocsr()
+    K = coo_matrix((_element_major(ke), (ii, jj)), shape=(nv, nv)).tocsr()
+    M = coo_matrix((_element_major(me), (ii, jj)), shape=(nv, nv)).tocsr()
     return K, M
 
 
@@ -284,22 +303,28 @@ def _keep_last(method):
 class _RayleighP:
     """Rayleigh quotient num/den of free-node vectors for general p: num sums
     nu_T |g_T|^p over element gradients g_T, den is the edge-midpoint
-    quadrature of |u|^p lambda^2."""
+    quadrature of |u|^p lambda^2.  Per-element data is held one row per
+    corner, midpoint or matrix entry, and every float operation is the one
+    of the (element, corner) layout, in the same order."""
 
     def __init__(self, mesh, p):
-        self.p, self.t, self.nv = p, mesh.triangles, mesh.vertices.shape[0]
+        self.p, self.nv = p, mesh.vertices.shape[0]
         self.free = free = np.setdiff1d(np.arange(self.nv), mesh.inner_nodes)
         area, self.b, self.c, lam = _element_quadrature(mesh)
-        self.nu = area / 3.0 * np.sum(lam ** (2.0 - p), axis=1)
-        self.mass_w = (area / 3.0)[:, None] * lam ** 2
-        self.bb = self.b[:, :, None] * self.b[:, None, :] + self.c[:, :, None] * self.c[:, None, :]
+        weights = lam ** (2.0 - p)
+        self.nu = area / 3.0 * (weights[0] + weights[1] + weights[2])
+        self.mass_w = area / 3.0 * lam ** 2
+        self.bb = self.b[:, None] * self.b[None] + self.c[:, None] * self.c[None]
+        # the free index of every corner, nf at a hole node, where vectors
+        # read an appended zero and scatters drop a trailing bin
+        nf = len(free)
+        pos = np.full(self.nv, nf)
+        pos[free] = np.arange(nf)
+        self.corners = pos[mesh.triangles]  # its transpose gives one row per corner
         # element entry (i, j) -> its slot in the fixed CSC pattern of the
         # free-node stiffness, or a trailing dummy slot at a hole node
-        nf = len(free)
-        pos = np.full(self.nv, -1)
-        pos[free] = np.arange(nf)
-        rows, cols = np.repeat(pos[self.t], 3, axis=1).ravel(), np.tile(pos[self.t], 3).ravel()
-        both = (rows >= 0) & (cols >= 0)
+        rows, cols = np.repeat(self.corners.ravel(), 3), np.tile(self.corners, 3).ravel()
+        both = (rows < nf) & (cols < nf)
         keys, slot = np.unique(cols[both] * nf + rows[both], return_inverse=True)
         self.slot = np.full(rows.shape, len(keys))
         self.slot[both] = slot
@@ -337,14 +362,20 @@ class _RayleighP:
         u[self.free] = x
         return u
 
+    def _corner_values(self, x):
+        return np.append(x, 0.0)[self.corners.T]
+
     def _gradients(self, x):
         """Element gradients (gx, gy) and the rows d = gx b + gy c = B^T g."""
-        ut = self.full(x)[self.t]
-        gx, gy = np.sum(self.b * ut, axis=1), np.sum(self.c * ut, axis=1)
-        return gx, gy, gx[:, None] * self.b + gy[:, None] * self.c
+        u = self._corner_values(x)
+        bu, cu = self.b * u, self.c * u
+        gx, gy = bu[0] + bu[1] + bu[2], cu[0] + cu[1] + cu[2]
+        return gx, gy, gx * self.b + gy * self.c
 
-    def _scatter(self, per_vertex):
-        return np.bincount(self.t.ravel(), per_vertex.ravel(), minlength=self.nv)[self.free]
+    def _scatter(self, per_corner):
+        """Per-corner values summed into the free nodes, element by element."""
+        weights = _element_major_rows(per_corner)
+        return np.bincount(self.corners.ravel(), weights, minlength=len(self.free) + 1)[:-1]
 
     @_keep_last
     def numerator(self, x):
@@ -353,15 +384,15 @@ class _RayleighP:
         gx, gy, d = grads = self._gradients(x)
         g2 = gx * gx + gy * gy + 1e-300
         coef = self.nu * p * g2 ** (p / 2.0 - 1.0)
-        return float(np.sum(self.nu * g2 ** (p / 2.0))), self._scatter(coef[:, None] * d), grads
+        return float(np.sum(self.nu * g2 ** (p / 2.0))), self._scatter(coef * d), grads
 
     def _midpoints(self, x):
-        u = self.full(x)
-        return 0.5 * (u[self.t] + u[self.t[:, [1, 2, 0]]])  # on the _MID_PAIRS edges
+        u = self._corner_values(x)
+        return 0.5 * (u + u[_NEXT])
 
     def _slots(self, he):
-        """Element matrices he summed into the slots of the free pattern."""
-        return np.bincount(self.slot, he.ravel(), minlength=len(self.pattern[0]) + 1)[:-1]
+        """Element matrices he[i, j, element] summed into the slots of the free pattern."""
+        return np.bincount(self.slot, _element_major(he), minlength=len(self.pattern[0]) + 1)[:-1]
 
     def _assemble(self, he):
         """Free-node CSC matrix of the element matrices he on the fixed pattern."""
@@ -372,8 +403,11 @@ class _RayleighP:
     def denominator(self, x):
         p = self.p
         uq = self._midpoints(x)
-        dd = 0.5 * p * self.mass_w * np.abs(uq) ** (p - 1.0) * np.sign(uq)
-        return float(np.sum(self.mass_w * np.abs(uq) ** p)), self._scatter(dd + dd[:, [2, 0, 1]])
+        a = np.abs(uq)
+        dd = 0.5 * p * self.mass_w * a ** (p - 1.0) * np.sign(uq)
+        # summed pairwise in (element, midpoint) order
+        den = float(np.sum(_element_major_rows(self.mass_w * a ** p)))
+        return den, self._scatter(dd + dd[_PREV])
 
     def _hessian_elements(self, x):
         """Element matrices of the Hessian of num/p: on element T, B^T nu_T
@@ -384,8 +418,8 @@ class _RayleighP:
         gx, gy, d = self.numerator(x)[2]
         s = gx * gx + gy * gy
         s += HESSIAN_EPS * s.max()
-        he = (self.nu * s ** (p / 2.0 - 1.0))[:, None, None] * self.bb
-        he += ((p - 2.0) * self.nu * s ** (p / 2.0 - 2.0))[:, None, None] * d[:, :, None] * d[:, None, :]
+        he = self.nu * s ** (p / 2.0 - 1.0) * self.bb
+        he += ((p - 2.0) * self.nu * s ** (p / 2.0 - 2.0) * d)[:, None] * d[None]
         return he
 
     def _denominator_hessian_elements(self, x):
@@ -394,10 +428,8 @@ class _RayleighP:
         nothing."""
         p = self.p
         a = np.abs(self._midpoints(x))
-        w = np.zeros_like(a)
-        nz = a > 0.0
-        w[nz] = p * (p - 1.0) * self.mass_w[nz] * a[nz] ** (p - 2.0)
-        return sum(w[:, q, None, None] * np.outer(phi, phi) for q, phi in enumerate(_MID_PHI))
+        power = np.power(a, p - 2.0, out=np.zeros_like(a), where=a > 0.0)
+        return _midpoint_matrices(p * (p - 1.0) * self.mass_w * power)
 
     def hessian(self, x):
         return self._assemble(self._hessian_elements(x))

@@ -173,8 +173,7 @@ def parallel_bound_energy(body, p, delta, beta):
     require_convex(body, "core")
     prof = curvature_profile(body)
     return _constant_flux_energy(
-        lambda s: np.array([parallel_perimeter_direct(body, sv, profile=prof) for sv in s]),
-        p, delta, beta)
+        lambda s: parallel_perimeter_direct(body, s, profile=prof), p, delta, beta)
 
 
 def fem_energy_p2(body, delta, beta, h_mesh=0.01):

@@ -72,8 +72,9 @@ def nagy_table(body, delta_grid=None, force=False, match="quermass"):
     if delta_grid is None:
         delta_grid = default_delta_grid()
     deltas = np.asarray(delta_grid, dtype=float)
-    if np.any(deltas < 0.0):
-        raise DomainValidationError("parallel distances must be >= 0")
+    # negated comparisons, so that a nan distance is refused as well
+    if not (np.all(deltas >= 0.0) and np.all(deltas < np.inf)):
+        raise DomainValidationError("parallel distances must be finite and >= 0")
     if match == "quermass":
         r_star = equivalent_ball(body, force=force)
     else:
@@ -81,7 +82,7 @@ def nagy_table(body, delta_grid=None, force=False, match="quermass"):
     prof = curvature_profile(body)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            p_body = np.array([parallel_perimeter_direct(body, d, profile=prof) for d in deltas])
+            p_body = parallel_perimeter_direct(body, deltas, profile=prof)
             p_ball = np.array([ball_perimeter(body.n, r_star + d) for d in deltas])
     except ArithmeticError as exc:  # math and, under errstate, numpy overflow
         raise NumericError(f"parallel perimeters overflow: {exc}") from exc

@@ -24,6 +24,7 @@ machinery.
 """
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,8 @@ RK_A = [row[:s] for s, row in enumerate(RK45.A.tolist()) if s]
 RK_B, RK_E = RK45.B.tolist(), RK45.E.tolist()
 RK_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+# one accepted step: t_old, h, v_old, W_old and the seven stage slopes (v', W')
+_pack_step = struct.Struct("18d").pack
 
 
 @dataclass(frozen=True)
@@ -98,15 +101,16 @@ def _initial_step(f, t, v, W, fv, fW, span, max_step, rtol, atol):
     return min(100.0 * h0, h1, span, max_step)
 
 
-def _dopri45(f, t0, t1, y0, rtol, atol, max_step, guard, dense=False):
+def _dopri45(f, t0, t1, y0, rtol, atol, max_step, guard):
     """Integrate (v, W)' = f(t, v, W) from t0 to t1 in the steps of scipy's RK45.
 
     The Dormand-Prince 5(4) pair with RK45's step control, on Python floats.
     A non-finite error estimate (an overflowing trial slope) is rejected with
     MIN_FACTOR. The shot stops after the first accepted step that ends past
     guard with v <= 0. Returns (W, crossed, steps): W at the end of the last
-    step, whether v crossed zero, and with dense the accepted steps as
-    (t_old, h, (v_old, W_old), stages) for _continuous_extension.
+    step, whether v crossed zero, and the accepted steps for
+    _continuous_extension as the rows of an (n_steps, 18) array, packed
+    step by step into one buffer (no float objects are kept alive).
     """
     c2, c3, c4, c5, c6 = RK_C
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = RK_A
@@ -115,7 +119,7 @@ def _dopri45(f, t0, t1, y0, rtol, atol, max_step, guard, dense=False):
     t, (v, W) = t0, y0
     fv, fW = f(t, v, W)
     h_abs = _initial_step(f, t, v, W, fv, fW, t1 - t0, max_step, rtol, atol)
-    steps = [] if dense else None
+    steps = bytearray()
     while t < t1:
         min_step = 10.0 * math.ulp(t)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
@@ -151,13 +155,12 @@ def _dopri45(f, t0, t1, y0, rtol, atol, max_step, guard, dense=False):
             rejected = True
             h_abs *= max(MIN_FACTOR, SAFETY * error ** RK_ERROR_EXPONENT) \
                 if error < math.inf else MIN_FACTOR
-        if dense:
-            steps.append((t, h, (v, W), ((fv, fW), (k2v, k2W), (k3v, k3W), (k4v, k4W),
-                                         (k5v, k5W), (k6v, k6W), (k7v, k7W))))
+        steps += _pack_step(t, h, v, W, fv, fW, k2v, k2W, k3v, k3W, k4v, k4W, k5v, k5W,
+                            k6v, k6W, k7v, k7W)
         t, v, W, fv, fW = t_new, v_new, W_new, k7v, k7W
         if t > guard and v <= 0.0:
-            return W, True, steps
-    return W, False, steps
+            return W, True, np.frombuffer(steps).reshape(-1, 18)
+    return W, False, np.frombuffer(steps).reshape(-1, 18)
 
 
 def _continuous_extension(steps, t):
@@ -166,7 +169,7 @@ def _continuous_extension(steps, t):
     Each point takes the polynomial of the step whose interval holds it, and
     points outside all steps that of the nearest one; returns the rows (v, W).
     """
-    t_old, h, y_old, stages = (np.array(a) for a in zip(*steps))
+    t_old, h, y_old, stages = steps[:, 0], steps[:, 1], steps[:, 2:4], steps[:, 4:].reshape(-1, 7, 2)
     j = np.clip(np.searchsorted(t_old, t, side="left") - 1, 0, len(t_old) - 1)
     x = (t - t_old[j]) / h[j]
     powers = np.cumprod(np.repeat(x[:, None], RK45.P.shape[1], axis=1), axis=1)
@@ -197,30 +200,28 @@ def _radial_rhs(spec, tau):
     return rhs
 
 
-def _integrate(spec, tau, rtol=1e-11, atol=1e-13, slope=1.0, dense_at=None):
+def _integrate(spec, tau, rtol=1e-11, atol=1e-13, slope=1.0):
     """Shoot once from v(r) = 0, v'(r) = slope; stop early if v crosses zero.
 
-    Returns (W, crossed, profile): W where the shot stopped, whether v
-    crossed zero, and the rows (v, W) at the points dense_at (else None).
+    Returns (W, crossed, steps): W where the shot stopped, whether v
+    crossed zero, and the accepted steps for _continuous_extension.
     """
     n, p, r, R = spec.n, spec.p, spec.r, spec.R
     try:  # sinh overflow or a zero weight in the right-hand side
         flux0 = math.sinh(r) ** (n - 1) * abs(slope) ** (p - 2.0) * slope
-        W, crossed, steps = _dopri45(_radial_rhs(spec, tau), r, R, (0.0, flux0), rtol, atol,
-                                     (R - r) / 40.0, r + 1e-9 * (R - r),
-                                     dense=dense_at is not None)
+        return _dopri45(_radial_rhs(spec, tau), r, R, (0.0, flux0), rtol, atol,
+                        (R - r) / 40.0, r + 1e-9 * (R - r))
     except ArithmeticError as exc:
         raise NumericError(f"radial integration failed: {exc}") from exc
-    profile = None if dense_at is None else _continuous_extension(steps, dense_at)
-    return W, crossed, profile
 
 
-def _outer_flux(spec, tau, slope=1.0):
-    """Signed outer flux of one shot: W(R), or -1 if v crosses zero first.
+def _outer_flux(shot):
+    """Signed outer flux of a shot (W, crossed, steps): W(R), or -1 if v
+    crossed zero first.
 
     It is > 0 below tau_1 and < 0 above it (see the module docstring).
     """
-    W, crossed, _ = _integrate(spec, tau, slope=slope)
+    W, crossed, _ = shot
     return -1.0 if crossed else W
 
 
@@ -232,9 +233,11 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
     it directly, since it is positive below tau_1 and negative above it.
     tol is relative: xtol = tol * lo, lo being the final lower bracket end,
     which lies below tau_1 because the flux is positive there.
-    Each tau is shot once per call; meta["integrations"] counts every shot
-    of the Dormand-Prince stepper, including the dense final one and its
-    re-integration at looser tolerance.
+    Each tau is shot once per call, and every shot keeps its steps: brentq
+    returns one of the taus it shot, and the 512-point profile is that
+    shot's continuous extension.  meta["integrations"] counts every shot of
+    the Dormand-Prince stepper, including the re-integration of tau_1 at
+    looser tolerance.
     initial_slope only rescales the eigenfunction (the problem is
     homogeneous), which makes it a cheap simplicity cross-check.
 
@@ -253,12 +256,12 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
     tau_flat = half_wave * half_wave
     if not tau_flat < np.inf:
         raise DomainValidationError(f"shell of width {R - r} is too thin to solve")
-    fluxes = {}
+    shots = {}
 
     def flux_at_R(tau):
-        if tau not in fluxes:
-            fluxes[tau] = _outer_flux(spec, tau, slope=initial_slope)
-        return fluxes[tau]
+        if tau not in shots:
+            shots[tau] = _integrate(spec, tau, slope=initial_slope)
+        return _outer_flux(shots[tau])
 
     lo, hi = 0.5 * tau_flat, 4.0 * tau_flat
     budget = SEARCH_MAX_ITER
@@ -280,7 +283,8 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
     tau1 = brentq(flux_at_R, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=SEARCH_MAX_ITER)
 
     t = np.linspace(r, R, DENSE_POINTS)
-    _, crossed, (v, W) = _integrate(spec, tau1, slope=initial_slope, dense_at=t)
+    _, crossed, steps = shots[tau1]
+    v, W = _continuous_extension(steps, t)
     if crossed:
         raise NumericError("interior zero at the converged eigenvalue; wrong branch")
     if np.any(v[1:] < 0.0):
@@ -288,8 +292,8 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
     s = np.sinh(t) ** (n - 1)
     dv = np.sign(W) * (np.abs(W) / s) ** (1.0 / (p - 1.0))
     # re-integration at looser tolerance bounds the ODE error
-    _, _, (v_loose, _) = _integrate(spec, tau1, rtol=1e-9, atol=1e-11,
-                                    slope=initial_slope, dense_at=t)
+    v_loose, _ = _continuous_extension(
+        _integrate(spec, tau1, rtol=1e-9, atol=1e-11, slope=initial_slope)[2], t)
     ode_max = float(np.max(np.abs(v_loose - v)))
     residuals = {
         "bc_inner": float(abs(v[0])),
@@ -299,7 +303,7 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
     }
     meta = {"n": n, "p": p, "r": r, "R": R, "dense_points": DENSE_POINTS,
             "bracket": (float(lo), float(hi)), "tol": tol,
-            "integrations": len(fluxes) + 2}
+            "integrations": len(shots) + 1}
     return EigResult(tau1=float(tau1), t=t, v=v, dv=dv, residuals=residuals, meta=meta)
 
 

@@ -12,7 +12,10 @@ apply that LOBPCG and conjugate gradients run on, dense eigh at every
 spectral resolution against LOBPCG, adaptive quadrature of the parallel
 perimeters instead of the Gauss rule behind the constant-flux energy, and
 an explicit delta-by-piece mask instead of searchsorted runs for the pieces
-each delta cuts.
+each delta cuts.  The P1 element kernels and the parallel perimeters are
+also kept in their (element, corner) broadcast and per-delta loop forms,
+the references their one-row-per-corner and blocked forms must equal bit
+for bit.
 """
 
 import math
@@ -379,3 +382,114 @@ def dense_mixed_eigenpair(dom):
 def masked_cuts(deltas, near, far):
     """(row, k) with near[k] <= deltas[row] < far[k], from the full mask."""
     return np.nonzero((near <= deltas[:, None]) & (far > deltas[:, None]))
+
+
+def _broadcast_element_quadrature(mesh):
+    """Areas and the (element, corner) arrays b, c and lambda of fem2d."""
+    v, t = mesh.vertices, mesh.triangles
+    x, y = v[t, 0], v[t, 1]
+    det = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+           - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    area = 0.5 * np.abs(det)
+    lam = np.empty((len(area), 3))
+    for q, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+        mx = 0.5 * (x[:, i] + x[:, j])
+        my = 0.5 * (y[:, i] + y[:, j])
+        lam[:, q] = 2.0 / (1.0 - (mx * mx + my * my))
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], 1) / det[:, None]
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], 1) / det[:, None]
+    return area, b, c, lam
+
+
+_MID_PHI = (np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.0, 0.5]))
+
+
+def broadcast_assemble_p2(mesh):
+    """fem2d.assemble_p2 from (element, i, j) element matrices."""
+    from scipy.sparse import coo_matrix
+    area, b, c, lam = _broadcast_element_quadrature(mesh)
+    ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * area[:, None, None]
+    me = np.zeros_like(ke)
+    for q, phi in enumerate(_MID_PHI):
+        w = lam[:, q] ** 2 * (area / 3.0)
+        me += w[:, None, None] * (phi[:, None] * phi[None, :])[None, :, :]
+    t = mesh.triangles
+    ii, jj = np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel()
+    nv = mesh.vertices.shape[0]
+    return (coo_matrix((ke.ravel(), (ii, jj)), shape=(nv, nv)).tocsr(),
+            coo_matrix((me.ravel(), (ii, jj)), shape=(nv, nv)).tocsr())
+
+
+class BroadcastRayleighP:
+    """fem2d._RayleighP's quotient, gradients and element Hessians on
+    (element, corner) arrays: num sums nu_T |g_T|^p, den is the midpoint
+    quadrature of |u|^p lambda^2; element matrices are indexed [T, i, j]."""
+
+    def __init__(self, mesh, p):
+        self.p, self.t, self.nv = p, mesh.triangles, mesh.vertices.shape[0]
+        self.free = np.setdiff1d(np.arange(self.nv), mesh.inner_nodes)
+        area, self.b, self.c, lam = _broadcast_element_quadrature(mesh)
+        self.nu = area / 3.0 * np.sum(lam ** (2.0 - p), axis=1)
+        self.mass_w = (area / 3.0)[:, None] * lam ** 2
+        self.bb = self.b[:, :, None] * self.b[:, None, :] + self.c[:, :, None] * self.c[:, None, :]
+
+    def _full(self, x):
+        u = np.zeros(self.nv)
+        u[self.free] = x
+        return u
+
+    def _scatter(self, per_vertex):
+        return np.bincount(self.t.ravel(), per_vertex.ravel(), minlength=self.nv)[self.free]
+
+    def gradients(self, x):
+        """(gx, gy, d) with d[T, k] = gx b_k + gy c_k."""
+        ut = self._full(x)[self.t]
+        gx, gy = np.sum(self.b * ut, axis=1), np.sum(self.c * ut, axis=1)
+        return gx, gy, gx[:, None] * self.b + gy[:, None] * self.c
+
+    def numerator(self, x):
+        p = self.p
+        gx, gy, d = self.gradients(x)
+        g2 = gx * gx + gy * gy + 1e-300
+        coef = self.nu * p * g2 ** (p / 2.0 - 1.0)
+        return float(np.sum(self.nu * g2 ** (p / 2.0))), self._scatter(coef[:, None] * d)
+
+    def _midpoints(self, x):
+        u = self._full(x)
+        return 0.5 * (u[self.t] + u[self.t[:, [1, 2, 0]]])
+
+    def denominator(self, x):
+        p = self.p
+        uq = self._midpoints(x)
+        dd = 0.5 * p * self.mass_w * np.abs(uq) ** (p - 1.0) * np.sign(uq)
+        return float(np.sum(self.mass_w * np.abs(uq) ** p)), self._scatter(dd + dd[:, [2, 0, 1]])
+
+    def hessian_elements(self, x):
+        p = self.p
+        gx, gy, d = self.gradients(x)
+        s = gx * gx + gy * gy
+        s += 1e-12 * s.max()
+        he = (self.nu * s ** (p / 2.0 - 1.0))[:, None, None] * self.bb
+        he += ((p - 2.0) * self.nu * s ** (p / 2.0 - 2.0))[:, None, None] * d[:, :, None] * d[:, None, :]
+        return he
+
+    def denominator_hessian_elements(self, x):
+        p = self.p
+        a = np.abs(self._midpoints(x))
+        w = np.zeros_like(a)
+        nz = a > 0.0
+        w[nz] = p * (p - 1.0) * self.mass_w[nz] * a[nz] ** (p - 2.0)
+        return sum(w[:, q, None, None] * np.outer(phi, phi) for q, phi in enumerate(_MID_PHI))
+
+
+def looped_parallel_perimeters(profile, deltas):
+    """bodies.parallel_perimeter_direct of a curvature profile, one delta at
+    a time: the boundary integral of prod_i (cosh delta + kappa_i sinh delta)."""
+    out = []
+    for delta in deltas:
+        c, s = math.cosh(delta), math.sinh(delta)
+        jac = np.ones(len(profile.params))
+        for col, mult in enumerate(profile.multiplicity):
+            jac *= (c + profile.kappas[:, col] * s) ** mult
+        out.append(float(np.sum(jac * profile.weights)))
+    return np.array(out)

@@ -30,6 +30,7 @@ from horokit.errors import DomainValidationError, NumericError, PreconditionErro
 
 from oracles import (
     chart_curvature_2d,
+    looped_parallel_perimeters,
     meridian_curvature_fd,
     orbit_curvature_fd,
     planar_polar_curvature,
@@ -229,6 +230,27 @@ def test_parallel_perimeter_identity_at_zero(convex_suite_2d):
     body = convex_suite_2d[1]
     assert parallel_perimeter_direct(body, 0.0) == pytest.approx(
         boundary_measures(body)["perimeter"], rel=1e-12)
+
+
+def test_parallel_perimeters_match_the_per_delta_loop(convex_suite_2d, hconvex_suite_n3,
+                                                     hconvex_suite_n4):
+    # an array of distances is evaluated in blocks, each row the same sum as
+    # one distance alone: 385 distances cross the block boundaries
+    deltas = np.append(0.0, np.geomspace(1e-4, 2.5, 384))
+    for body in (convex_suite_2d[1], hconvex_suite_n3[0], hconvex_suite_n4[0],
+                 make_ball(2, 0.8), make_ball(3, 1.1)):
+        prof = curvature_profile(body)
+        expect = looped_parallel_perimeters(prof, deltas)
+        assert np.array_equal(parallel_perimeter_direct(body, deltas), expect)
+        one = parallel_perimeter_direct(body, deltas[7])
+        assert type(one) is float and one == expect[7]
+
+
+def test_parallel_perimeter_refuses_non_finite_distances():
+    # a nan distance used to come back as a nan perimeter
+    for bad in (math.nan, math.inf, [0.5, math.nan], [-0.1, 0.5]):
+        with pytest.raises(DomainValidationError, match="finite and >= 0"):
+            parallel_perimeter_direct(make_ball(2, 1.0), bad)
 
 
 def test_parallel_perimeter_requires_convexity():

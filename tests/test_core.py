@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import horokit.core
 from horokit.core import (
     MAX_DIMENSION,
     ball_perimeter,
@@ -191,6 +196,25 @@ def test_quermass_inverse_radius_round_trips():
         quermass_inverse_radius(3, 3, 1.0)
     with pytest.raises(DomainValidationError):
         quermass_inverse_radius(3, 0, -2.0)
+
+
+def test_quermass_inverse_radius_is_relative_for_small_balls():
+    # brentq's absolute 1e-15 tolerance left r = 1e-3 off by 1.4e-14 and
+    # failed the residual check on the volume of r = 1e-6; Newton on the
+    # closed-form slope stops on a relative step
+    for n in (2, 3, 4):
+        for r in (1e-6, 1e-3):
+            qv = ball_quermass(n, r)
+            for m in range(n):
+                assert quermass_inverse_radius(n, m, qv[m]) == pytest.approx(r, rel=4e-16, abs=0.0)
+
+
+def test_core_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(horokit.core.__file__).parents[1]))
+    code = "import sys, horokit.core; print(any(m.startswith('scipy') for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_poincare_distance_basics():

@@ -17,7 +17,11 @@ from horokit.fem2d import (
 from horokit.shell import ShellSpec, shell_eigen
 from horokit.errors import DomainValidationError, NumericError
 
+from oracles import BroadcastRayleighP, broadcast_assemble_p2
+
 ANNULUS = AnnularDomain2D(inner=make_ball(2, 0.5), outer=make_ball(2, 1.5))
+OVAL_HOLE = AnnularDomain2D(inner=Body2D(a0=0.8, cos=[0.0, 0.1], sin=[0.0, 0.05]),
+                            outer=make_ball(2, 1.8))
 
 
 def test_build_mesh_structure():
@@ -95,6 +99,43 @@ def test_hyperbolic_area_from_mass_matrix():
     area = assemble_p2(mesh)[1].sum()
     exact = 2 * math.pi * (math.cosh(1.5) - math.cosh(0.5))
     assert area == pytest.approx(exact, rel=1e-4)
+
+
+@pytest.mark.parametrize("dom", [ANNULUS, OVAL_HOLE], ids=["annulus", "oval"])
+def test_assemble_p2_matches_broadcast_reference(dom):
+    # K and M feed the p = 2 start of every general-p solve: bit for bit
+    mesh = build_mesh(dom, 0.04)
+    for new, ref in zip(assemble_p2(mesh), broadcast_assemble_p2(mesh)):
+        for field in ("indices", "indptr", "data"):
+            assert np.array_equal(getattr(new, field), getattr(ref, field))
+
+
+@pytest.mark.parametrize("dom", [ANNULUS, OVAL_HOLE], ids=["annulus", "oval"])
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 5.0])
+def test_element_kernels_match_broadcast_reference(dom, p):
+    # the per-corner kernels do the float operations of the (element,
+    # corner) broadcast forms in their order; one changed rounding on the
+    # p = 1.2 power path moves its eigen-residual past the pin below
+    mesh = build_mesh(dom, 0.04)
+    rq, ref = fem2d._RayleighP(mesh, p), BroadcastRayleighP(mesh, p)
+    rng = np.random.default_rng(1)
+    nf = len(rq.free)
+    positive, zeros = 1.0 + rng.random(nf), rng.random(nf)
+    zeros[:nf // 3] = 0.0  # the innermost layers: whole edges whose midpoints are 0
+    assert np.sum(rq._midpoints(zeros) == 0.0) > np.sum(rq._midpoints(positive) == 0.0)
+    for x in (positive, zeros):
+        num, g_num, (gx, gy, d) = rq.numerator(x)
+        ref_gx, ref_gy, ref_d = ref.gradients(x)
+        assert np.array_equal(gx, ref_gx) and np.array_equal(gy, ref_gy)
+        assert np.array_equal(d.T, ref_d)
+        ref_num, ref_g_num = ref.numerator(x)
+        assert num == ref_num and np.array_equal(g_num, ref_g_num)
+        den, g_den = rq.denominator(x)
+        ref_den, ref_g_den = ref.denominator(x)
+        assert den == ref_den and np.array_equal(g_den, ref_g_den)
+        assert np.array_equal(rq._hessian_elements(x).transpose(2, 0, 1), ref.hessian_elements(x))
+        assert np.array_equal(rq._denominator_hessian_elements(x).transpose(2, 0, 1),
+                              ref.denominator_hessian_elements(x))
 
 
 def _spy_splu(monkeypatch):

@@ -103,6 +103,10 @@ def test_nagy_perimeter_match_exploratory(hconvex_suite_n3):
 def test_nagy_rejects_bad_grid():
     with pytest.raises(DomainValidationError):
         nagy_table(make_ball(2, 1.0), delta_grid=[-0.5, 1.0])
+    # a nan distance used to fail as "perimeter of the ball of radius nan"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainValidationError, match="finite and >= 0"):
+            nagy_table(make_ball(2, 1.0), delta_grid=[0.5, bad])
     with pytest.raises(DomainValidationError):
         nagy_table(make_ball(2, 1.0), match="area")
 

@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 import horokit.shell as shell_module
 from horokit.shell import (
     ShellSpec,
+    _integrate,
     _outer_flux,
     rayleigh_quotient_radial,
     shell_eigen,
@@ -105,11 +106,12 @@ def test_outer_flux_changes_sign_once_at_tau1(n, p):
     spec = ShellSpec(n=n, p=p, r=0.5, R=1.5)
     tau1 = shell_eigen(spec).tau1
     tau_flat = (np.pi / 2.0) ** 2
-    assert _outer_flux(spec, 0.999 * tau1) > 0.0
+    assert _outer_flux(_integrate(spec, 0.999 * tau1)) > 0.0
     # up to 16 tau_flat so that the sweep also crosses the second branch,
     # where W(R) of a shot that ignored the interior zero is positive again
     assert 4.0 * tau_flat > 1.001 * tau1
-    above = [_outer_flux(spec, tau) for tau in np.geomspace(1.001 * tau1, 16.0 * tau_flat, 16)]
+    taus = np.geomspace(1.001 * tau1, 16.0 * tau_flat, 16)
+    above = [_outer_flux(_integrate(spec, tau)) for tau in taus]
     assert all(flux < 0.0 for flux in above), above
 
 
@@ -150,9 +152,21 @@ def test_tau_pinned_with_few_integrations(shell, monkeypatch):
     calls = _counting_dopri45(monkeypatch)
     res = shell_eigen(ShellSpec(*shell))
     assert res.tau1 == pytest.approx(PINNED_TAU[shell], rel=1e-12, abs=0.0)
-    # one shot per tau: the bisecting search took 33-34
-    assert res.meta["integrations"] == len(calls) <= 13
+    # one shot per tau, and the profile reuses the search shot at tau_1:
+    # the bisecting search took 33-34
+    assert res.meta["integrations"] == len(calls) <= 12
     assert res.residuals["flux_outer"] <= 1e-12
+
+
+@pytest.mark.parametrize("shell", sorted(PINNED_TAU))
+def test_profile_comes_from_the_search_shot_at_tau1(shell):
+    # brentq returns a tau it shot: the profile is that shot's extension,
+    # bit for bit the one a fresh dense shot at tau_1 gives
+    spec = ShellSpec(*shell)
+    res = shell_eigen(spec)
+    v, W = shell_module._continuous_extension(_integrate(spec, res.tau1)[2], res.t)
+    dv = np.sign(W) * (np.abs(W) / np.sinh(res.t) ** (spec.n - 1)) ** (1.0 / (spec.p - 1.0))
+    assert np.array_equal(res.v, v) and np.array_equal(res.dv, dv)
 
 
 def test_root_tolerance_is_relative(monkeypatch):
@@ -225,7 +239,8 @@ def test_dopri45_matches_solve_ivp_rk45(n, p, monkeypatch):
     monkeypatch.setattr(shell_module, "_dopri45", recording)
     # 30 tau_1 is past the second branch for p <= 3 at n <= 3: v crosses zero
     for tau in (0.5 * tau1, 0.9 * tau1, tau1, 1.1 * tau1, 3.0 * tau1, 30.0 * tau1):
-        W, crossed, profile = shell_module._integrate(spec, tau, dense_at=t)
+        W, crossed, steps = _integrate(spec, tau)
+        profile = shell_module._continuous_extension(steps, t)
         ref = _solve_ivp_shot(spec, tau, t)
         assert crossed == ref[0], tau
         # roundoff in the error estimates shifts the step sizes a little:
