@@ -5,7 +5,10 @@ given by a truncated Fourier series r(theta) about a base point, and
 rotationally symmetric bodies in dimension n >= 3 given by an even cosine
 series h(u) over the polar angle u in [0, pi].  Both make every geometric
 quantity (curvature profile, measures, curvature integrals, quermass
-vector, parallel-body perimeters) a one-dimensional quadrature.
+vector) a one-dimensional quadrature.  Parallel-body perimeters then follow
+from Steiner's formula in the curvature integrals (steiner_polynomial,
+parallel_perimeter); the Jacobian integral over the boundary
+(parallel_perimeter_direct) is kept as their cross-check.
 
 Planar profiles sample uniformly in theta (the trapezoid rule is spectral
 for periodic integrands); revolution profiles sample at Gauss-Legendre
@@ -48,7 +51,6 @@ GAUSS_BONNET_RTOL = 1e-8
 BODY_TERMINAL_RTOL = 1e-6
 RESOLUTION_CHECK_RTOL = 1e-6
 POLAR_SAMPLES = 4096  # polar angles at which a domain's boundaries are checked
-PERIMETER_BLOCK = 16  # parallel distances per (distances, profile nodes) work array
 
 
 def _as_coeffs(c):
@@ -501,6 +503,49 @@ def check_hypotheses(body, force=False):
 # Parallel bodies
 
 
+def _checked_distances(delta):
+    deltas = np.asarray(delta, dtype=float)
+    # negated comparisons, so that a nan distance is refused as well
+    if not (np.all(deltas >= 0.0) and np.all(deltas < math.inf)):
+        raise DomainValidationError("parallel distance must be finite and >= 0")
+    return deltas
+
+
+def steiner_polynomial(v, delta):
+    """Steiner's formula sum_j C(n-1, j) v[n-1-j] sinh^j delta cosh^{n-1-j} delta
+    with the n coefficients v, at a distance or at every entry of an array of
+    them (returned in its shape).
+
+    With v the curvature integrals V_0..V_{n-1} of a convex body it is the
+    perimeter of the parallel body at distance delta; being linear in v, it
+    turns coefficient differences into perimeter differences.  A negative or
+    non-finite distance is refused, and a value past the double range is a
+    NumericError.
+    """
+    deltas = _checked_distances(delta)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            v = np.asarray(v, dtype=float)
+            n = len(v)
+            j = np.arange(n)
+            coef = np.array([math.comb(n - 1, k) for k in j], dtype=float) * v[::-1]
+            s = np.sinh(deltas)[..., None]
+            c = np.cosh(deltas)[..., None]
+            out = np.sum(coef * s ** j * c ** (n - 1 - j), axis=-1)
+    except FloatingPointError as exc:
+        raise NumericError(f"parallel perimeters overflow: {exc}") from None
+    return float(out) if deltas.ndim == 0 else out
+
+
+def parallel_perimeter(body, delta):
+    """Perimeter of the outer parallel body of a convex body at distance
+    delta, or at every entry of an array of distances (returned in its
+    shape): steiner_polynomial of the body's cached curvature integrals.
+    parallel_perimeter_direct is its independent cross-check."""
+    require_convex(body, "body")
+    return steiner_polynomial(curvature_integrals(body).v, delta)
+
+
 def parallel_perimeter_direct(body, delta, profile=None):
     """Perimeter of the outer parallel body at distance delta, or at every
     entry of an array of distances (returned in its shape).
@@ -508,90 +553,30 @@ def parallel_perimeter_direct(body, delta, profile=None):
     Normal-exponential Jacobian form: integral over the boundary of
     prod_i (cosh delta + kappa_i sinh delta) dS.  Convexity keeps the normal
     map injective, so the integrand is exactly the area-element stretch.
-    Distances are evaluated PERIMETER_BLOCK at a time, each row the same
-    sum as for its distance alone; a negative or non-finite distance is
-    refused.
+    Each row is the same sum as for its distance alone; a negative or
+    non-finite distance is refused.  No command evaluates it: it is the
+    reference that parallel_perimeter is checked against.
     """
-    deltas = np.asarray(delta, dtype=float)
-    # negated comparisons, so that a nan distance is refused as well
-    if not (np.all(deltas >= 0.0) and np.all(deltas < math.inf)):
-        raise DomainValidationError("parallel distance must be finite and >= 0")
+    deltas = _checked_distances(delta)
     if profile is None:
         require_convex(body, "body")
         profile = curvature_profile(body)
     flat = deltas.ravel()
-    out = np.empty(len(flat))
-    columns = [(np.ascontiguousarray(profile.kappas[:, col]), mult)
-               for col, mult in enumerate(profile.multiplicity)]
-    for start in range(0, len(flat), PERIMETER_BLOCK):
-        block = flat[start:start + PERIMETER_BLOCK]
-        c = np.array([math.cosh(d) for d in block])[:, None]
-        s = np.array([math.sinh(d) for d in block])[:, None]
-        jac = None  # 1 * f and f ** 1 are exact: the product starts at the first factor
-        for kappa, mult in columns:
-            factor = kappa * s
-            factor += c
-            if mult != 1:
-                factor **= mult
-            if jac is None:
-                jac = factor
-            else:
-                jac *= factor
-        jac *= profile.weights
-        out[start:start + len(block)] = np.sum(jac, axis=1)
+    c = np.array([math.cosh(d) for d in flat])[:, None]
+    s = np.array([math.sinh(d) for d in flat])[:, None]
+    jac = None  # 1 * f and f ** 1 are exact: the product starts at the first factor
+    for col, mult in enumerate(profile.multiplicity):
+        factor = profile.kappas[:, col] * s
+        factor += c
+        if mult != 1:
+            factor **= mult
+        if jac is None:
+            jac = factor
+        else:
+            jac *= factor
+    jac *= profile.weights
+    out = np.sum(jac, axis=1)
     return float(out[0]) if deltas.ndim == 0 else out.reshape(deltas.shape)
-
-
-def steiner_evaluate(ci, delta):
-    """Parallel perimeter from curvature integrals.
-
-    Binomial expansion of the Jacobian product:
-    P(K_delta) = sum_j C(n-1, j) V_{n-j-1}(K) sinh^j(delta) cosh^{n-1-j}(delta).
-    """
-    if delta < 0:
-        raise DomainValidationError("parallel distance must be >= 0")
-    n = ci.n
-    c, s = math.cosh(delta), math.sinh(delta)
-    total = 0.0
-    for j in range(n):
-        total += math.comb(n - 1, j) * ci.v[n - j - 1] * s ** j * c ** (n - 1 - j)
-    return float(total)
-
-
-def parallel_volume(body, delta):
-    """Volume of the outer parallel body: Vol(K) + integral_0^delta P(K_t) dt.
-
-    The kernel integrals sum_j C(n-1,j) V_{n-j-1} int_0^delta sinh^j cosh^{n-1-j}
-    are evaluated by Gauss-Legendre; exact for balls up to quadrature.
-    """
-    if delta < 0:
-        raise DomainValidationError("parallel distance must be >= 0")
-    require_convex(body, "body")
-    meas = boundary_measures(body)
-    if delta == 0.0:
-        return meas["volume"]
-    ci = curvature_integrals(body)
-    t, w = _gauss_legendre(96, 0.0, delta)
-    vals = np.array([steiner_evaluate(ci, tv) for tv in t])
-    return meas["volume"] + float(np.sum(w * vals))
-
-
-def flow_profile(prof, delta):
-    """Curvature profile of the parallel boundary at distance delta.
-
-    Principal curvatures follow the Riccati flow
-    kappa(delta) = (kappa cosh delta + sinh delta)/(cosh delta + kappa sinh delta)
-    and the weights pick up the Jacobian stretch.  h-convexity (kappa >= 1)
-    is preserved since kappa(delta) - 1 has the sign of kappa - 1.
-    """
-    c, s = math.cosh(delta), math.sinh(delta)
-    denom = c + prof.kappas * s
-    flowed = (prof.kappas * c + s) / denom
-    jac = np.ones(len(prof.params))
-    for col, mult in enumerate(prof.multiplicity):
-        jac *= denom[:, col] ** mult
-    return CurvatureProfile(n=prof.n, params=prof.params, kappas=flowed,
-                            multiplicity=prof.multiplicity, weights=prof.weights * jac)
 
 
 # ---------------------------------------------------------------------------

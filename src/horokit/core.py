@@ -285,28 +285,30 @@ def quermass_from_curvature_integrals(n, volume, v, terminal_rtol, dtype=float):
     return w.astype(float)
 
 
+def ball_curvature_integrals(n, r):
+    """Curvature integrals V_i(B_r) = omega_{n-1} sinh^i r cosh^{n-1-i} r,
+    i = 0..n-1, of the geodesic ball (all principal curvatures equal
+    coth r), in long double; the caller sets the overflow policy."""
+    rl = _LD(r)
+    i = np.arange(n)
+    return _LD(sphere_measure(n - 1)) * np.cosh(rl) ** (n - 1 - i) * np.sinh(rl) ** i
+
+
 def ball_quermass(n, r):
     """QuermassVector of the geodesic ball B_r.
 
-    The curvature integrals of a ball are omega_{n-1} cosh^j r sinh^{n-1-j} r
-    (all principal curvatures equal coth r).  The recursion is evaluated in
-    extended precision: its terminal entry is a cancellation of terms that
-    grow like sinh^{n-1} r, and the 1e-10 terminal guarantee would not
-    survive double rounding at r ~ 4, n = 5.
+    The recursion runs on ball_curvature_integrals in extended precision:
+    its terminal entry is a cancellation of terms that grow like
+    sinh^{n-1} r, and the 1e-10 terminal guarantee would not survive double
+    rounding at r ~ 4, n = 5.
     """
     n = check_dimension(n)
     if r <= 0:
         raise DomainValidationError(f"ball radius must be > 0, got {r}")
-    rl = _LD(r)
-    om = _LD(sphere_measure(n - 1))
     try:
         with np.errstate(over="raise"):
-            sh, ch = np.sinh(rl), np.cosh(rl)
-            v = [om * ch ** j * sh ** (n - 1 - j) for j in range(n)]  # v[j] = V_{n-j-1}
-            v_by_index = np.zeros(n, dtype=_LD)
-            for j in range(n):
-                v_by_index[n - j - 1] = v[j]
-            vol = om * sinh_power_integral(n - 1, r, dtype=_LD)
+            v_by_index = ball_curvature_integrals(n, r)
+            vol = _LD(sphere_measure(n - 1)) * sinh_power_integral(n - 1, r, dtype=_LD)
             if not float(vol) < math.inf:  # finite in long double, but W_0 is a double
                 raise NumericError(f"volume of the ball of radius {r!r} in dimension {n} "
                                    f"is {float(vol):.3g}, not a finite double")

@@ -28,8 +28,8 @@ from .bodies import (
     AnnularDomain2D,
     Body2D,
     ParallelCurve,
-    curvature_profile,
-    parallel_perimeter_direct,
+    parallel_perimeter,
+    parallel_perimeter_direct,  # not called; bench/tracing.py counts it here until ROADMAP item 1
     require_convex,
 )
 from .nagy import equivalent_ball
@@ -166,14 +166,12 @@ def parallel_bound_energy(body, p, delta, beta):
 
     Test functions constant on the equidistants of the core reduce the
     energy to the 1-D functional with weight L(s) = P(core_s) (the parallel
-    perimeter) and Robin weight beta L(delta); its constant-flux minimum is
-    evaluated in closed form from L at the 384 Gauss nodes and at delta.
-    The true energy can only be lower.
+    perimeter, by Steiner's formula) and Robin weight beta L(delta); its
+    constant-flux minimum is evaluated in closed form from L at the 384
+    Gauss nodes and at delta.  The true energy can only be lower.
     """
     require_convex(body, "core")
-    prof = curvature_profile(body)
-    return _constant_flux_energy(
-        lambda s: parallel_perimeter_direct(body, s, profile=prof), p, delta, beta)
+    return _constant_flux_energy(lambda s: parallel_perimeter(body, s), p, delta, beta)
 
 
 def fem_energy_p2(body, delta, beta, h_mesh=0.01):

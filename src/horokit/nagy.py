@@ -3,23 +3,28 @@
 Given a body K, the matched ball K* shares its top quermassintegral
 W_{n-1}; the engine tabulates P(K_delta) against P(K*_delta) over a delta
 grid, plus the quermassintegral comparisons (Alexandrov-Fenchel style) and
-the planar isoperimetric deficit that the comparison rests on.
+the planar isoperimetric deficit that the comparison rests on.  Both
+perimeters are Steiner polynomials in (cosh delta, sinh delta) whose
+coefficients are curvature integrals, so each margin is the Steiner
+polynomial of the coefficient differences V_i(K*) - V_i(K), not the
+difference of two large totals.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ball_perimeter, ball_quermass, quermass_inverse_radius
+from .core import ball_curvature_integrals, ball_quermass, quermass_inverse_radius
 from .bodies import (
     Body2D,
     boundary_measures,
     check_hypotheses,
-    curvature_profile,
-    parallel_perimeter_direct,
+    curvature_integrals,
+    parallel_perimeter_direct,  # not called; bench/tracing.py counts it here until ROADMAP item 1
     quermassintegrals,
+    steiner_polynomial,
 )
-from .errors import DomainValidationError, NumericError
+from .errors import DomainValidationError
 
 TOL_NUM_REL = 1e-8   # numerical slack on margins, relative to the ball side
 TOL_EQ_REL = 1e-6    # equality detection threshold, relative
@@ -79,14 +84,16 @@ def nagy_table(body, delta_grid=None, force=False, match="quermass"):
         r_star = equivalent_ball(body, force=force)
     else:
         r_star = perimeter_matched_ball(body)
-    prof = curvature_profile(body)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            p_body = parallel_perimeter_direct(body, deltas, profile=prof)
-            p_ball = np.array([ball_perimeter(body.n, r_star + d) for d in deltas])
-    except ArithmeticError as exc:  # math and, under errstate, numpy overflow
-        raise NumericError(f"parallel perimeters overflow: {exc}") from exc
-    margins = p_ball - p_body
+    # the body's own coefficients, not bodies.parallel_perimeter, whose
+    # convex gate would refuse a table forced past the hypotheses; the sum
+    # is the boundary integral of the Jacobian product either way
+    v_body = curvature_integrals(body).v
+    # rounded once from long double: where the match is exact to round-off,
+    # as W_1 in the plane, the top coefficients then cancel exactly
+    v_ball = ball_curvature_integrals(body.n, r_star).astype(float)
+    p_body = steiner_polynomial(v_body, deltas)
+    p_ball = steiner_polynomial(v_ball, deltas)
+    margins = steiner_polynomial(v_ball - v_body, deltas)
     verdict = bool(np.all(margins >= -TOL_NUM_REL * p_ball))
     equality = bool(np.all(np.abs(margins) <= TOL_EQ_REL * p_ball))
     if match == "perimeter" and body.n >= 3:

@@ -398,8 +398,8 @@ def build_parallel_table(dom, fld=None, n_deltas=DEFAULT_N_DELTAS, grid_res=DEFA
     L = _lengths(fld, deltas)
     L_err = float(np.max(np.abs(L - _lengths(fld, deltas, stride=2))))
     delta0_err = fld.delta0 - float(np.nanmax(fld.crossings[::2]))
-    Ltilde = np.array([ball_perimeter(2, r + min(d, R - r)) if d <= R - r else 0.0
-                       for d in deltas])
+    # the matched annulus' circles, 2 pi sinh(r + delta), up to its outer radius
+    Ltilde = np.where(deltas <= R - r, 2.0 * math.pi * np.sinh(r + deltas), 0.0)
     return ParallelTable(deltas=deltas, L=L, delta0=fld.delta0, Ltilde=Ltilde,
                          r_match=r, R_match=R, grid_res=len(fld.values),
                          L_err=max(L_err, ROUNDOFF_RTOL * float(np.max(L))),

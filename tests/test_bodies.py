@@ -8,23 +8,19 @@ from horokit.core import ball_perimeter, ball_quermass, ball_volume
 from horokit.bodies import (
     AnnularDomain2D,
     Body2D,
-    CurvatureProfile,
     RevolutionBody,
     boundary_measures,
     convexity_report,
     curvature_2d,
     curvature_integrals,
-    curvature_integrals_from_profile,
     curvature_profile,
     curvature_revolution,
-    flow_profile,
     make_ball,
     ParallelCurve,
+    parallel_perimeter,
     parallel_perimeter_direct,
-    parallel_volume,
     quermassintegrals,
     revolution_pole_curvature,
-    steiner_evaluate,
 )
 from horokit.errors import DomainValidationError, NumericError, PreconditionError
 
@@ -234,8 +230,8 @@ def test_parallel_perimeter_identity_at_zero(convex_suite_2d):
 
 def test_parallel_perimeters_match_the_per_delta_loop(convex_suite_2d, hconvex_suite_n3,
                                                      hconvex_suite_n4):
-    # an array of distances is evaluated in blocks, each row the same sum as
-    # one distance alone: 385 distances cross the block boundaries
+    # an array of distances is evaluated in one broadcast, each row the same
+    # sum as one distance alone
     deltas = np.append(0.0, np.geomspace(1e-4, 2.5, 384))
     for body in (convex_suite_2d[1], hconvex_suite_n3[0], hconvex_suite_n4[0],
                  make_ball(2, 0.8), make_ball(3, 1.1)):
@@ -259,71 +255,36 @@ def test_parallel_perimeter_requires_convexity():
 
 
 def test_direct_vs_polynomial_forms(convex_suite_2d, hconvex_suite_n3):
+    # the two forms agree within 2.8e-16 on these bodies
+    deltas = [0.0, 0.3, 1.0, 2.0]
     for body in [*convex_suite_2d[:4], *hconvex_suite_n3[:2]]:
-        ci = curvature_integrals(body)
-        for delta in (0.0, 0.3, 1.0, 2.0):
-            direct = parallel_perimeter_direct(body, delta)
-            poly = steiner_evaluate(ci, delta)
-            assert direct == pytest.approx(poly, rel=1e-8)
+        direct = parallel_perimeter_direct(body, deltas)
+        assert np.allclose(direct, parallel_perimeter(body, deltas), rtol=3e-14, atol=0.0)
 
 
 def test_steiner_polynomial_ball_closed_form():
-    ci = curvature_integrals(make_ball(2, 1.0))
-    assert steiner_evaluate(ci, 0.5) == pytest.approx(2 * math.pi * math.sinh(1.5), rel=1e-10)
-    assert steiner_evaluate(ci, 0.0) == pytest.approx(ci.v[1], rel=1e-14)
-    ci3 = curvature_integrals(make_ball(3, 0.7))
-    for delta in np.linspace(0.1, 1.0, 10):
-        assert steiner_evaluate(ci3, delta) == pytest.approx(
-            4 * math.pi * math.sinh(0.7 + delta) ** 2, rel=1e-10)
-
-
-def test_parallel_volume_ball_and_derivative():
     body = make_ball(2, 1.0)
-    assert parallel_volume(body, 1.0) == pytest.approx(
-        2 * math.pi * (math.cosh(2.0) - 1), rel=1e-10)
-    assert parallel_volume(body, 0.0) == pytest.approx(ball_volume(2, 1.0), rel=1e-12)
-    # d/d delta of the parallel volume is the parallel perimeter
-    body2 = Body2D(a0=0.8, cos=[0.0, 0.1])
-    ci = curvature_integrals(body2)
-    step = 1e-4
-    fd = (parallel_volume(body2, 0.5 + step) - parallel_volume(body2, 0.5 - step)) / (2 * step)
-    assert fd == pytest.approx(steiner_evaluate(ci, 0.5), rel=1e-6)
+    assert parallel_perimeter(body, 0.5) == pytest.approx(2 * math.pi * math.sinh(1.5), rel=1e-10)
+    assert parallel_perimeter(body, 0.0) == curvature_integrals(body).v[1]
+    deltas = np.linspace(0.1, 1.0, 10)
+    assert np.allclose(parallel_perimeter(make_ball(3, 0.7), deltas),
+                       4 * math.pi * np.sinh(0.7 + deltas) ** 2, rtol=1e-10, atol=0.0)
 
 
-def test_flow_semigroup_property(convex_suite_2d, hconvex_suite_n3):
-    for body in [convex_suite_2d[1], hconvex_suite_n3[0]]:
-        prof = curvature_profile(body)
-        for delta, eps in ((0.3, 0.4), (0.8, 0.5)):
-            flowed = flow_profile(prof, delta)
-            ci_flowed = curvature_integrals_from_profile(flowed)
-            lhs = parallel_perimeter_direct(body, delta + eps)
-            rhs = steiner_evaluate(ci_flowed, eps)
-            assert lhs == pytest.approx(rhs, rel=1e-7)
-
-
-def test_flow_preserves_h_convexity(hconvex_suite_n3):
-    prof = curvature_profile(hconvex_suite_n3[0])
-    assert prof.kappas.min() >= 1.0
-    for delta in (0.2, 1.0, 3.0):
-        assert flow_profile(prof, delta).kappas.min() >= 1.0
-
-
-def test_flow_of_ball_curvature_is_coth():
-    prof = curvature_profile(make_ball(2, 1.0))
-    flowed = flow_profile(prof, 0.5)
-    assert np.allclose(flowed.kappas, 1.0 / math.tanh(1.5), rtol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(min_value=0.05, max_value=3.0), st.floats(min_value=0.0, max_value=2.0))
-def test_flow_preserves_lower_curvature_bound(kappa_extra, delta):
-    # kappa >= 1 is invariant under the outward flow for any delta
-    prof = curvature_profile(make_ball(2, 1.0))
-    shifted = CurvatureProfile(n=2, params=prof.params,
-                               kappas=prof.kappas * 0.0 + 1.0 + kappa_extra,
-                               multiplicity=(1,), weights=prof.weights)
-    flowed = flow_profile(shifted, delta)
-    assert flowed.kappas.min() >= 1.0 - 1e-12
+def test_parallel_perimeter_shapes_and_refusals():
+    body = Body2D(a0=0.8, cos=[0.0, 0.1])
+    deltas = np.geomspace(1e-3, 2.0, 12).reshape(3, 4)
+    table = parallel_perimeter(body, deltas)
+    assert table.shape == (3, 4)
+    one = parallel_perimeter(body, deltas[1, 2])
+    assert type(one) is float and one == table[1, 2]
+    for bad in (math.nan, math.inf, [0.5, math.nan], [-0.1, 0.5]):
+        with pytest.raises(DomainValidationError, match="finite and >= 0"):
+            parallel_perimeter(body, bad)
+    with pytest.raises(PreconditionError):
+        parallel_perimeter(Body2D(a0=1.0, cos=[0.0, 0.0, 0.0, 0.0, 0.3]), 0.2)
+    with pytest.raises(NumericError, match="parallel perimeters overflow"):
+        parallel_perimeter(body, [0.5, 800.0])
 
 
 @settings(max_examples=20, deadline=None)

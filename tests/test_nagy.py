@@ -16,7 +16,7 @@ from horokit.bodies import (
     make_ball,
     quermassintegrals,
 )
-from horokit.core import ball_perimeter, ball_quermass
+from horokit.core import ball_perimeter, ball_quermass, ball_volume
 from horokit.nagy import (
     af_check,
     equivalent_ball,
@@ -70,6 +70,19 @@ def test_nagy_table_planar_convex_bodies(convex_suite_2d):
         assert report.verdict
         assert np.all(report.margins > 0.0)
         assert not report.equality_detected
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+def test_nagy_margins_are_the_area_deficit_times_sinh(eps):
+    # in H^2 the W_1-matched ball has the body's perimeter and, by
+    # Gauss-Bonnet, V_0 = area + 2 pi, so every margin is the area deficit
+    # times sinh delta; taken as the difference of the two perimeters, a
+    # 1e-3 ripple's margin loses up to 3.0e-7 of itself, from the
+    # coefficient differences 5.0e-10
+    body = Body2D(a0=0.8, cos=[0.0, eps])
+    report = nagy_table(body)
+    deficit = ball_volume(2, report.r_star) - boundary_measures(body)["volume"]
+    assert np.allclose(report.margins, deficit * np.sinh(report.deltas), rtol=1e-9, atol=0.0)
 
 
 def test_nagy_table_hconvex_revolution(hconvex_suite_n3):
