@@ -81,22 +81,6 @@ def body_from_dict(doc, where="body spec"):
     raise DataFormatError(f"{where}: unknown body kind {kind!r}")
 
 
-def body_to_dict(body):
-    if isinstance(body, Body2D):
-        if body.is_round:
-            return {"schema": SCHEMA_VERSION, "kind": "ball", "n": 2,
-                    "params": {"r": body.a0}}
-        return {"schema": SCHEMA_VERSION, "kind": "fourier2d", "n": 2,
-                "params": {"a0": body.a0, "cos": list(body.cos), "sin": list(body.sin)}}
-    if isinstance(body, RevolutionBody):
-        if body.is_round:
-            return {"schema": SCHEMA_VERSION, "kind": "ball", "n": body.n,
-                    "params": {"r": body.a0}}
-        return {"schema": SCHEMA_VERSION, "kind": "revolution", "n": body.n,
-                "params": {"a0": body.a0, "cos_even": list(body.cos_even)}}
-    raise DataFormatError(f"cannot serialize body of type {type(body).__name__}")
-
-
 def load_body(path):
     """Parse a body specification file; returns (body, convexity report)."""
     body = body_from_dict(_load_json(path), where=str(path))
@@ -119,12 +103,6 @@ def domain_from_dict(doc, where="domain spec"):
 
 def load_domain(path):
     return domain_from_dict(_load_json(path), where=str(path))
-
-
-def domain_to_dict(dom):
-    return {"schema": SCHEMA_VERSION, "kind": "annular2d",
-            "inner": body_to_dict(dom.inner), "outer": body_to_dict(dom.outer),
-            "offset": dom.offset, "offset_angle": dom.offset_angle}
 
 
 @dataclass

@@ -35,7 +35,7 @@ from .fem2d import (
     eigen_p_general,
 )
 from .spectral import mixed_eigenpair
-from .shell import ShellSpec, shell_eigen
+from .shell import ShellSpec, _continuous_extension, radial_integrals, shell_eigen
 from .errors import DomainValidationError, NumericError, DataFormatError
 
 DEFAULT_GRID_RES = 8192    # normal rays from the hole boundary
@@ -474,40 +474,35 @@ def hersch_bound(table, p, shell_result=None):
 
     The test function is u = f(M(d(x, hole))) capped at f(Mtilde_star) with
     f = v o Mtilde^{-1}, v the radial annulus eigenfunction.  Assembled
-    entirely from one-dimensional tables: the gradient term collapses to
-    int_0^{Mtilde_star} |f'|^p dbeta and the p-norm splits into the interior
-    part plus the capped tail.
+    entirely from one-dimensional tables.  The gradient term collapses to
+    int_0^{Mtilde_star} |f'|^p dbeta, and since f'(beta) = v'(delta)
+    Ltilde(delta)^{p'-1} and (p' - 1)(p - 1) = 1, |f'(beta)|^p dbeta =
+    |v'(delta)|^p Ltilde(delta) ddelta: it is the annulus numerator,
+    2 pi int |v'|^p sinh t dt, taken by shell.radial_integrals on the steps of
+    the shot at tau_1.  The p-norm splits into the interior part plus the
+    capped tail, with v at the transplanted distances read from the same
+    steps.  A given shell_result must carry those steps and the n = 2 shell
+    (r, R, p) of this table.
     """
     r, R = table.r_match, table.R_match
     if shell_result is None:
         shell_result = shell_eigen(ShellSpec(n=2, p=p, r=r, R=R))
-    elif abs(shell_result.meta.get("r", r) - r) > 1e-9 or \
-            abs(shell_result.meta.get("R", R) - R) > 1e-9 or \
-            shell_result.meta.get("p", p) != p:
+    meta, steps = shell_result.meta, shell_result.steps
+    if steps is None or not {"n", "r", "R", "p"} <= meta.keys():
+        raise DataFormatError("shell result has no radial profile (steps; n, r, R, p)")
+    if (meta["n"], meta["p"]) != (2, p) or max(abs(meta["r"] - r), abs(meta["R"] - R)) > 1e-9:
         raise DataFormatError("shell profile does not match this parallel table")
     coords = interior_coords(table, p)
-    pc = p / (p - 1.0)
-
-    # v and v' as functions of the distance to the hole (delta = t - r)
-    dv_of = PchipInterpolator(shell_result.t - r, shell_result.dv)
-    v_of = PchipInterpolator(shell_result.t - r, shell_result.v)
-
-    # numerator: int |f'(beta)|^p dbeta on the Mtilde grid, with
-    # f'(beta) = v'(delta) Ltilde(delta)^{p'-1} by the chain rule
-    dt = coords.deltas_tilde
-    lt = 2.0 * math.pi * np.sinh(r + dt)
-    fprime = dv_of(dt) * lt ** (pc - 1.0)
-    numerator = float(np.trapezoid(np.abs(fprime) ** p * lt ** (1.0 - pc), dt))
+    numerator = 2.0 * math.pi * radial_integrals(2, p, steps)[0]
 
     # u along the parallels: v evaluated at Mtilde^{-1}(min(M(delta), Mtilde_*));
     # the min implements the cap at f(Mtilde_star), so one integral covers
     # both the interior part and the constant tail of the p-norm.
     dt_from_beta = PchipInterpolator(coords.Mtilde, coords.deltas_tilde)
     fine = np.linspace(0.0, table.deltas[-1], 8192)
-    L_fine = PchipInterpolator(table.deltas, table.L)(fine)
-    M_fine = PchipInterpolator(table.deltas, coords.M)(fine)
+    L_fine, M_fine = PchipInterpolator(table.deltas, np.column_stack([table.L, coords.M]))(fine).T
     beta_cap = np.minimum(M_fine, coords.Mtilde_star)
-    u_fine = v_of(dt_from_beta(beta_cap))
+    u_fine = _continuous_extension(steps, r + dt_from_beta(beta_cap))[0]
     denominator = float(np.trapezoid(np.abs(u_fine) ** p * L_fine, fine))
     return float(numerator / denominator)
 

@@ -68,7 +68,7 @@ def run(verbose=True):
     res = shell_eigen(spec)
     rq = rayleigh_quotient_radial(spec, res)
     check("shell eigenvalue Rayleigh consistency",
-          abs(rq - res.tau1) <= 1e-6 * res.tau1, f"tau={res.tau1:.8f}")
+          abs(rq - res.tau1) <= 1e-10 * res.tau1, f"tau={res.tau1:.8f}")
     check("shell outer Neumann residual",
           res.residuals["bc_outer"] <= 1e-10 and res.residuals["flux_outer"] <= 1e-12)
 

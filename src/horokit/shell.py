@@ -20,7 +20,12 @@ first branch is needed.
 Each shot is one run of a scalar Dormand-Prince 5(4) stepper (_dopri45):
 the steps, step-size control and 4th-order continuous extension of scipy's
 RK45, on a state of two Python floats, without solve_ivp's per-step array
-machinery.
+machinery.  The accepted steps of the shot at tau_1 are the profile: its
+512 samples and every integral of it come from their continuous extension
+(Shampine, Math. Comp. 46, 1986), and radial_integrals applies a 4-node
+Gauss-Legendre rule on each step.  The gradient term is integrated in the
+flux variable, |v'|^p sinh^{n-1} t = |W|^{p'} sinh^{(n-1)(1-p')} t with
+p' = p / (p - 1), so v' is never formed.
 """
 
 import math
@@ -29,15 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import RK45
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .core import check_dimension, check_exponent
+from .core import check_dimension, check_exponent, gauss_legendre_nodes
 from .errors import DomainValidationError, NumericError, SearchError
 
 DENSE_POINTS = 512
 SEARCH_MAX_ITER = 200      # bracket expansions, and brentq's iterations
-RAYLEIGH_POINTS = 4096     # trapezoid nodes of rayleigh_quotient_radial
 
 # Dormand-Prince 5(4) tableau and step-size control, as scipy's RK45 has them
 RK_C = RK45.C[1:].tolist()
@@ -69,13 +72,15 @@ class ShellSpec:
 class EigResult:
     """Eigenvalue with a sampled eigenfunction and solver diagnostics.
 
-    Radial solves fill (t, v, dv); mesh solves fill u with nodal values.
+    Radial solves fill (t, v, dv) and steps, the accepted steps of the shot
+    at tau_1 as _dopri45 returns them; mesh solves fill u with nodal values.
     """
 
     tau1: float
     t: np.ndarray = None
     v: np.ndarray = None
     dv: np.ndarray = None
+    steps: np.ndarray = None
     u: np.ndarray = None
     residuals: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
@@ -168,13 +173,17 @@ def _continuous_extension(steps, t):
 
     Each point takes the polynomial of the step whose interval holds it, and
     points outside all steps that of the nearest one; returns the rows (v, W).
+    Each step's stages are contracted with RK45.P once, then gathered per point.
     """
     t_old, h, y_old, stages = steps[:, 0], steps[:, 1], steps[:, 2:4], steps[:, 4:].reshape(-1, 7, 2)
-    j = np.clip(np.searchsorted(t_old, t, side="left") - 1, 0, len(t_old) - 1)
-    x = (t - t_old[j]) / h[j]
-    powers = np.cumprod(np.repeat(x[:, None], RK45.P.shape[1], axis=1), axis=1)
-    q = np.einsum("msk,sq->mkq", stages[j], RK45.P)
-    return (y_old[j] + h[j, None] * np.einsum("mkq,mq->mk", q, powers)).T
+    q = np.einsum("msk,sq->mkq", stages, RK45.P)
+    j = np.maximum(np.searchsorted(t_old, t, side="left") - 1, 0)
+    hj = h[j]
+    x = (t - t_old[j]) / hj
+    x2 = x * x  # the powers x .. x^4 of RK45.P, multiplied up as a cumulative product
+    powers = np.column_stack([x, x2, x2 * x, x2 * x * x])
+    poly = np.einsum("mkq,mq->mk", q.take(j, axis=0), powers)
+    return (y_old.take(j, axis=0) + hj[:, None] * poly).T
 
 
 def _radial_rhs(spec, tau):
@@ -234,10 +243,10 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
     tol is relative: xtol = tol * lo, lo being the final lower bracket end,
     which lies below tau_1 because the flux is positive there.
     Each tau is shot once per call, and every shot keeps its steps: brentq
-    returns one of the taus it shot, and the 512-point profile is that
-    shot's continuous extension.  meta["integrations"] counts every shot of
-    the Dormand-Prince stepper, including the re-integration of tau_1 at
-    looser tolerance.
+    returns one of the taus it shot, the result keeps that shot's steps, and
+    the 512-point profile is their continuous extension.
+    meta["integrations"] counts every shot of the Dormand-Prince stepper,
+    including the re-integration of tau_1 at looser tolerance.
     initial_slope only rescales the eigenfunction (the problem is
     homogeneous), which makes it a cheap simplicity cross-check.
 
@@ -304,15 +313,32 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
     meta = {"n": n, "p": p, "r": r, "R": R, "dense_points": DENSE_POINTS,
             "bracket": (float(lo), float(hi)), "tol": tol,
             "integrations": len(shots) + 1}
-    return EigResult(tau1=float(tau1), t=t, v=v, dv=dv, residuals=residuals, meta=meta)
+    return EigResult(tau1=float(tau1), t=t, v=v, dv=dv, steps=steps,
+                     residuals=residuals, meta=meta)
+
+
+def radial_integrals(n, p, steps):
+    """(int |v'|^p sinh^{n-1} t dt, int |v|^p sinh^{n-1} t dt) over the steps.
+
+    A 4-node Gauss-Legendre rule on every accepted step, at which the
+    continuous extension gives v and W.  The gradient term is
+    |W|^{p'} sinh^{(n-1)(1-p')} t, grouped as (|W| / s)^{p'} s with
+    s = sinh^{n-1} t so that neither power leaves the double range near p = 1.
+    """
+    x, w = gauss_legendre_nodes(4)
+    half = 0.5 * steps[:, 1:2]
+    t = (steps[:, :1] + half * (1.0 + x)).ravel()
+    v, W = _continuous_extension(steps, t)
+    s, weights = np.sinh(t) ** (n - 1), (half * w).ravel()
+    return (float(np.dot(weights, (np.abs(W) / s) ** (p / (p - 1.0)) * s)),
+            float(np.dot(weights, np.abs(v) ** p * s)))
 
 
 def rayleigh_quotient_radial(spec, res):
-    """Rayleigh quotient of the stored profile in the shell weight sinh^{n-1}."""
-    t = np.linspace(spec.r, spec.R, RAYLEIGH_POINTS)
-    v = PchipInterpolator(res.t, res.v)(t)
-    dv = PchipInterpolator(res.t, res.dv)(t)
-    w = np.sinh(t) ** (spec.n - 1)
-    num = np.trapezoid(np.abs(dv) ** spec.p * w, t)
-    den = np.trapezoid(np.abs(v) ** spec.p * w, t)
-    return float(num / den)
+    """Rayleigh quotient of the profile in the shell weight sinh^{n-1}.
+
+    Both integrals come from radial_integrals on the steps of the shot at
+    tau_1, so no sampled profile is re-interpolated.
+    """
+    num, den = radial_integrals(spec.n, spec.p, res.steps)
+    return num / den

@@ -14,15 +14,16 @@ perimeters instead of the Gauss rule behind the constant-flux energy, and
 an explicit delta-by-piece mask instead of searchsorted runs for the pieces
 each delta cuts.  The P1 element kernels and the parallel perimeters are
 also kept in their (element, corner) broadcast and per-delta loop forms,
-the references their one-row-per-corner and blocked forms must equal bit
-for bit.
+and the shooting stepper's continuous extension in its per-point form:
+the references their one-row-per-corner, blocked and per-step forms must
+equal bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import RK45, quad
 from scipy.linalg import eigh
 from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
@@ -493,3 +494,14 @@ def looped_parallel_perimeters(profile, deltas):
             jac *= (c + profile.kappas[:, col] * s) ** mult
         out.append(float(np.sum(jac * profile.weights)))
     return np.array(out)
+
+
+def per_point_continuous_extension(steps, t):
+    """RK45's continuous extension of the accepted steps at the points t, with
+    each point's stages contracted with RK45.P on their own; rows (v, W)."""
+    t_old, h, y_old, stages = steps[:, 0], steps[:, 1], steps[:, 2:4], steps[:, 4:].reshape(-1, 7, 2)
+    j = np.clip(np.searchsorted(t_old, t, side="left") - 1, 0, len(t_old) - 1)
+    x = (t - t_old[j]) / h[j]
+    powers = np.cumprod(np.repeat(x[:, None], RK45.P.shape[1], axis=1), axis=1)
+    q = np.einsum("msk,sq->mkq", stages[j], RK45.P)
+    return (y_old[j] + h[j, None] * np.einsum("mkq,mq->mk", q, powers)).T

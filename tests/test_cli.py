@@ -12,14 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horokit.bodies import AnnularDomain2D, Body2D, boundary_measures, make_ball
+from horokit.bodies import Body2D, boundary_measures
 import horokit
 from horokit.cli import make_parser, run_command
 from horokit.errors import DataFormatError, DomainValidationError
 from horokit.io import (
     body_from_dict,
-    body_to_dict,
-    domain_to_dict,
     load_body,
     load_domain,
     write_csv,
@@ -97,7 +95,8 @@ def test_bad_spec_fields_are_rejected(tmp_path, loader, doc, error, match):
 
 def test_body_round_trip_preserves_measures(tmp_path):
     body = Body2D(a0=0.8, cos=[0.0, 0.1], sin=[0.02])
-    doc = body_to_dict(body)
+    doc = {"schema": 1, "kind": "fourier2d", "n": 2,
+           "params": {"a0": 0.8, "cos": [0.0, 0.1], "sin": [0.02]}}
     clone = body_from_dict(doc)
     m0 = boundary_measures(body)
     m1 = boundary_measures(clone)
@@ -106,8 +105,11 @@ def test_body_round_trip_preserves_measures(tmp_path):
 
 
 def test_domain_round_trip(tmp_path):
-    dom = AnnularDomain2D(inner=make_ball(2, 0.8), outer=make_ball(2, 1.8), offset=0.2)
-    path = write(tmp_path, "dom.json", domain_to_dict(dom))
+    doc = {"schema": 1, "kind": "annular2d",
+           "inner": {"schema": 1, "kind": "ball", "n": 2, "params": {"r": 0.8}},
+           "outer": {"schema": 1, "kind": "ball", "n": 2, "params": {"r": 1.8}},
+           "offset": 0.2, "offset_angle": 0.0}
+    path = write(tmp_path, "dom.json", doc)
     clone = load_domain(path)
     assert clone.offset == 0.2
     assert clone.inner.a0 == 0.8

@@ -436,6 +436,22 @@ def test_hersch_bound_rejects_mismatched_profile(concentric_field):
         hersch_bound(table, 2.0, shell_result=wrong)
 
 
+def test_hersch_bound_refuses_a_result_without_a_profile(concentric_field):
+    # the bound reads the shot's steps and the shell's (n, r, R, p): a result
+    # without them is refused, not taken on the table's own values
+    from dataclasses import replace
+    from horokit.fem2d import build_mesh, eigen_p2
+    from horokit.shell import EigResult, ShellSpec, shell_eigen
+    table = build_parallel_table(CONCENTRIC, fld=concentric_field, n_deltas=64)
+    shell = shell_eigen(ShellSpec(n=2, p=2.0, r=table.r_match, R=table.R_match))
+    no_outer = {k: v for k, v in shell.meta.items() if k != "R"}
+    for result in (EigResult(tau1=1.0), eigen_p2(build_mesh(CONCENTRIC, 0.1)),
+                   replace(shell, steps=None), replace(shell, meta=no_outer)):
+        with pytest.raises(DataFormatError):
+            hersch_bound(table, 2.0, shell_result=result)
+    assert hersch_bound(table, 2.0, shell_result=shell) == hersch_bound(table, 2.0)
+
+
 def test_rfk_verdict_low_resolution_smoke(concentric_field):
     table = build_parallel_table(CONCENTRIC, fld=concentric_field, n_deltas=64)
     report = rfk_verdict(CONCENTRIC, 2.0, table=table)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from horokit.shell import (
 )
 from horokit.errors import DomainValidationError, NumericError
 
-from oracles import fd_shell_eigen_p2
+from oracles import fd_shell_eigen_p2, per_point_continuous_extension
 
 
 def test_shell_spec_validation():
@@ -60,12 +64,41 @@ def test_profile_structure_p_not_2():
     assert res.v[0] == 0.0
     assert np.all(np.diff(res.v) >= -1e-12)
     assert res.residuals["bc_outer"] <= 1e-10
-    assert rayleigh_quotient_radial(spec, res) == pytest.approx(res.tau1, rel=1e-6)
+    assert rayleigh_quotient_radial(spec, res) == pytest.approx(res.tau1, rel=1e-10)
 
 
 def test_rayleigh_consistency(shell_benchmark):
     spec, res = shell_benchmark
-    assert rayleigh_quotient_radial(spec, res) == pytest.approx(res.tau1, rel=1e-6)
+    assert rayleigh_quotient_radial(spec, res) == pytest.approx(res.tau1, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+def test_rayleigh_quotient_radial_is_tight(n, p):
+    # Gauss rules on the shot's own steps: at most 1.5e-11 off tau_1 here
+    spec = ShellSpec(n=n, p=p, r=0.5, R=1.5)
+    res = shell_eigen(spec)
+    assert rayleigh_quotient_radial(spec, res) == pytest.approx(res.tau1, rel=1e-10)
+
+
+@pytest.mark.parametrize("shell", [(2, 2.0), (3, 1.5), (2, 3.0), (3, 5.0)])
+@pytest.mark.parametrize("points", [512, 8192])
+def test_continuous_extension_matches_per_point_form(shell, points):
+    # the stages are contracted once per step and gathered per point: bit
+    # for bit the contraction at every point
+    spec = ShellSpec(*shell, r=0.5, R=1.5)
+    steps = shell_eigen(spec).steps
+    t = np.linspace(spec.r, spec.R, points)
+    assert np.array_equal(shell_module._continuous_extension(steps, t),
+                          per_point_continuous_extension(steps, t))
+
+
+def test_shell_import_loads_no_scipy_interpolate():
+    env = dict(os.environ, PYTHONPATH=str(Path(shell_module.__file__).parents[1]))
+    code = "import sys, horokit.shell; print('scipy.interpolate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_outer_radius_sweep_decreases_tau():
@@ -160,11 +193,13 @@ def test_tau_pinned_with_few_integrations(shell, monkeypatch):
 
 @pytest.mark.parametrize("shell", sorted(PINNED_TAU))
 def test_profile_comes_from_the_search_shot_at_tau1(shell):
-    # brentq returns a tau it shot: the profile is that shot's extension,
-    # bit for bit the one a fresh dense shot at tau_1 gives
+    # brentq returns a tau it shot: the result keeps that shot's steps, and
+    # the profile is their extension, bit for bit what a fresh shot gives
     spec = ShellSpec(*shell)
     res = shell_eigen(spec)
-    v, W = shell_module._continuous_extension(_integrate(spec, res.tau1)[2], res.t)
+    steps = _integrate(spec, res.tau1)[2]
+    assert np.array_equal(res.steps, steps)
+    v, W = shell_module._continuous_extension(steps, res.t)
     dv = np.sign(W) * (np.abs(W) / np.sinh(res.t) ** (spec.n - 1)) ** (1.0 / (spec.p - 1.0))
     assert np.array_equal(res.v, v) and np.array_equal(res.dv, dv)
 
