@@ -336,19 +336,22 @@ def _geodesic_curvature_polar(r, rp, rpp):
     return kg
 
 
+def arc_speed_curvature(body, theta):
+    """Hyperbolic arc length per unit theta and geodesic curvature of a
+    planar body's boundary at the angles theta."""
+    r, rp, rpp = body.radius(theta), body.radius_d1(theta), body.radius_d2(theta)
+    return np.sqrt(rp ** 2 + np.sinh(r) ** 2), _geodesic_curvature_polar(r, rp, rpp)
+
+
 def curvature_2d(body, n_theta=None):
     """Curvature profile of a planar body at uniform angular samples."""
     if not isinstance(body, Body2D):
         raise DomainValidationError("curvature_2d expects a Body2D")
     m = n_theta or body.n_theta
     theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    r = body.radius(theta)
-    rp = body.radius_d1(theta)
-    rpp = body.radius_d2(theta)
-    kg = _geodesic_curvature_polar(r, rp, rpp)
-    ds = np.sqrt(rp ** 2 + np.sinh(r) ** 2) * (2.0 * np.pi / m)
+    speed, kg = arc_speed_curvature(body, theta)
     return CurvatureProfile(n=2, params=theta, kappas=kg[:, None],
-                            multiplicity=(1,), weights=ds)
+                            multiplicity=(1,), weights=speed * (2.0 * np.pi / m))
 
 
 def revolution_pole_curvature(body, at_zero=True):

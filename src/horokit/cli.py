@@ -21,9 +21,7 @@ from .nagy import af_check, isoperimetric_check_2d, nagy_table, TOL_NUM_REL
 from .shell import ShellSpec, shell_eigen
 from .fem2d import build_mesh, eigen_p2, eigen_p_general
 from .parallels import (
-    DEFAULT_GRID_RES,
     DEFAULT_N_DELTAS,
-    MIN_GRID_RES,
     MIN_N_DELTAS,
     build_parallel_table,
     hersch_bound,
@@ -61,12 +59,13 @@ def _parse_deltas(text):
     return np.linspace(start, stop, num)
 
 
-def _parallel_table(args, dom):
-    if args.grid_res < MIN_GRID_RES:
-        raise _UsageError(f"--grid-res needs at least {MIN_GRID_RES} rays, got {args.grid_res}")
+def _parallel_table(args, dom, manifest):
+    """The table, with the rays it settled on recorded as the manifest's grid_res."""
     if args.n_deltas < MIN_N_DELTAS:
         raise _UsageError(f"--n-deltas needs at least {MIN_N_DELTAS} rows, got {args.n_deltas}")
-    return build_parallel_table(dom, grid_res=args.grid_res, n_deltas=args.n_deltas)
+    table = build_parallel_table(dom, n_deltas=args.n_deltas)
+    manifest.resolutions["grid_res"] = table.grid_res
+    return table
 
 
 def _outdir(args):
@@ -194,10 +193,9 @@ def cmd_eig_domain(args):
 
 def cmd_hersch(args):
     manifest = hio.RunManifest("hersch", {"domain": args.domain, "p": args.p},
-                               resolutions={"grid_res": args.grid_res,
-                                            "n_deltas": args.n_deltas})
+                               resolutions={"n_deltas": args.n_deltas})
     dom = hio.load_domain(args.domain)
-    table = _parallel_table(args, dom)
+    table = _parallel_table(args, dom, manifest)
     bound = hersch_bound(table, args.p)
     payload = {"hersch_bound": bound, "delta0": table.delta0,
                "r": table.r_match, "R": table.R_match}
@@ -210,10 +208,9 @@ def cmd_hersch(args):
 def cmd_rfk(args):
     manifest = hio.RunManifest("rfk", {"domain": args.domain, "p": args.p},
                                resolutions={"h_mesh": args.h_mesh,
-                                            "grid_res": args.grid_res,
                                             "n_deltas": args.n_deltas})
     dom = hio.load_domain(args.domain)
-    table = _parallel_table(args, dom)
+    table = _parallel_table(args, dom, manifest)
     report = rfk_verdict(dom, args.p, table, h_mesh=args.h_mesh)
     payload = hio.rfk_report_payload(report)
     _emit(args, manifest, "rfk", payload,
@@ -243,8 +240,6 @@ def cmd_selftest(args):
 
 
 def _table_options(sp):
-    sp.add_argument("--grid-res", type=int, default=DEFAULT_GRID_RES,
-                    help="normal rays from the hole boundary")
     sp.add_argument("--n-deltas", type=int, default=DEFAULT_N_DELTAS,
                     help="rows of the parallel-length table")
 

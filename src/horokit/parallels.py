@@ -10,13 +10,14 @@ hole lies on exactly one normal ray, at parameter delta.  The parallel
 
 and all the machinery is one-dimensional: the distances at which the normal
 rays cross the outer boundary (every crossing, so a ray that leaves and
-re-enters a non-convex domain counts twice; each ray is scanned only where
-its distance from the origin lies in the outer boundary's band of radii over
-the polar angles the ray sweeps, and bracketed Newton finishes each
-crossing), the table of L(delta) with its even-ray error estimate, the
-reparametrizations M (from L) and M-tilde (from the matched annulus), the
-tabulated comparison functions G <= G-tilde, the transplanted test-function
-upper bound for the first mixed eigenvalue, and the end-to-end verdict
+re-enters a non-convex domain counts twice; a scan brackets each and
+bracketed Newton finishes it), the ends of the clipped parallel's arcs,
+bracketed between neighbouring rays and finished the same way, which make
+L exact at any delta, the table of L(delta) on as many rays as its
+every-other-ray error estimate asks for, the reparametrizations M (from L)
+and M-tilde (from the matched annulus), the tabulated comparison functions
+G <= G-tilde, the transplanted test-function upper bound for the first
+mixed eigenvalue, and the end-to-end verdict
 
     tau_1(domain) <= transplant bound <= tau_1(matched annulus).
 """
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .core import ball_perimeter, check_exponent, geodesic_step
-from .bodies import AnnularDomain2D, boundary_measures, curvature_2d, require_convex
+from .core import ball_perimeter, check_exponent, gauss_legendre_nodes, geodesic_step
+from .bodies import AnnularDomain2D, arc_speed_curvature, boundary_measures, require_convex
 from .fem2d import (
     build_mesh,
     eigen_p2,  # not called; bench/tracing.py wraps it here until ROADMAP item 1
@@ -38,18 +39,18 @@ from .spectral import mixed_eigenpair
 from .shell import ShellSpec, _continuous_extension, radial_integrals, shell_eigen
 from .errors import DomainValidationError, NumericError, DataFormatError
 
-DEFAULT_GRID_RES = 8192    # normal rays from the hole boundary
+RAY_COUNTS = tuple(64 * 2 ** k for k in range(8))  # doubled until L_err reaches round-off
 DEFAULT_N_DELTAS = 384
-MIN_GRID_RES = 4           # the even-ray error estimate needs two rays
 MIN_N_DELTAS = 2
 SCAN_STEPS = 128           # samples per ray that bracket its boundary crossings
-BAND_MARGIN = 0.01         # widens the outer boundary's band of radii
+BAND_MARGIN = 0.01         # pads the outer boundary's largest distance from the origin
 ROOT_MAX_ITER = 100
 RAY_CHUNK = 1024           # rays scanned at once, bounding the scan's memory
+ARC_NODES = 8              # Gauss-Legendre nodes per ray interval of the arc integrals
 # relative round-off: the error estimates never read below it, and a Newton
-# step below it leaves a crossing's next iterate at round-off
+# step below it leaves a root's next iterate at round-off
 ROUNDOFF_RTOL = 1e-12
-PEAK_RAYS = 65             # rays per round of the delta0 refinement
+PEAK_RAYS = 65             # rays per round of each extremum's refinement
 PEAK_ROUNDS = 3            # each round narrows to the best ray's neighbours
 # the last row sits this far inside delta0: above the crossings' round-off,
 # so a boundary arc at distance delta0 (concentric domains) still counts
@@ -65,16 +66,17 @@ class DistanceField:
     Ray i leaves the hole at parameter theta[i]; values[i] is its first exit
     from the domain.  A ray that comes back into a non-convex domain has its
     further (entry, exit) distances in the row reentries[i], NaN-padded.
-    speed is the hyperbolic arc length per unit parameter and kappa the
-    geodesic curvature of the hole at each ray's foot.
+    The extremum rays (see distance_field) have crossings of as many columns.
+    delta0 is the largest distance from the hole within the domain.
     """
 
     theta: np.ndarray
     values: np.ndarray     # (grid_res,)
     reentries: np.ndarray  # (grid_res, 2m)
-    speed: np.ndarray
-    kappa: np.ndarray
+    extremum_theta: np.ndarray
+    extremum_crossings: np.ndarray
     delta0: float
+    delta0_err: float
 
     @property
     def crossings(self):
@@ -82,71 +84,19 @@ class DistanceField:
         return np.column_stack([self.values, self.reentries])
 
 
-def _normal_rays(dom, theta):
-    """Chart foot point, outward unit chart normal and hyperbolic radius of each ray."""
-    hole = dom.inner
-    return hole.chart_curve(theta), hole.chart_normal(theta), hole.radius(theta)
+def _ray_velocity(z, nu, w, t):
+    """Chart velocity at w = geodesic_step(z, nu, t) of that unit-speed geodesic:
+    sech^2(t/2) nu (1 - conj(z) w)^2 / (2 (1 - |z|^2))."""
+    return ((1.0 - np.tanh(0.5 * t) ** 2) * nu * (1.0 - np.conj(z) * w) ** 2
+            / (2.0 * (1.0 - np.abs(z) ** 2)))
 
 
-def _radius_band(dom):
-    """Bands of hyperbolic distance from the chart origin in which the outer
-    boundary lies: (d_lo, d_hi) over the whole boundary, and arc_band.
-
-    Both come from the domain's outer_polar_samples, widened by BAND_MARGIN.
-    arc_band(w0, w1) gives, for each pair of chart points, the band over the
-    arc of polar angles swept from w0 to w1 (shorter than pi), from the
-    samples in the arc and one more at each end.  The extremes of those
-    samples come from a sparse table over the periodic samples: level j
-    holds the extremes of every run of 2**j samples, and two overlapping
-    runs cover any arc.
-    """
-    d = 2.0 * np.arctanh(dom.outer_polar_samples)
-    n = len(d)
-    step = 2.0 * np.pi / n
-    lows, highs = [d], [d]
-    while 2 ** len(lows) <= n:
-        span = 2 ** (len(lows) - 1)
-        lows.append(np.minimum(lows[-1], np.roll(lows[-1], -span)))
-        highs.append(np.maximum(highs[-1], np.roll(highs[-1], -span)))
-    lows, highs = np.array(lows), np.array(highs)
-
-    def widen(lo, hi):
-        return np.maximum(lo - BAND_MARGIN, 0.0), hi + BAND_MARGIN
-
-    def arc_band(w0, w1):
-        sweep = np.angle(w1 * np.conj(w0))
-        start = np.angle(np.where(sweep < 0.0, w1, w0))
-        first = np.floor(start / step)
-        count = np.floor((start + np.abs(sweep)) / step) + 2.0 - first
-        level = np.frexp(count)[1] - 1  # the longest run of 2**level samples in the arc
-        i0 = first.astype(int) % n
-        i1 = (i0 + count.astype(int) - 2 ** level) % n
-        return widen(np.minimum(lows[level, i0], lows[level, i1]),
-                     np.maximum(highs[level, i0], highs[level, i1]))
-
-    lo, hi = widen(np.min(d), np.max(d))
-    return (float(lo), float(hi)), arc_band
-
-
-def _ray_windows(z, nu, r, band):
-    """Parameters [t_lo, t_hi] at which each ray's distance d(t) from the chart
-    origin enters and leaves the band (d_lo, d_hi), one band or one per ray.
-
-    Along the ray from z at radius r with outward normal nu,
-    cosh d(t) = A cosh t + B sinh t = K cosh(t + atanh(B / A)), with
-    A = cosh r, B = sinh r cos psi, cos psi = Re(nu conj z) / |z| and
-    K = sqrt(A^2 - B^2).  The hole is star-shaped about the origin, so
-    cos psi > 0, the phase atanh(B / A) is positive and d grows with t >= 0;
-    t_lo is clamped at the foot point, and cosh d(t) >= cosh t gives
-    t_hi <= d_hi.  A narrower band gives a window inside the wider one's.
-    """
-    a = np.cosh(r)
-    b = np.sinh(r) * (nu * np.conj(z)).real / np.abs(z)
-    k = np.sqrt((a - b) * (a + b))
-    phase = np.arctanh(b / a)
-    d_lo, d_hi = band
-    t_lo = np.arccosh(np.maximum(np.cosh(d_lo) / k, 1.0)) - phase
-    return np.maximum(t_lo, 0.0), np.arccosh(np.cosh(d_hi) / k) - phase
+def _gap(dom, w, dw):
+    """rho_out(arg w) - |w|, positive inside the outer boundary, and its derivative
+    along the chart velocity dw, rho_out'(arg w) Im(dw/w) - Re(conj(w) dw) / |w|."""
+    radius = np.abs(w)
+    rho, slope = dom.polar_tables[1].value_and_slope(np.angle(w))
+    return rho - radius, slope * (dw / w).imag - (np.conj(w) * dw).real / radius
 
 
 def _bracketed_newton(g, t, a, b, a_in):
@@ -180,45 +130,27 @@ def _bracketed_newton(g, t, a, b, a_in):
     raise NumericError("boundary crossings did not converge")
 
 
-def _ray_crossings(dom, theta, band):
+def _ray_crossings(dom, theta):
     """(ray index, distance) of every outer-boundary crossing of the rays at theta.
 
-    Along a ray w(t), f(t) = rho_out(arg w) - |w| is positive inside the
-    outer boundary.  A crossing lies where the ray's distance from the chart
-    origin is inside band, the outer boundary's range of distances from the
-    origin (see _radius_band), so the scan covers only a window of the ray
-    (see _ray_windows), narrowed in two passes.  The window of the whole
-    boundary's band sweeps an arc of polar angles, monotonically, because a
-    geodesic ray meets each radial geodesic at most once (Bridson-Haefliger
-    II.2); every crossing lies in that arc, so within the band of that arc,
-    which gives each ray its own window with f(t_lo) > 0 > f(t_hi).  All
-    rays take the same number of steps, enough that no ray's spacing exceeds
-    (r + d_hi) / SCAN_STEPS, that of a scan of SCAN_STEPS steps over
-    [0, r + d_hi]; on an offset-ball domain that is one or two.  The scan
-    brackets each sign change, and Newton on f, started from the false
-    position of the bracket and kept inside it, finishes every crossing to
-    round-off, with rho_out and rho_out' from one table lookup and
-    f' = rho_out'(arg w) Im(w'/w) - Re(conj(w) w') / |w| and
-    w' = sech^2(t/2) nu (1 - conj(z) w)^2 / (2 (1 - |z|^2)).
-    Past t_hi the ray stays outside the outer boundary, so each ray crosses
-    an odd number of times and its last crossing is an exit.  Crossings come
-    out ordered by ray, then distance.
+    At parameter t a ray from distance r of the chart origin is at least
+    t - r from it, so past r + d_hi (d_hi the outer boundary's largest
+    distance from the origin, plus BAND_MARGIN) it stays outside: each ray
+    crosses an odd number of times, ending with an exit.  A scan of
+    SCAN_STEPS steps over [0, r + d_hi] brackets each sign change of the
+    gap, and Newton along the ray's velocity, from the bracket's false
+    position, finishes it.  Crossings come out ordered by ray, then distance.
     """
-    rho_out = dom.polar_tables[1]
-    whole, arc_band = band
-    z, nu, r = _normal_rays(dom, np.atleast_1d(theta))
-    t_lo, t_hi = _ray_windows(z, nu, r, whole)
-    arc = arc_band(geodesic_step(z, nu, t_lo), geodesic_step(z, nu, t_hi))
-    t_lo, t_hi = _ray_windows(z, nu, r, arc)
-    n_steps = math.ceil(SCAN_STEPS * float(np.max((t_hi - t_lo) / (r + whole[1]))))
-
-    steps = np.linspace(0.0, 1.0, n_steps + 1)
+    hole, theta = dom.inner, np.atleast_1d(theta)
+    z, nu, r = hole.chart_curve(theta), hole.chart_normal(theta), hole.radius(theta)
+    t_hi = r + 2.0 * math.atanh(float(np.max(dom.outer_polar_samples))) + BAND_MARGIN
+    steps = np.linspace(0.0, 1.0, SCAN_STEPS + 1)
     brackets = []
     for i0 in range(0, len(z), RAY_CHUNK):
         ray = np.arange(i0, min(i0 + RAY_CHUNK, len(z)))[:, None]
-        t = t_lo[ray] + (t_hi - t_lo)[ray] * steps
+        t = t_hi[ray] * steps
         w = geodesic_step(z[ray], nu[ray], t)
-        ft = rho_out(np.angle(w)) - np.abs(w)
+        ft = dom.polar_tables[1](np.angle(w)) - np.abs(w)
         i, j = np.nonzero((ft[:, :-1] > 0.0) != (ft[:, 1:] > 0.0))
         brackets.append((ray[i, 0], t[i, j], t[i, j + 1], ft[i, j], ft[i, j + 1]))
     ray, a, b, fa, fb = (np.concatenate(x) for x in zip(*brackets))
@@ -228,51 +160,60 @@ def _ray_crossings(dom, theta, band):
 
     def f(k, t):
         w = geodesic_step(z[k], nu[k], t)
-        dw = ((1.0 - np.tanh(0.5 * t) ** 2) * nu[k] * (1.0 - np.conj(z[k]) * w) ** 2
-              / (2.0 * (1.0 - np.abs(z[k]) ** 2)))
-        radius = np.abs(w)
-        rho, slope = rho_out.value_and_slope(np.angle(w))
-        return rho - radius, slope * (dw / w).imag - (np.conj(w) * dw).real / radius
+        return _gap(dom, w, _ray_velocity(z[k], nu[k], w, t))
 
     return ray, _bracketed_newton(f, b - fb * (b - a) / (fb - fa), a, b, fa > 0.0)
 
 
-def distance_field(dom, grid_res=DEFAULT_GRID_RES):
-    """Boundary crossings of grid_res normal rays, equally spaced in the hole's parameter.
+def _crossing_table(dom, theta):
+    """Every crossing of each ray at theta in order, one row per ray, NaN-padded."""
+    ray, dist = _ray_crossings(dom, theta)
+    column = np.arange(len(ray)) - np.searchsorted(ray, ray)
+    crossings = np.full((len(theta), column.max() + 1), np.nan)
+    crossings[ray, column] = dist
+    return crossings
 
-    delta0, the largest distance from the hole within the domain, is the
-    largest exit, maximized over the parameter between the neighbours of
-    the best ray: PEAK_ROUNDS rounds of PEAK_RAYS rays each, every round
-    spanning the neighbours of the previous round's best ray, so each round
-    divides the spacing by (PEAK_RAYS - 1) / 2.
+
+def distance_field(dom, grid_res):
+    """Boundary crossings of grid_res normal rays, equally spaced in the hole's
+    parameter, and of a ray at each local extremum of the last exit.
+
+    A ray whose last exit is no lower than its neighbours' and beyond
+    round-off above one of them brackets a maximum with them (and the
+    reverse a minimum), as does the largest exit's ray, the only one where
+    rays re-enter; PEAK_ROUNDS rounds of PEAK_RAYS rays, each spanning the
+    neighbours of the last round's best ray, narrow each to its ray.
+    delta0 is the largest exit found, delta0_err what the last round added.
     """
     if not isinstance(dom, AnnularDomain2D):
         raise DomainValidationError("distance fields are built over annular domains")
-    if grid_res < MIN_GRID_RES:
-        raise DomainValidationError(f"grid_res must be at least {MIN_GRID_RES}, got {grid_res}")
     require_convex(dom.inner, "hole")
-    band = _radius_band(dom)
-
-    prof = curvature_2d(dom.inner, n_theta=grid_res)
-    theta = prof.params
-    ray, dist = _ray_crossings(dom, theta, band)
-    column = np.arange(len(ray)) - np.searchsorted(ray, ray)
-    crossings = np.full((grid_res, column.max() + 1), np.nan)
-    crossings[ray, column] = dist
-
+    theta = np.linspace(0.0, 2.0 * np.pi, grid_res, endpoint=False)
+    crossings = _crossing_table(dom, theta)
     last = np.nanmax(crossings, axis=1)
-    best = int(np.argmax(last))
+    rise = np.stack([np.roll(last, 1), np.roll(last, -1)]) - last
+    # +1 at a minimum, -1 at a maximum: argmin of sense * exits finds either
+    sense = np.sign(np.sum(np.sign(rise) * (np.abs(rise) > ROUNDOFF_RTOL * last), axis=0))
+    if np.any(np.isfinite(crossings[:, 1:])):  # re-entering rays: delta0's peak only
+        sense[:] = 0.0
+    sense[np.argmax(last)] = -1.0
     h = 2.0 * np.pi / grid_res
-    delta0, lo, hi = float(last[best]), theta[best] - h, theta[best] + h
+    lo, hi, sense = theta[sense != 0] - h, theta[sense != 0] + h, sense[sense != 0]
+    delta0 = float(np.max(last))
     for _ in range(PEAK_ROUNDS):
-        t = np.linspace(lo, hi, PEAK_RAYS)
-        ray, dist = _ray_crossings(dom, t, band)
-        exits = dist[np.append(ray[1:] != ray[:-1], True)]  # each ray's last crossing
-        k = int(np.argmax(exits))
-        delta0 = max(delta0, float(exits[k]))
-        lo, hi = t[max(k - 1, 0)], t[min(k + 1, PEAK_RAYS - 1)]
+        t = np.linspace(lo, hi, PEAK_RAYS, axis=1)
+        table = _crossing_table(dom, t.ravel()).reshape(*t.shape, -1)
+        exits = np.nanmax(table, axis=2)
+        e, k = np.arange(len(t)), np.argmin(sense[:, None] * exits, axis=1)
+        lo, hi = t[e, np.maximum(k - 1, 0)], t[e, np.minimum(k + 1, PEAK_RAYS - 1)]
+        previous, delta0 = delta0, max(delta0, float(np.max(exits)))
+        peak_theta, peaks = np.mod(t[e, k], 2.0 * np.pi), table[e, k]
+    width = max(crossings.shape[1], peaks.shape[1])
+    crossings, peaks = (np.pad(x, ((0, 0), (0, width - x.shape[1])), constant_values=np.nan)
+                        for x in (crossings, peaks))
     return DistanceField(theta=theta, values=crossings[:, 0], reentries=crossings[:, 1:],
-                         speed=prof.weights / h, kappa=prof.kappas[:, 0], delta0=delta0)
+                         extremum_theta=peak_theta, extremum_crossings=peaks,
+                         delta0=delta0, delta0_err=delta0 - previous)
 
 
 def _cuts(deltas, near, far):
@@ -289,61 +230,69 @@ def _cuts(deltas, near, far):
     return np.arange(len(k)) - np.repeat(np.cumsum(runs) - runs - lo, runs), k
 
 
-def _lengths(fld, deltas, stride=1):
-    """L at each of the ascending deltas from every stride-th ray of the field.
+def _lengths(dom, fld, deltas, stride=1):
+    """L at the ascending deltas, exact between every stride-th ray of the
+    field and its extremum rays.
 
-    Between neighbouring rays that cross the outer boundary equally often,
-    each crossing distance is interpolated linearly in the parameter, and
-    the density speed (cosh delta + kappa sinh delta), linear between the
-    rays, is integrated exactly over the part of the interval where that
-    crossing lies beyond delta; an exit counts +1 and an entry -1.  Where
-    the counts differ (the outer boundary touches a ray in between), each
-    ray keeps its own crossings on its half of the interval.
+    A ray is inside at delta when an odd number of its crossings lie beyond
+    delta.  Rays i and i + 1 differ on [e1, e2), [e3, e4), ... of their
+    merged, sorted crossings, and there an arc of the clipped parallel ends
+    between them, at the root s of the gap at w(s) = geodesic_step(z(s),
+    nu(s), delta).  Newton finds it from the linear interpolant of the
+    pair's crossings (the middle, where both are one ray's), with dw/ds =
+    i w_t speed (cosh delta + kappa sinh delta): the ray's velocity turned
+    a quarter turn and stretched by the normal flow.  With A(s) and B(s)
+    the integrals of speed and speed kappa from 0 to s (ARC_NODES-point
+    Gauss-Legendre on each ray interval and on the part up to each end), L
+    sums cosh delta A + sinh delta B over the ends where the inside set
+    ends, less over those where it starts, plus the whole parallel where
+    ray 0 is inside.
     """
-    theta, c, speed, kappa = (x[::stride] for x in
-                              (fld.theta, fld.crossings, fld.speed, fld.kappa))
-    nxt = np.roll(np.arange(len(theta)), -1)
-    width = np.diff(np.append(theta, theta[0] + 2.0 * np.pi))
-    counts = np.sum(np.isfinite(c), axis=1)
-    same = (counts == counts[nxt])[:, None]
-    sign = np.where(np.arange(c.shape[1]) % 2 == 0, 1.0, -1.0)
-
-    # one piece per interval and crossing; where the counts differ, a second
-    # piece gives the right-hand ray's crossings the right half
-    cn = c[nxt]
-    u_mid = np.where(same, 1.0, 0.5)
-    pieces = [(0.0, u_mid, c, np.where(same, cn, c)),
-              (u_mid, 1.0, np.where(same, np.nan, cn), cn)]
-    a, b = speed, speed * kappa
-    per_interval = (sign * width[:, None], a[:, None], a[nxt][:, None],
-                    b[:, None], b[nxt][:, None])
-    columns = zip(*([np.broadcast_to(x, c.shape).ravel() for x in (*piece, *per_interval)]
-                    for piece in pieces))
-    u0, u1, c0, c1, w, a0, a1, b0, b1 = (np.concatenate(x) for x in columns)
-    keep = np.isfinite(c0) & np.isfinite(c1)
-    u0, u1, c0, c1, w, a0, a1, b0, b1 = (x[keep] for x in (u0, u1, c0, c1, w, a0, a1, b0, b1))
-
-    def integral(ua, ub, k):
-        """int_{ua}^{ub} of the density on piece k, split as (cosh, sinh) parts."""
-        span, half_sq = ub - ua, 0.5 * (ub * ub - ua * ua)
-        return (w[k] * (a0[k] * span + (a1[k] - a0[k]) * half_sq),
-                w[k] * (b0[k] * span + (b1[k] - b0[k]) * half_sq))
-
-    # a piece lying beyond delta throughout adds a constant: sum those in
-    # order of their nearer end, and interpolate only the pieces delta cuts
+    theta = np.append(fld.theta[::stride], fld.extremum_theta)
+    order = np.argsort(theta, kind="stable")
+    theta, c = theta[order], np.vstack([fld.crossings[::stride], fld.extremum_crossings])[order]
+    ends = np.append(theta[1:], 2.0 * np.pi)  # so that the intervals tile [0, 2 pi] exactly
     deltas = np.asarray(deltas, dtype=float)
-    near, far = np.minimum(c0, c1), np.maximum(c0, c1)
-    order = np.argsort(near)
-    whole = integral(u0[order], u1[order], order)
-    beyond = np.searchsorted(near[order], deltas, side="right")
-    A, B = (np.append(np.cumsum(x[::-1])[::-1], 0.0)[beyond] for x in whole)
+    hole = dom.inner
+    nodes, weights = gauss_legendre_nodes(ARC_NODES)
+
+    def arc_integrals(a, b):
+        """(A(b) - A(a), B(b) - B(a)) for arrays of intervals."""
+        half = 0.5 * (b - a)[:, None]
+        speed, kappa = arc_speed_curvature(hole, (0.5 * (a + b))[:, None] + half * nodes)
+        return np.sum(half * weights * speed, axis=1), np.sum(half * weights * speed * kappa, 1)
+
+    A0, B0 = (np.append(0.0, np.cumsum(y)) for y in arc_integrals(theta, ends))
+
+    # pair j of interval i is columns (2j, 2j + 1) of the merged crossings; ray
+    # i is inside on it when an even number of its crossings lie up to column 2j
+    merged = np.column_stack([c, np.roll(c, -1, axis=0)])
+    order = np.argsort(merged, axis=1)  # NaN last
+    merged = np.take_along_axis(merged, order, axis=1)
+    of_next = order >= c.shape[1]
+    interval, j = np.nonzero(np.isfinite(merged[:, 1::2]))
+    near, far = merged[interval, 2 * j], merged[interval, 2 * j + 1]
+    near_next, far_next = of_next[interval, 2 * j], of_next[interval, 2 * j + 1]
+    in_i = np.cumsum(~of_next, axis=1)[interval, 2 * j] % 2 == 0
+
     row, k = _cuts(deltas, near, far)
-    d = deltas[row]
-    cut = u0[k] + (u1[k] - u0[k]) * (c0[k] - d) / (c0[k] - c1[k])
-    falling = c0[k] > d
-    part = integral(np.where(falling, u0[k], cut), np.where(falling, cut, u1[k]), k)
-    A = A + np.bincount(row, weights=part[0], minlength=len(deltas))
-    B = B + np.bincount(row, weights=part[1], minlength=len(deltas))
+    d, lo, hi = deltas[row], theta[interval[k]], ends[interval[k]]
+    frac = (d - near[k]) / (far[k] - near[k])  # 0 at ray i, 1 at ray i + 1 where near is ray i's
+    u = np.where(near_next[k] == far_next[k], 0.5, np.abs(near_next[k] - frac))
+
+    def g(q, s):
+        z, nu = hole.chart_curve(s), hole.chart_normal(s)
+        w = geodesic_step(z, nu, d[q])
+        speed, kappa = arc_speed_curvature(hole, s)
+        stretch = speed * (np.cosh(d[q]) + kappa * np.sinh(d[q]))
+        return _gap(dom, w, 1j * _ray_velocity(z, nu, w, d[q]) * stretch)
+
+    end = _bracketed_newton(g, lo + (hi - lo) * u, lo, hi, in_i[k])
+    sign = np.where(in_i[k], 1.0, -1.0)  # +1 where the inside set ends
+    whole = np.sum(c[0] > deltas[:, None], axis=1) % 2 == 1  # ray 0 inside
+    A, B = (np.where(whole, cum[-1], 0.0)
+            + np.bincount(row, weights=sign * (cum[interval[k]] + p), minlength=len(deltas))
+            for cum, p in zip((A0, B0), arc_integrals(lo, end)))
     return np.cosh(deltas) * A + np.sinh(deltas) * B
 
 
@@ -351,12 +300,11 @@ def _lengths(fld, deltas, stride=1):
 class ParallelTable:
     """Sampled parallel lengths and their annulus counterparts.
 
-    L_err and delta0_err are measured: the largest change of an L row, and
-    of delta0 (taken as the largest exit, unrefined), when the table is
-    rebuilt from every other ray of its field.  The last row, just inside
-    delta0, is the exception: where the level set is narrower than the ray
-    spacing neither ray set sees it, and L there, which falls like
-    sqrt(delta0 - delta), may err by more than L_err.
+    grid_res counts the uniform rays of the table's field.  L_err is the
+    largest change of an L row below delta0 when every other one of them is
+    dropped, at least ROUNDOFF_RTOL of the largest L.  The last row,
+    just inside delta0, may err by more: L falls like sqrt(delta0 - delta)
+    there.  delta0_err is the field's, at least ROUNDOFF_RTOL of delta0.
     """
 
     deltas: np.ndarray
@@ -387,23 +335,25 @@ def annulus_match(dom):
     return r, R
 
 
-def build_parallel_table(dom, fld=None, n_deltas=DEFAULT_N_DELTAS, grid_res=DEFAULT_GRID_RES):
-    """Tabulate L(delta) on [0, delta0] along with the annulus lengths."""
+def build_parallel_table(dom, n_deltas=DEFAULT_N_DELTAS):
+    """Tabulate L(delta) on [0, delta0] along with the annulus lengths, on the
+    first of RAY_COUNTS whose L_err is at its round-off floor, or the last."""
     if n_deltas < MIN_N_DELTAS:
         raise DomainValidationError(f"n_deltas must be at least {MIN_N_DELTAS}, got {n_deltas}")
-    if fld is None:
-        fld = distance_field(dom, grid_res=grid_res)
     r, R = annulus_match(dom)
-    deltas = np.linspace(0.0, fld.delta0 * (1.0 - DELTA0_ROW_RTOL), n_deltas)
-    L = _lengths(fld, deltas)
-    L_err = float(np.max(np.abs(L - _lengths(fld, deltas, stride=2))))
-    delta0_err = fld.delta0 - float(np.nanmax(fld.crossings[::2]))
+    for rays in RAY_COUNTS:
+        fld = distance_field(dom, rays)
+        deltas = np.linspace(0.0, fld.delta0 * (1.0 - DELTA0_ROW_RTOL), n_deltas)
+        L = _lengths(dom, fld, deltas)
+        floor = ROUNDOFF_RTOL * float(np.max(L))
+        L_err = max(float(np.max(np.abs(L - _lengths(dom, fld, deltas, stride=2))[:-1])), floor)
+        if L_err <= floor:
+            break
     # the matched annulus' circles, 2 pi sinh(r + delta), up to its outer radius
     Ltilde = np.where(deltas <= R - r, 2.0 * math.pi * np.sinh(r + deltas), 0.0)
     return ParallelTable(deltas=deltas, L=L, delta0=fld.delta0, Ltilde=Ltilde,
-                         r_match=r, R_match=R, grid_res=len(fld.values),
-                         L_err=max(L_err, ROUNDOFF_RTOL * float(np.max(L))),
-                         delta0_err=max(delta0_err, ROUNDOFF_RTOL * fld.delta0))
+                         r_match=r, R_match=R, grid_res=rays, L_err=L_err,
+                         delta0_err=max(fld.delta0_err, ROUNDOFF_RTOL * fld.delta0))
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,7 @@ def run(verbose=True):
         a = (math.cosh(rho) * math.cosh(0.2) - math.cosh(1.8)) / (math.sinh(rho) * math.sinh(0.2))
         exact = 2.0 * math.acos(max(-1.0, min(1.0, a))) * math.sinh(rho)
         worst = max(worst, abs(length - exact))
-    check("normal-flow parallel length vs law of cosines", worst <= 1e-5, f"max err={worst:.2e}")
+    check("normal-flow parallel length vs law of cosines", worst <= 1e-11, f"max err={worst:.2e}")
 
     e1 = radial_energy(2, 2.0, 1.0, 1.0, 1.0, n_cells=1024)
     e2 = radial_energy(2, 2.0, 1.0, 1.0, 1.0, n_cells=2048)

@@ -97,13 +97,14 @@ def rfk_domains():
 
 
 @pytest.fixture(scope="session")
-def rfk_fields(rfk_domains):
-    return {name: distance_field(dom) for name, dom in rfk_domains.items()}
+def rfk_tables(rfk_domains):
+    return {name: build_parallel_table(dom) for name, dom in rfk_domains.items()}
 
 
 @pytest.fixture(scope="session")
-def rfk_tables(rfk_domains, rfk_fields):
-    return {name: build_parallel_table(dom, fld=rfk_fields[name])
+def rfk_fields(rfk_domains, rfk_tables):
+    """Each table's field: the normal rays it settled on."""
+    return {name: distance_field(dom, rfk_tables[name].grid_res)
             for name, dom in rfk_domains.items()}
 
 

@@ -459,10 +459,8 @@ _RFK_BALLS = st.one_of(
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
-@given(balls=_RFK_BALLS,
-       grid_res=st.one_of(st.integers(4, 64), st.integers(-1, 8)),
-       n_deltas=st.one_of(st.integers(2, 16), st.integers(-1, 4)))
-def test_cli_rfk_fuzz_exits_cleanly(tmp_path_factory, balls, grid_res, n_deltas):
+@given(balls=_RFK_BALLS, n_deltas=st.one_of(st.integers(2, 16), st.integers(-1, 4)))
+def test_cli_rfk_fuzz_exits_cleanly(tmp_path_factory, balls, n_deltas):
     # p = 2 takes the spectral eigensolve; a domain that does not settle
     # within its unknowns must exit 1 like any other failure.  hersch builds
     # the same table without the eigensolve
@@ -471,8 +469,7 @@ def test_cli_rfk_fuzz_exits_cleanly(tmp_path_factory, balls, grid_res, n_deltas)
     dom.write_text(json.dumps(dict(DOMAIN_SPEC, inner=dict(BALL_SPEC, params={"r": r}),
                                    outer=dict(BALL_SPEC, params={"r": R}), offset=offset)))
     for command in ("rfk", "hersch"):
-        _exits_cleanly([command, "--domain", str(dom), "--p=2", f"--grid-res={grid_res}",
-                        f"--n-deltas={n_deltas}"])
+        _exits_cleanly([command, "--domain", str(dom), "--p=2", f"--n-deltas={n_deltas}"])
 
 
 # (a0, relative cos amplitudes, gap to the outer ball): wavy holes of up to
@@ -499,15 +496,14 @@ def test_cli_rfk_fourier_hole_fuzz_exits_cleanly(tmp_path_factory, hole):
     inner = dict(FOURIER_SPEC, params={"a0": a0, "cos": cos})
     outer = dict(BALL_SPEC, params={"r": R})
     dom.write_text(json.dumps(dict(DOMAIN_SPEC, inner=inner, outer=outer)))
-    _exits_cleanly(["rfk", "--domain", str(dom), "--p=2", "--grid-res=64", "--n-deltas=16"])
+    _exits_cleanly(["rfk", "--domain", str(dom), "--p=2", "--n-deltas=16"])
 
 
 @pytest.mark.parametrize("command", ["rfk", "hersch"])
 def test_cli_too_small_table_is_usage_error(tmp_path, capsys, command):
-    # fewer than two rows or than four rays used to end in a traceback
+    # fewer than two rows used to end in a traceback
     dom = write(tmp_path, "dom.json", DOMAIN_SPEC)
-    for option, value in (("--grid-res", "0"), ("--grid-res", "1"), ("--grid-res", "3"),
-                          ("--n-deltas", "0"), ("--n-deltas", "1")):
+    for option, value in (("--n-deltas", "0"), ("--n-deltas", "1")):
         assert run_command([command, "--domain", dom, option, value]) == 1, (option, value)
         err = capsys.readouterr().err
         assert "usage error" in err and "Traceback" not in err, (option, value)
@@ -527,12 +523,24 @@ def test_cli_rfk_concentric_small(tmp_path):
     dom = write(tmp_path, "dom.json", DOMAIN_SPEC)
     out = tmp_path / "o"
     code = run_command(["rfk", "--domain", dom, "--p", "2", "--h-mesh", "0.03",
-                        "--grid-res", "384", "--n-deltas", "96", "--out", str(out)])
+                        "--n-deltas", "96", "--out", str(out)])
     assert code == 0
     doc = json.loads((out / "rfk.json").read_text())
     assert doc["chain_ok"] is True
     assert doc["equality_detected"] is True
     assert (out / "parallels.csv").read_text().splitlines()[0] == "delta,L,Ltilde"
+
+
+def test_cli_rfk_reports_the_rays_its_table_used(tmp_path):
+    # the rays come from the table's own error estimate: on the benchmark's
+    # offset ball 64 settle it, and the manifest and the meta say so
+    offset_ball = dict(DOMAIN_SPEC, inner=dict(BALL_SPEC, params={"r": 0.8}),
+                       outer=dict(BALL_SPEC, params={"r": 1.8}), offset=0.2)
+    dom = write(tmp_path, "dom.json", offset_ball)
+    out = tmp_path / "o"
+    assert run_command(["rfk", "--domain", dom, "--out", str(out)]) == 0
+    doc = json.loads((out / "rfk.json").read_text())
+    assert doc["manifest"]["resolutions"]["grid_res"] == doc["meta"]["grid_res"] == 64
 
 
 def test_cli_eig_domain(tmp_path):
@@ -544,8 +552,7 @@ def test_cli_eig_domain(tmp_path):
 def test_cli_hersch(tmp_path):
     dom = write(tmp_path, "dom.json", DOMAIN_SPEC)
     out = tmp_path / "o"
-    code = run_command(["hersch", "--domain", dom, "--grid-res", "384",
-                        "--n-deltas", "96", "--out", str(out)])
+    code = run_command(["hersch", "--domain", dom, "--n-deltas", "96", "--out", str(out)])
     assert code == 0
     doc = json.loads((out / "hersch.json").read_text())
     assert doc["hersch_bound"] == pytest.approx(1.3576, rel=2e-3)

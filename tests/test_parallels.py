@@ -8,13 +8,16 @@ import pytest
 from horokit.bodies import (
     AnnularDomain2D,
     Body2D,
+    arc_speed_curvature,
     boundary_measures,
     make_ball,
     parallel_perimeter_direct,
 )
-from horokit.core import geodesic_step, poincare_distance
+from horokit.core import poincare_distance
 from horokit import parallels
 from horokit.parallels import (
+    RAY_COUNTS,
+    ROUNDOFF_RTOL,
     SCAN_STEPS,
     ParallelTable,
     annulus_match,
@@ -53,19 +56,20 @@ def test_distance_field_concentric_is_radial(concentric_field):
     assert fld.reentries.shape == (512, 0)
     assert np.max(np.abs(fld.values - 1.0)) <= 1e-12
     assert fld.delta0 == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(fld.kappa, 1.0 / math.tanh(0.5), rtol=1e-12)
+    speed, kappa = arc_speed_curvature(CONCENTRIC.inner, fld.theta)
+    assert np.allclose(speed, math.sinh(0.5), rtol=1e-12)
+    assert np.allclose(kappa, 1.0 / math.tanh(0.5), rtol=1e-12)
 
 
 def test_distance_field_vanishes_on_hole_boundary(rfk_domains, rfk_tables):
     # the parallel at distance 0 is the hole boundary itself, and the rays'
     # foot points lie on it
-    from horokit.parallels import _normal_rays
     for name in ("hole_eps_0.05", "hole_eps_0.1"):
         dom, table = rfk_domains[name], rfk_tables[name]
         perimeter = boundary_measures(dom.inner)["perimeter"]
         assert table.L[0] == pytest.approx(perimeter, rel=1e-12), name
         theta = np.linspace(0.0, 2.0 * np.pi, 7)
-        z, nu, r = _normal_rays(dom, theta)
+        z = dom.inner.chart_curve(theta)
         dist = poincare_distance(np.zeros(2), np.stack([z.real, z.imag], axis=1))
         assert np.allclose(dist, dom.inner.radius(theta), atol=1e-12), name
 
@@ -79,8 +83,8 @@ def test_distance_field_requires_convex_hole():
 
 @pytest.mark.parametrize("dom", [CONCENTRIC, PETALS, OVAL_HOLE], ids=["concentric", "petals", "oval_hole"])
 def test_ray_crossings_match_dense_scan_oracle(dom):
-    # the windowed scan finds every crossing a scan over the whole ray at
-    # four times the step count finds, and nothing else
+    # the scan finds every crossing a scan over the whole ray at four times
+    # the step count finds, and nothing else
     fld = distance_field(dom, grid_res=512)
     dense = dense_ray_crossings(dom, fld.theta, 4 * SCAN_STEPS)
     assert dense.shape == fld.crossings.shape
@@ -88,73 +92,11 @@ def test_ray_crossings_match_dense_scan_oracle(dom):
     assert np.nanmax(np.abs(dense - fld.crossings)) <= 1e-12
 
 
-@pytest.mark.parametrize("dom", [CONCENTRIC, PETALS, OFFSET_BALL, OVAL_HOLE],
-                         ids=["concentric", "petals", "offset_0.2", "oval_hole"])
-def test_scan_windows_bracket_the_outer_boundary(dom):
-    # every ray is inside the domain at t_lo and outside at t_hi of the
-    # window from its arc's band, and that window lies within the window of
-    # the whole boundary's band, itself within the full scan range [0, r + reach]
-    from horokit.parallels import _normal_rays, _radius_band, _ray_windows
-    theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    whole, arc_band = _radius_band(dom)
-    z, nu, r = _normal_rays(dom, theta)
-    t_lo, t_hi = _ray_windows(z, nu, r, whole)
-    arc = arc_band(geodesic_step(z, nu, t_lo), geodesic_step(z, nu, t_hi))
-    s_lo, s_hi = _ray_windows(z, nu, r, arc)
-    rho_out = dom.polar_tables[1]
-
-    def f(t):
-        w = geodesic_step(z, nu, t)
-        return rho_out(np.angle(w)) - np.abs(w)
-
-    assert np.all(f(s_lo) > 0.0) and np.all(f(s_hi) < 0.0)
-    assert np.all(t_lo <= s_lo) and np.all(s_lo < s_hi) and np.all(s_hi <= t_hi)
-    assert np.all(t_lo >= 0.0) and np.all(t_hi <= r + whole[1])
-    if dom is OVAL_HOLE:  # the oval's rays are not radial: some sweep past several samples
-        sweep = np.angle(geodesic_step(z, nu, t_hi) * np.conj(geodesic_step(z, nu, t_lo)))
-        assert np.max(np.abs(sweep)) > 3 * (2.0 * np.pi / 4096)
-
-
-def test_arc_band_matches_the_samples_of_each_arc():
-    # the sparse-table lookup equals the extremes of the samples from the one
-    # at or before each arc's start to the one after its end, across angle 0
-    from horokit.parallels import BAND_MARGIN, _radius_band
-    _, arc_band = _radius_band(PETALS)
-    step = 2.0 * np.pi / 4096
-    d = 2.0 * np.arctanh(PETALS.polar_tables[1](step * np.arange(4096)))
-    rng = np.random.default_rng(3)
-    start, sweep = rng.uniform(-np.pi, np.pi, 200), rng.uniform(-3.1, 3.1, 200)
-    sweep[:5] = 0.0
-    lo, hi = arc_band(0.5 * np.exp(1j * start), 0.7 * np.exp(1j * (start + sweep)))
-    for k in range(200):
-        a = start[k] + min(sweep[k], 0.0)
-        idx = np.arange(math.floor(a / step), math.floor((a + abs(sweep[k])) / step) + 2) % 4096
-        assert lo[k] == max(np.min(d[idx]) - BAND_MARGIN, 0.0)
-        assert hi[k] == np.max(d[idx]) + BAND_MARGIN
-
-
-def test_scan_takes_few_samples_on_offset_ball(monkeypatch):
-    # the outer ball's radii span 1.6..2.0 about the hole's centre, but the
-    # few polar angles each ray sweeps see only a sliver of that band, so one
-    # step of the scan's spacing covers every ray's window
-    import horokit.parallels as parallels
-    scans = []
-
-    def counting_step(z, nu, t):
-        if np.ndim(t) == 2:  # the scan; the windows and Newton step one point per ray
-            scans.append(np.shape(t)[1])
-        return geodesic_step(z, nu, t)
-
-    monkeypatch.setattr(parallels, "geodesic_step", counting_step)
-    distance_field(OFFSET_BALL, grid_res=512)
-    assert scans and max(scans) == 2
-
-
 @pytest.mark.parametrize("dom, cap", [(OFFSET_BALL, 3), (PETALS, 6)], ids=["offset_0.2", "petals"])
 def test_newton_passes_are_few(monkeypatch, dom, cap):
     # Newton from the false position of each scan bracket: three passes on
-    # the offset ball; the petals' wide brackets, 30 scan steps across a
-    # wavy boundary, take a few more in the field and three in the delta0 rounds
+    # the offset ball, in the field and in the extremum rounds; the petals'
+    # brackets across a wavy boundary take a few more in the field
     import horokit.parallels as parallels
     newton = parallels._bracketed_newton
     passes = []
@@ -169,7 +111,7 @@ def test_newton_passes_are_few(monkeypatch, dom, cap):
         return newton(counted, *args)
 
     monkeypatch.setattr(parallels, "_bracketed_newton", counting_newton)
-    distance_field(dom)
+    distance_field(dom, RAY_COUNTS[-1])
     assert len(passes) == 1 + parallels.PEAK_ROUNDS
     assert max(passes) <= cap and passes[1:] == [3] * parallels.PEAK_ROUNDS
 
@@ -192,25 +134,42 @@ def test_bracketed_newton_survives_a_zero_derivative():
 
 
 def test_parallel_length_concentric(concentric_field):
-    got = parallels._lengths(concentric_field, [0.5])[0]
+    got = parallels._lengths(CONCENTRIC, concentric_field, [0.5])[0]
     assert got == pytest.approx(2 * math.pi * math.sinh(1.0), rel=1e-12)
 
 
+def _offset_ball(offset, angle=0.0):
+    return AnnularDomain2D(inner=make_ball(2, 0.8), outer=make_ball(2, 1.8),
+                           offset=offset, offset_angle=angle)
+
+
 def test_parallel_length_offset_ball_oracle(rfk_tables):
-    # law of cosines: every row below delta0 within 1e-5, the delta0 row,
-    # where L falls like sqrt(delta0 - delta) below the ray spacing, within 1e-3
-    for offset in (0.1, 0.2):
-        table = rfk_tables[f"offset_{offset}"]
-        assert table.delta0 == pytest.approx(1.0 + offset, abs=1e-12)
+    # law of cosines: every row below delta0 within 1e-11 and within L_err;
+    # the delta0 row, where L falls like sqrt(delta0 - delta) and its arc is
+    # far narrower than the ray spacing, within 1e-6 from the ray at the
+    # farthest point; turned by 0.1234, that point lies between two rays
+    tables = {0.005: build_parallel_table(_offset_ball(0.005)),
+              0.1: rfk_tables["offset_0.1"], 0.2: rfk_tables["offset_0.2"],
+              "turned": build_parallel_table(_offset_ball(0.2, 0.1234))}
+    for key, table in tables.items():
+        offset = 0.2 if key == "turned" else key
+        assert table.delta0 == pytest.approx(1.0 + offset, abs=1e-12), key
         exact = np.array([offset_ball_parallel_length(0.8, 1.8, offset, d)
                           for d in table.deltas])
         err = np.abs(table.L - exact)
-        assert np.max(err[:-1]) <= 1e-5, offset
-        assert err[-1] <= 1e-3, offset
-    # turned so that the farthest point lies between two rays
-    turned = AnnularDomain2D(inner=make_ball(2, 0.8), outer=make_ball(2, 1.8),
-                             offset=0.2, offset_angle=0.1234)
-    assert distance_field(turned).delta0 == pytest.approx(1.2, abs=1e-12)
+        assert np.max(err[:-1]) <= min(1e-11, table.L_err), key
+        assert err[-1] <= 1e-6, key
+
+
+def test_parallel_length_sees_arcs_between_rays():
+    # turned by 0.1234, the nearest point of the outer ball lies between two
+    # of 64 rays; just past the first exit 0.8 the parallel leaves the domain
+    # on an arc narrower than their spacing, which neither ray sees but the
+    # field's ray at the exit's minimum does
+    dom = _offset_ball(0.2, 0.1234)
+    deltas = 0.8 + np.array([1e-6, 1e-5, 3e-5])
+    exact = np.array([offset_ball_parallel_length(0.8, 1.8, 0.2, d) for d in deltas])
+    assert np.max(np.abs(parallels._lengths(dom, distance_field(dom, 64), deltas) - exact)) <= 1e-11
 
 
 def test_parallel_length_fourier_hole_steiner(rfk_domains, rfk_fields, rfk_tables):
@@ -223,45 +182,72 @@ def test_parallel_length_fourier_hole_steiner(rfk_domains, rfk_fields, rfk_table
         assert np.sum(rows) > 100, name
         d = table.deltas[rows]
         steiner = hole["perimeter"] * np.cosh(d) + (2 * math.pi + hole["volume"]) * np.sinh(d)
-        assert np.max(np.abs(table.L[rows] - steiner)) <= 1e-8, name
+        assert np.max(np.abs(table.L[rows] - steiner)) <= 1e-12, name
 
 
-def test_parallel_length_nonconvex_outer_matches_grid_oracle():
+def test_parallel_length_at_any_delta_below_first_exit():
+    # L at distances off any table row: below the oval hole's first exit it
+    # is Steiner's formula, whatever the rays
+    fld = distance_field(OVAL_HOLE, RAY_COUNTS[0])
+    deltas = np.sort(np.random.default_rng(5).uniform(0.0, 0.9 * np.min(fld.values), 40))
+    hole = boundary_measures(OVAL_HOLE.inner)
+    steiner = hole["perimeter"] * np.cosh(deltas) + (2 * math.pi + hole["volume"]) * np.sinh(deltas)
+    assert np.max(np.abs(parallels._lengths(OVAL_HOLE, fld, deltas) - steiner)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def petals_table():
+    return build_parallel_table(PETALS, n_deltas=17)
+
+
+def test_parallel_length_nonconvex_outer_matches_grid_oracle(petals_table):
     # each return of a ray into the petals adds to L
-    fld = distance_field(PETALS)
+    fld = distance_field(PETALS, petals_table.grid_res)
     assert np.sum(np.isfinite(fld.reentries[:, 0])) > 100
     grid = grid_distance_field(PETALS, 1024)
     R = annulus_match(PETALS)[1]
     tol = 4.0 * grid.cell * 2.0 / (1.0 - math.tanh(R / 2.0) ** 2)
-    table = build_parallel_table(PETALS, fld=fld, n_deltas=17)
+    table = petals_table
     for delta, length in zip(table.deltas[1:-1], table.L[1:-1]):
         assert length == pytest.approx(grid_parallel_length(grid, delta), abs=tol), delta
 
 
-def test_error_estimate_falls_with_ray_count():
-    # linear crossings between rays: about 4x less per doubling of the rays
-    for dom in (AnnularDomain2D(inner=make_ball(2, 0.8), outer=make_ball(2, 1.8), offset=0.2),
-                AnnularDomain2D(inner=Body2D(a0=0.8, cos=[0.0, 0.1]), outer=make_ball(2, 1.8))):
-        est = np.array([build_parallel_table(dom, n_deltas=64, grid_res=512 * 2 ** k).L_err
-                        for k in range(5)])
-        assert np.all(est[1:] < est[:-1] / 1.5), est
-        assert 3.0 <= (est[0] / est[-1]) ** 0.25 <= 6.0, est
+def test_parallel_length_petals_settles_at_round_off(petals_table):
+    # the petal tips' arcs are narrower than 64 rays' spacing, but at 17
+    # rows the doubling reaches rays that bracket every arc end: L_err at
+    # its floor, and L as on twice the rays
+    table = petals_table
+    assert RAY_COUNTS[0] < table.grid_res <= RAY_COUNTS[-1]
+    assert table.L_err == ROUNDOFF_RTOL * np.max(table.L)
+    finer = parallels._lengths(PETALS, distance_field(PETALS, 2 * table.grid_res), table.deltas)
+    assert np.max(np.abs(table.L - finer)[:-1]) <= 1e-12
 
 
-def test_parallel_table_memory_and_mask_oracle(rfk_domains, rfk_fields, monkeypatch):
-    # the pieces each delta cuts come from searchsorted runs, not from a
+def test_error_estimate_settles_at_the_first_ray_count():
+    # exact arc ends: 64 rays bracket every one, so the table stops there,
+    # and its L_err bounds the change to 8192 rays below delta0
+    for dom in (OFFSET_BALL, AnnularDomain2D(inner=Body2D(a0=0.8, cos=[0.0, 0.1]),
+                                             outer=make_ball(2, 1.8))):
+        table = build_parallel_table(dom, n_deltas=64)
+        assert table.grid_res == RAY_COUNTS[0] == 64
+        dense = parallels._lengths(dom, distance_field(dom, RAY_COUNTS[-1]), table.deltas)
+        assert np.max(np.abs(table.L - dense)[:-1]) <= table.L_err
+
+
+def test_parallel_table_memory_and_mask_oracle(rfk_domains, monkeypatch):
+    # the arc ends each delta cuts come from searchsorted runs, not from a
     # deltas-by-pieces mask: the table stays within a few MiB, and L is
     # bit-identical to the one summed over the mask's pairs
-    dom, fld = rfk_domains["offset_0.2"], rfk_fields["offset_0.2"]
+    dom = rfk_domains["offset_0.2"]
     tracemalloc.start()
     try:
-        table = build_parallel_table(dom, fld=fld)
+        table = build_parallel_table(dom)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
     monkeypatch.setattr(parallels, "_cuts", masked_cuts)
-    reference = build_parallel_table(dom, fld=fld)
+    reference = build_parallel_table(dom)
     assert np.array_equal(table.L, reference.L)
     assert table.L_err == reference.L_err
 
@@ -283,7 +269,7 @@ def test_parallel_length_matches_body_oracle_when_interior(concentric_field):
     hole = make_ball(2, 0.5)
     for delta in (0.2, 0.6):
         expect = parallel_perimeter_direct(hole, delta)
-        got = parallels._lengths(concentric_field, [delta])[0]
+        got = parallels._lengths(CONCENTRIC, concentric_field, [delta])[0]
         assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -305,8 +291,8 @@ def test_annulus_match_general_hole():
     assert 2 * math.pi * (math.cosh(R) - math.cosh(r)) == pytest.approx(area, rel=1e-6)
 
 
-def test_interior_coords_concentric(concentric_field):
-    table = build_parallel_table(CONCENTRIC, fld=concentric_field, n_deltas=192)
+def test_interior_coords_concentric():
+    table = build_parallel_table(CONCENTRIC, n_deltas=192)
     coords = interior_coords(table, 2.0)
     # L = Ltilde here, so M and Mtilde agree pointwise
     m_interp = np.interp(coords.deltas_tilde, coords.deltas, coords.M)
@@ -409,40 +395,40 @@ def test_equality_only_on_concentric(rfk_reports):
 
 
 def test_transplant_numerator_matches_annulus(rfk_tables):
-    # assembled in the transplanted coordinate, the gradient term must
-    # reproduce the annulus Rayleigh numerator
-    from horokit.shell import ShellSpec, shell_eigen
-    from scipy.interpolate import PchipInterpolator
-    table = rfk_tables["offset_0.2"]
-    r, R = table.r_match, table.R_match
-    res = shell_eigen(ShellSpec(n=2, p=2.0, r=r, R=R))
-    coords = interior_coords(table, 2.0)
-    dt = coords.deltas_tilde
-    lt = 2 * math.pi * np.sinh(r + dt)
-    dv = PchipInterpolator(res.t - r, res.dv)(dt)
-    fprime = dv * lt  # p = 2: p' - 1 = 1
-    numerator_beta = np.trapezoid(np.abs(fprime) ** 2 * lt ** (-1.0), dt)
-    t_fine = np.linspace(r, R, 4096)
-    dv_fine = PchipInterpolator(res.t, res.dv)(t_fine)
-    numerator_radial = np.trapezoid(dv_fine ** 2 * 2 * math.pi * np.sinh(t_fine), t_fine)
-    assert numerator_beta == pytest.approx(numerator_radial, rel=1e-4)
+    # hersch_bound takes its gradient term as the annulus numerator: in the
+    # transplanted coordinate, int |f'(beta)|^p dbeta on the Mtilde grid,
+    # with f' = v' Ltilde^(p'-1) from the shot's steps, must equal it
+    from horokit.shell import ShellSpec, _continuous_extension, radial_integrals, shell_eigen
+    for name in ("offset_0.2", "hole_eps_0.1"):
+        table = rfk_tables[name]
+        r, R = table.r_match, table.R_match
+        for p in (1.5, 2.0, 3.0):
+            steps = shell_eigen(ShellSpec(n=2, p=p, r=r, R=R)).steps
+            coords = interior_coords(table, p)
+            t = r + coords.deltas_tilde
+            flux = _continuous_extension(steps, t)[1]
+            pc = p / (p - 1.0)
+            fprime = (np.abs(flux) / np.sinh(t)) ** (pc - 1.0) * (2 * math.pi * np.sinh(t)) ** (pc - 1.0)
+            numerator_beta = np.trapezoid(fprime ** p, coords.Mtilde)
+            numerator = 2 * math.pi * radial_integrals(2, p, steps)[0]
+            assert numerator_beta == pytest.approx(numerator, rel=5e-8), (name, p)
 
 
-def test_hersch_bound_rejects_mismatched_profile(concentric_field):
+def test_hersch_bound_rejects_mismatched_profile():
     from horokit.shell import ShellSpec, shell_eigen
-    table = build_parallel_table(CONCENTRIC, fld=concentric_field, n_deltas=64)
+    table = build_parallel_table(CONCENTRIC, n_deltas=64)
     wrong = shell_eigen(ShellSpec(n=2, p=2.0, r=0.3, R=1.1))
     with pytest.raises(DataFormatError):
         hersch_bound(table, 2.0, shell_result=wrong)
 
 
-def test_hersch_bound_refuses_a_result_without_a_profile(concentric_field):
+def test_hersch_bound_refuses_a_result_without_a_profile():
     # the bound reads the shot's steps and the shell's (n, r, R, p): a result
     # without them is refused, not taken on the table's own values
     from dataclasses import replace
     from horokit.fem2d import build_mesh, eigen_p2
     from horokit.shell import EigResult, ShellSpec, shell_eigen
-    table = build_parallel_table(CONCENTRIC, fld=concentric_field, n_deltas=64)
+    table = build_parallel_table(CONCENTRIC, n_deltas=64)
     shell = shell_eigen(ShellSpec(n=2, p=2.0, r=table.r_match, R=table.R_match))
     no_outer = {k: v for k, v in shell.meta.items() if k != "R"}
     for result in (EigResult(tau1=1.0), eigen_p2(build_mesh(CONCENTRIC, 0.1)),
@@ -452,15 +438,15 @@ def test_hersch_bound_refuses_a_result_without_a_profile(concentric_field):
     assert hersch_bound(table, 2.0, shell_result=shell) == hersch_bound(table, 2.0)
 
 
-def test_rfk_verdict_low_resolution_smoke(concentric_field):
-    table = build_parallel_table(CONCENTRIC, fld=concentric_field, n_deltas=64)
+def test_rfk_verdict_low_resolution_smoke():
+    table = build_parallel_table(CONCENTRIC, n_deltas=64)
     report = rfk_verdict(CONCENTRIC, 2.0, table=table)
     assert report.chain_ok
     assert report.equality_detected
     assert report.r == pytest.approx(0.5, rel=1e-6)
     # the reported resolutions are those of the table the chain ran on
     assert report.meta["n_deltas"] == 64
-    assert report.meta["grid_res"] == table.grid_res == 512
+    assert report.meta["grid_res"] == table.grid_res == 64
     assert report.meta["L_err"] == table.L_err
 
 
