@@ -14,10 +14,11 @@ Planar profiles sample uniformly in theta (the trapezoid rule is spectral
 for periodic integrands); revolution profiles sample at Gauss-Legendre
 nodes of [0, pi], which never touch the poles.
 
-Derived data (the profile and its half-resolution check, the measures, the
-curvature integrals) is cached on the immutable body.  require_convex is the
-one convex gate, and check_hypotheses the one hypothesis rule of the
-comparisons: convex in H^2, h-convex for n >= 3.
+Each body samples itself: its profile is built at the first count in
+SAMPLES whose curvature integrals agree with those at half the samples, and
+it and the data derived from it are cached on the immutable body.
+require_convex is the one convex gate, and check_hypotheses the one
+hypothesis rule of the comparisons: convex in H^2, h-convex for n >= 3.
 
 The planar solvers work on one domain type, AnnularDomain2D: a Body2D hole
 inside a second, possibly offset, Body2D or inside the hole's ParallelCurve
@@ -50,6 +51,7 @@ CONVEXITY_TOL = 1e-9
 GAUSS_BONNET_RTOL = 1e-8
 BODY_TERMINAL_RTOL = 1e-6
 RESOLUTION_CHECK_RTOL = 1e-6
+SAMPLES = (2048, 4096, 8192, 16384)  # profile sample counts, tried in order
 POLAR_SAMPLES = 4096  # polar angles at which a domain's boundaries are checked
 
 
@@ -61,10 +63,10 @@ class _RadialGraph:
     """The radial series and the cached derived data of both representations.
 
     A subclass gives its series terms as (frequency, coefficient) pairs, its
-    curvature profile at 1/divisor of its resolution, and its volume.
+    curvature profile at a given sample count, and its volume.
     """
 
-    def _check(self, samples, x):
+    def _check(self, x):
         """Constructor checks on a grid x over the whole parameter range."""
         cos_terms, sin_terms = self._terms
         coeffs = [self.a0, *(c for _, c in cos_terms), *(c for _, c in sin_terms)]
@@ -77,8 +79,6 @@ class _RadialGraph:
             raise DomainValidationError("radial graph must stay finite")
         if self.a0 <= 0:
             raise DomainValidationError("mean radius a0 must be > 0")
-        if samples < 16:
-            raise DomainValidationError(f"{samples} samples are too few, need >= 16")
         if r.min() <= 0.0:
             raise DomainValidationError("radial graph must stay positive")
 
@@ -117,19 +117,17 @@ class _RadialGraph:
 
     @cached_property
     def _profile(self):
-        return self._profile_at(1)
-
-    @cached_property
-    def _checked_profile(self):
-        """The profile, once its perimeter agrees with the half-resolution one."""
-        p_full = self._profile.perimeter
-        p_half = self._profile_at(2).perimeter
-        if abs(p_full - p_half) > RESOLUTION_CHECK_RTOL * abs(p_full):
-            raise NumericError(
-                "sampling resolution too coarse for this body; "
-                "increase n_theta/n_u and retry"
-            )
-        return self._profile
+        """The profile at the first of SAMPLES whose curvature integrals
+        V_0..V_{n-1} all agree with those at half the samples."""
+        half = curvature_integrals_from_profile(self._profile_at(SAMPLES[0] // 2)).v
+        for samples in SAMPLES:
+            prof = self._profile_at(samples)
+            v = curvature_integrals_from_profile(prof).v
+            if np.all(np.abs(v - half) <= RESOLUTION_CHECK_RTOL * np.abs(v)):
+                return prof
+            half = v
+        raise NumericError("curvature integrals of the body do not settle: "
+                           f"they still move at {samples} samples")
 
     @cached_property
     def _measures(self):
@@ -147,12 +145,9 @@ class Body2D(_RadialGraph):
     a0: float
     cos: np.ndarray = field(default_factory=lambda: np.zeros(0))
     sin: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    n_theta: int = 2048
 
     def __post_init__(self):
-        object.__setattr__(self, "cos", _as_coeffs(self.cos))
-        object.__setattr__(self, "sin", _as_coeffs(self.sin))
-        self._check(self.n_theta, np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
+        self._check(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
 
     @property
     def n(self):
@@ -160,10 +155,10 @@ class Body2D(_RadialGraph):
 
     @property
     def _terms(self):
-        return enumerate(self.cos, start=1), enumerate(self.sin, start=1)
+        return enumerate(_as_coeffs(self.cos), start=1), enumerate(_as_coeffs(self.sin), start=1)
 
-    def _profile_at(self, divisor):
-        return curvature_2d(self, self.n_theta // divisor)
+    def _profile_at(self, samples):
+        return curvature_2d(self, samples)
 
     def _volume(self):
         """Polar area integral_0^r sinh, cross-checked against the
@@ -182,7 +177,7 @@ class Body2D(_RadialGraph):
 
     @property
     def is_round(self):
-        return len(self.cos) == 0 and len(self.sin) == 0
+        return len(_as_coeffs(self.cos)) == 0 and len(_as_coeffs(self.sin)) == 0
 
     def chart_curve(self, theta):
         """Poincare-disk image of the boundary (base point at the origin)."""
@@ -216,27 +211,25 @@ class RevolutionBody(_RadialGraph):
     n: int
     a0: float
     cos_even: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    n_u: int = 2048
 
     def __post_init__(self):
         check_dimension(self.n)
         if self.n < 3:
             raise DomainValidationError("revolution bodies need ambient dimension >= 3")
-        object.__setattr__(self, "cos_even", _as_coeffs(self.cos_even))
-        self._check(self.n_u, np.linspace(0.0, np.pi, 2049))
+        self._check(np.linspace(0.0, np.pi, 2049))
 
     @property
     def _terms(self):
-        return ((2 * j, c) for j, c in enumerate(self.cos_even, start=1)), ()
+        return ((2 * j, c) for j, c in enumerate(_as_coeffs(self.cos_even), start=1)), ()
 
-    def _profile_at(self, divisor):
-        return curvature_revolution(self, self.n_u // divisor)
+    def _profile_at(self, samples):
+        return curvature_revolution(self, samples)
 
     def _volume(self):
         """Radial integral in long double, like core.ball_volume: in double
         its binomial sum overflows to inf - inf for large n * a0."""
         n = self.n
-        u, qw = _gauss_legendre(self.n_u, 0.0, np.pi)
+        u, qw = _gauss_legendre(len(self._profile.params), 0.0, np.pi)
         radial = sinh_power_integral(n - 1, self.height(u), dtype=np.longdouble)
         volume = float(sphere_measure(n - 2) * np.sum(qw * np.sin(u) ** (n - 2) * radial))
         if not math.isfinite(volume):
@@ -249,7 +242,7 @@ class RevolutionBody(_RadialGraph):
 
     @property
     def is_round(self):
-        return len(self.cos_even) == 0
+        return len(_as_coeffs(self.cos_even)) == 0
 
 
 def make_ball(n, r):
@@ -343,11 +336,10 @@ def arc_speed_curvature(body, theta):
     return np.sqrt(rp ** 2 + np.sinh(r) ** 2), _geodesic_curvature_polar(r, rp, rpp)
 
 
-def curvature_2d(body, n_theta=None):
-    """Curvature profile of a planar body at uniform angular samples."""
+def curvature_2d(body, m):
+    """Curvature profile of a planar body at m uniform angular samples."""
     if not isinstance(body, Body2D):
         raise DomainValidationError("curvature_2d expects a Body2D")
-    m = n_theta or body.n_theta
     theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     speed, kg = arc_speed_curvature(body, theta)
     return CurvatureProfile(n=2, params=theta, kappas=kg[:, None],
@@ -362,8 +354,8 @@ def revolution_pole_curvature(body, at_zero=True):
     return (math.sinh(h) * math.cosh(h) - hpp) / math.sinh(h) ** 2
 
 
-def curvature_revolution(body, n_u=None):
-    """Curvature profile of a revolution body at Gauss-Legendre nodes.
+def curvature_revolution(body, m):
+    """Curvature profile of a revolution body at m Gauss-Legendre nodes.
 
     The meridian curvature comes from the planar polar formula applied to the
     generating curve; the orbit curvature (multiplicity n-2) is the normal
@@ -373,7 +365,6 @@ def curvature_revolution(body, n_u=None):
     """
     if not isinstance(body, RevolutionBody):
         raise DomainValidationError("curvature_revolution expects a RevolutionBody")
-    m = n_u or body.n_u
     u, qw = _gauss_legendre(m, 0.0, np.pi)
     h = body.height(u)
     hp = body.height_d1(u)
@@ -394,7 +385,7 @@ def curvature_revolution(body, n_u=None):
 
 
 def curvature_profile(body):
-    """Curvature profile at the body's own resolution, cached on the body."""
+    """Curvature profile at the body's own settled sample count, cached on the body."""
     return body._profile
 
 
@@ -411,7 +402,7 @@ def convexity_report(body):
     Pole curvatures of revolution bodies are appended explicitly since the
     interior quadrature nodes only approach the poles.
     """
-    kmin = body._checked_profile.min_curvature()
+    kmin = body._profile.min_curvature()
     if isinstance(body, RevolutionBody):
         kmin = min(kmin, revolution_pole_curvature(body, True),
                    revolution_pole_curvature(body, False))

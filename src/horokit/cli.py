@@ -18,8 +18,10 @@ from . import io as hio
 from .core import ball_perimeter, ball_quermass, ball_volume
 from .bodies import boundary_measures, quermassintegrals
 from .nagy import af_check, isoperimetric_check_2d, nagy_table, TOL_NUM_REL
-from .shell import ShellSpec, shell_eigen
-from .fem2d import build_mesh, eigen_p2, eigen_p_general
+from .shell import TAU_RTOL, ShellSpec, shell_eigen
+from .fem2d import build_mesh, eigen_p_general
+from .fem2d import eigen_p2  # not called; bench/tracing.py wraps it here until ROADMAP item 1
+from .spectral import mixed_eigenpair
 from .parallels import (
     DEFAULT_N_DELTAS,
     MIN_N_DELTAS,
@@ -169,9 +171,9 @@ def cmd_isoperimetric(args):
 def cmd_eig_shell(args):
     manifest = hio.RunManifest("eig-shell",
                                {"n": args.n, "p": args.p, "r": args.r, "R": args.R},
-                               tolerances={"tau_tol": args.tol})
+                               tolerances={"tau_tol": TAU_RTOL})
     spec = ShellSpec(n=args.n, p=args.p, r=args.r, R=args.R)
-    res = shell_eigen(spec, tol=args.tol)
+    res = shell_eigen(spec)
     payload = {"tau1": res.tau1, "residuals": res.residuals, "meta": res.meta}
     _emit(args, manifest, "eig_shell", payload,
           csv_writer=lambda out: hio.write_profile_csv(res, out / "profile.csv"))
@@ -183,11 +185,14 @@ def cmd_eig_domain(args):
     manifest = hio.RunManifest("eig-domain", {"domain": args.domain, "p": args.p},
                                resolutions={"h_mesh": args.h_mesh})
     dom = hio.load_domain(args.domain)
-    mesh = build_mesh(dom, args.h_mesh)
-    res = eigen_p2(mesh) if args.p == 2.0 else eigen_p_general(mesh, args.p)
-    payload = {"tau1": res.tau1, "residuals": res.residuals, "meta": res.meta}
-    _emit(args, manifest, "eig_domain", payload)
-    print(f"tau1 = {res.tau1:.12g}")
+    if args.p == 2.0:
+        res = mixed_eigenpair(dom)
+        tau1, residuals, meta = res.value, {"step": res.step}, {"n_theta": res.n_theta, "n_s": res.n_s}
+    else:
+        res = eigen_p_general(build_mesh(dom, args.h_mesh), args.p)
+        tau1, residuals, meta = res.tau1, res.residuals, res.meta
+    _emit(args, manifest, "eig_domain", {"tau1": tau1, "residuals": residuals, "meta": meta})
+    print(f"tau1 = {tau1:.12g}")
     return 0
 
 
@@ -290,15 +295,14 @@ def make_parser():
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--r", type=float, required=True)
     sp.add_argument("--R", type=float, required=True)
-    sp.add_argument("--tol", type=_positive_float, default=1e-12,
-                    help="relative root tolerance: xtol = tol * the lower bracket end (< tau1)")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_eig_shell)
 
     sp = sub.add_parser("eig-domain", help="first mixed eigenvalue on a planar domain")
     sp.add_argument("--domain", required=True)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--h-mesh", type=_positive_float, default=0.01)
+    sp.add_argument("--h-mesh", type=_positive_float, default=0.01,
+                    help="P1 mesh size for p != 2 (p = 2 is spectral)")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_eig_domain)
 

@@ -76,10 +76,7 @@ def nagy_table(body, delta_grid=None, force=False, match="quermass"):
     hypotheses_ok = check_hypotheses(body, force=force)
     if delta_grid is None:
         delta_grid = default_delta_grid()
-    deltas = np.asarray(delta_grid, dtype=float)
-    # negated comparisons, so that a nan distance is refused as well
-    if not (np.all(deltas >= 0.0) and np.all(deltas < np.inf)):
-        raise DomainValidationError("parallel distances must be finite and >= 0")
+    deltas = np.asarray(delta_grid, dtype=float)  # steiner_polynomial refuses a bad distance
     if match == "quermass":
         r_star = equivalent_ball(body, force=force)
     else:

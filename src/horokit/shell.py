@@ -41,6 +41,7 @@ from .errors import DomainValidationError, NumericError, SearchError
 
 DENSE_POINTS = 512
 SEARCH_MAX_ITER = 200      # bracket expansions, and brentq's iterations
+TAU_RTOL = 1e-12           # brentq's xtol, relative to the lower bracket end
 
 # Dormand-Prince 5(4) tableau and step-size control, as scipy's RK45 has them
 RK_C = RK45.C[1:].tolist()
@@ -234,21 +235,20 @@ def _outer_flux(shot):
     return -1.0 if crossed else W
 
 
-def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
+def shell_eigen(spec):
     """Locate tau_1 and return the eigenvalue with its radial profile.
 
     The bracket starts from the flat-interval estimate (pi/(2(R-r)))^2 and
     expands geometrically until _outer_flux changes sign; brentq then zeroes
     it directly, since it is positive below tau_1 and negative above it.
-    tol is relative: xtol = tol * lo, lo being the final lower bracket end,
-    which lies below tau_1 because the flux is positive there.
-    Each tau is shot once per call, and every shot keeps its steps: brentq
-    returns one of the taus it shot, the result keeps that shot's steps, and
-    the 512-point profile is their continuous extension.
+    The root tolerance is relative: xtol = TAU_RTOL * lo, lo being the final
+    lower bracket end, which lies below tau_1 because the flux is positive
+    there, and above 1e-300, where the bracket search gives up.
+    Each tau is shot once per call, from slope 1, and every shot keeps its
+    steps: brentq returns one of the taus it shot, the result keeps that
+    shot's steps, and the 512-point profile is their continuous extension.
     meta["integrations"] counts every shot of the Dormand-Prince stepper,
     including the re-integration of tau_1 at looser tolerance.
-    initial_slope only rescales the eigenfunction (the problem is
-    homogeneous), which makes it a cheap simplicity cross-check.
 
     residuals["flux_outer"] = |W(R)| / max|W| is the quantity the root
     search zeroes. residuals["bc_outer"] = |v'(R)| =
@@ -258,8 +258,6 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
     roots whose flux_outer is below 2e-15. It measures convergence only
     for moderate p.
     """
-    if initial_slope <= 0.0:
-        raise DomainValidationError("initial slope must be > 0")
     n, p, r, R = spec.n, spec.p, spec.r, spec.R
     half_wave = np.pi / (2.0 * (R - r))
     tau_flat = half_wave * half_wave
@@ -269,7 +267,7 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
 
     def flux_at_R(tau):
         if tau not in shots:
-            shots[tau] = _integrate(spec, tau, slope=initial_slope)
+            shots[tau] = _integrate(spec, tau)
         return _outer_flux(shots[tau])
 
     lo, hi = 0.5 * tau_flat, 4.0 * tau_flat
@@ -285,11 +283,7 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
         if budget <= 0 or hi > 1e12 * tau_flat:
             raise SearchError("no upper bracket for the shell eigenvalue")
 
-    xtol = tol * lo
-    if not 0.0 < xtol < np.inf:
-        raise DomainValidationError(f"need a finite tol > 0 that keeps tol * {lo:.3g} "
-                                    f"(the lower bracket end) > 0, got tol={tol}")
-    tau1 = brentq(flux_at_R, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=SEARCH_MAX_ITER)
+    tau1 = brentq(flux_at_R, lo, hi, xtol=TAU_RTOL * lo, rtol=8.9e-16, maxiter=SEARCH_MAX_ITER)
 
     t = np.linspace(r, R, DENSE_POINTS)
     _, crossed, steps = shots[tau1]
@@ -301,8 +295,7 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
     s = np.sinh(t) ** (n - 1)
     dv = np.sign(W) * (np.abs(W) / s) ** (1.0 / (p - 1.0))
     # re-integration at looser tolerance bounds the ODE error
-    v_loose, _ = _continuous_extension(
-        _integrate(spec, tau1, rtol=1e-9, atol=1e-11, slope=initial_slope)[2], t)
+    v_loose, _ = _continuous_extension(_integrate(spec, tau1, rtol=1e-9, atol=1e-11)[2], t)
     ode_max = float(np.max(np.abs(v_loose - v)))
     residuals = {
         "bc_inner": float(abs(v[0])),
@@ -311,7 +304,7 @@ def shell_eigen(spec, tol=1e-12, initial_slope=1.0):
         "ode_max": ode_max,
     }
     meta = {"n": n, "p": p, "r": r, "R": R, "dense_points": DENSE_POINTS,
-            "bracket": (float(lo), float(hi)), "tol": tol,
+            "bracket": (float(lo), float(hi)), "tol": TAU_RTOL,
             "integrations": len(shots) + 1}
     return EigResult(tau1=float(tau1), t=t, v=v, dv=dv, steps=steps,
                      residuals=residuals, meta=meta)

@@ -9,6 +9,7 @@ from horokit.bodies import (
     AnnularDomain2D,
     Body2D,
     RevolutionBody,
+    SAMPLES,
     boundary_measures,
     convexity_report,
     curvature_2d,
@@ -38,14 +39,14 @@ from oracles import (
 
 def test_circle_curvature_is_coth():
     for r0 in (0.4, 0.8, 1.5):
-        prof = curvature_2d(make_ball(2, r0))
+        prof = curvature_2d(make_ball(2, r0), 2048)
         assert np.allclose(prof.kappas[:, 0], 1.0 / math.tanh(r0), rtol=1e-12)
 
 
 def test_curvature_2d_matches_chart_oracle():
     body = Body2D(a0=0.8, cos=[0.0, 0.1])
     theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    prof = curvature_2d(body, n_theta=64)
+    prof = curvature_2d(body, 64)
     oracle = chart_curvature_2d(body, theta)
     assert np.max(np.abs(prof.kappas[:, 0] - oracle)) < 1e-4
     # the independent estimator settles the h-convexity of this body:
@@ -59,7 +60,7 @@ def test_curvature_2d_euclidean_degeneration():
     theta = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
     scale = 1e-3
     body = Body2D(a0=scale, cos=[0.0, 0.1 * scale])
-    prof = curvature_2d(body, n_theta=32)
+    prof = curvature_2d(body, 32)
     r = body.radius(theta)
     rp = body.radius_d1(theta)
     rpp = body.radius_d2(theta)
@@ -70,16 +71,16 @@ def test_curvature_2d_euclidean_degeneration():
 def test_curvature_revolution_sphere_identity():
     # geodesic sphere: both principal curvatures equal coth r0 at every u
     for r0 in (0.6, 1.0):
-        prof = curvature_revolution(make_ball(3, r0))
+        prof = curvature_revolution(make_ball(3, r0), 2048)
         assert np.allclose(prof.kappas, 1.0 / math.tanh(r0), rtol=1e-10)
-    prof4 = curvature_revolution(make_ball(4, 1.0))
+    prof4 = curvature_revolution(make_ball(4, 1.0), 2048)
     assert np.allclose(prof4.kappas, 1.0 / math.tanh(1.0), rtol=1e-10)
 
 
 def test_curvature_revolution_matches_fd_oracles():
     body = RevolutionBody(n=3, a0=1.0, cos_even=[0.05])
     u = np.linspace(0.15, np.pi - 0.15, 21)
-    prof = curvature_revolution(body)
+    prof = curvature_revolution(body, 2048)
     km = np.interp(u, prof.params, prof.kappas[:, 0])
     ko = np.interp(u, prof.params, prof.kappas[:, 1])
     assert np.max(np.abs(km - meridian_curvature_fd(body, u))) < 1e-3
@@ -88,13 +89,13 @@ def test_curvature_revolution_matches_fd_oracles():
 
 
 def test_revolution_sphere_surface_area():
-    prof = curvature_revolution(make_ball(3, 1.0))
+    prof = curvature_revolution(make_ball(3, 1.0), 2048)
     assert prof.perimeter == pytest.approx(4 * math.pi * math.sinh(1) ** 2, rel=1e-12)
 
 
 def test_pole_curvature_matches_interior_limit():
     body = RevolutionBody(n=3, a0=1.0, cos_even=[0.05])
-    prof = curvature_revolution(body)
+    prof = curvature_revolution(body, 2048)
     k_pole = revolution_pole_curvature(body, at_zero=True)
     # umbilic at the pole: both curvature columns approach the same limit
     # (the first quadrature node sits within ~1e-6 of the pole)
@@ -128,12 +129,15 @@ def test_h_convex_implies_convex(convex_suite_2d, hconvex_suite_n3, hconvex_suit
 
 
 def test_resolution_guard_rejects_undersampled_body():
-    body = Body2D(a0=1.0, cos=[0.0] * 11 + [0.05], n_theta=32)
-    with pytest.raises(NumericError):
-        convexity_report(body)
-    rev = RevolutionBody(n=3, a0=1.0, cos_even=[0.0] * 5 + [0.04], n_u=24)
-    with pytest.raises(NumericError):
-        convexity_report(rev)
+    # a mode at each half count aliases there, so no count in SAMPLES settles
+    modes = np.zeros(max(SAMPLES) // 2)
+    modes[[m // 2 - 1 for m in SAMPLES]] = 1e-5
+    body = Body2D(a0=1.0, cos=modes)
+    # a meridian mode of frequency 6000 is not resolved at any count either
+    rev = RevolutionBody(n=3, a0=1.0, cos_even=[0.0] * 2999 + [1e-5])
+    for b in (body, rev):
+        with pytest.raises(NumericError, match=f"{max(SAMPLES)} samples"):
+            convexity_report(b)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +150,7 @@ def test_boundary_measures_ball_2d():
 
 
 def test_gauss_bonnet_on_ball():
-    prof = curvature_2d(make_ball(2, 1.0))
+    prof = curvature_2d(make_ball(2, 1.0), 2048)
     total_curvature = float(np.sum(prof.kappas[:, 0] * prof.weights))
     assert total_curvature - 2 * math.pi == pytest.approx(
         2 * math.pi * (math.cosh(1) - 1), rel=1e-12)
@@ -154,7 +158,7 @@ def test_gauss_bonnet_on_ball():
 
 def test_two_area_routes_agree():
     body = Body2D(a0=0.8, cos=[0.0, 0.1])
-    prof = curvature_2d(body)
+    prof = curvature_2d(body, 2048)
     area_gb = float(np.sum(prof.kappas[:, 0] * prof.weights)) - 2 * math.pi
     meas = boundary_measures(body)  # raises if the two routes disagree
     assert area_gb == pytest.approx(meas["volume"], rel=1e-8)
@@ -328,8 +332,8 @@ def test_body_validation_errors():
 
 
 def test_derived_data_is_built_once_per_body(monkeypatch):
-    # every query shares the profile cached on the body: one build at full
-    # resolution and one at half for the resolution check
+    # every query shares the profile cached on the body: one build at half
+    # the first count in SAMPLES for the resolution check, and one at it
     import horokit.bodies as bodies
     sizes = []
     for name in ("curvature_2d", "curvature_revolution"):
@@ -345,7 +349,7 @@ def test_derived_data_is_built_once_per_body(monkeypatch):
             curvature_integrals(body)
             quermassintegrals(body)
             parallel_perimeter_direct(body, 0.5)
-        assert sizes == [2048, 1024], type(body).__name__
+        assert sizes == [1024, 2048], type(body).__name__
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horokit.bodies import Body2D, boundary_measures
+from horokit.bodies import Body2D, boundary_measures, curvature_2d
 import horokit
 from horokit.cli import make_parser, run_command
 from horokit.errors import DataFormatError, DomainValidationError
+from horokit.spectral import mixed_eigenpair
 from horokit.io import (
     body_from_dict,
     load_body,
@@ -212,6 +213,33 @@ def test_cli_quermass(tmp_path):
     assert doc["w"][2] == pytest.approx(math.pi, rel=1e-10)
 
 
+# 80 petals: the outer body's curvature integrals settle only at 8192 samples
+PETAL_OUTER_SPEC = {"schema": 1, "kind": "fourier2d", "n": 2,
+                    "params": {"a0": 1.8, "cos": [0.0] * 79 + [0.35]}}
+PETAL_DOMAIN_SPEC = {"schema": 1, "kind": "annular2d",
+                     "inner": {"schema": 1, "kind": "fourier2d", "n": 2,
+                               "params": {"a0": 1.0, "cos": [0.0, 0.2]}},
+                     "outer": PETAL_OUTER_SPEC}
+
+
+def test_cli_quermass_of_a_body_that_needs_more_samples(tmp_path):
+    # this exited 1 while the sample count was a field no spec could set
+    body = write(tmp_path, "petals.json", PETAL_OUTER_SPEC)
+    out = tmp_path / "o"
+    assert run_command(["quermass", "--body", body, "--out", str(out)]) == 0
+    doc = json.loads((out / "quermass.json").read_text())
+    assert doc["perimeter"] == curvature_2d(body_from_dict(PETAL_OUTER_SPEC), 8192).perimeter
+
+
+def test_cli_hersch_on_the_petal_domain(tmp_path):
+    # this exited 1 on the outer body's Gauss-Bonnet check
+    dom = write(tmp_path, "petals.json", PETAL_DOMAIN_SPEC)
+    out = tmp_path / "o"
+    assert run_command(["hersch", "--domain", dom, "--n-deltas", "17", "--out", str(out)]) == 0
+    doc = json.loads((out / "hersch.json").read_text())
+    assert doc["hersch_bound"] == pytest.approx(2.387868644698622, rel=1e-12)
+
+
 def test_cli_insulation(tmp_path):
     body = write(tmp_path, "ball.json", BALL_SPEC)
     code = run_command(["insulation", "--body", body, "--delta", "1.0",
@@ -252,11 +280,13 @@ INSULATION_ARGS = ["insulation", "--body", "{body}"]
 
 
 @pytest.mark.parametrize("argv, kind", [
-    # these ended in a brentq traceback or in "radial integration failed"
+    # eig-shell has no --tol: its root tolerance is a constant, so these are
+    # unknown options
     (SHELL_ARGS + ["--tol", "0"], "usage error"),
     (SHELL_ARGS + ["--tol", "-1"], "usage error"),
     (SHELL_ARGS + ["--tol", "nan"], "usage error"),
     (SHELL_ARGS + ["--tol", "inf"], "usage error"),
+    # these ended in a brentq traceback or in "radial integration failed"
     (SHELL_ARGS[:-1] + ["inf"], "error: need finite"),
     (SHELL_ARGS[:-1] + ["nan"], "error: need finite"),
     (["eig-shell", "--n", "2", "--p", "inf", "--r", "0.5", "--R", "1.5"], "error: exponent"),
@@ -333,11 +363,10 @@ def _fuzz_number(lo, hi, valid):
 @given(n=st.one_of(st.integers(2, 6), st.integers(-1, 6)),
        p=_fuzz_number(0.5, 8.0, (1.05, 8.0)),
        r=_fuzz_number(-1.0, 4.0, (0.05, 2.0)),
-       R=_fuzz_number(-1.0, 4.0, (2.0, 4.0)),
-       tol=_fuzz_number(-1.0, 1e-6, (1e-14, 1e-6)))
-def test_cli_eig_shell_fuzz_exits_cleanly(n, p, r, R, tol):
+       R=_fuzz_number(-1.0, 4.0, (2.0, 4.0)))
+def test_cli_eig_shell_fuzz_exits_cleanly(n, p, r, R):
     # "--opt=value" so that negative values reach the option's own check
-    argv = ["eig-shell", f"--n={n}", f"--p={p!r}", f"--r={r!r}", f"--R={R!r}", f"--tol={tol!r}"]
+    argv = ["eig-shell", f"--n={n}", f"--p={p!r}", f"--r={r!r}", f"--R={R!r}"]
     assert run_command(argv) in (0, 1, 2)
 
 
@@ -531,12 +560,14 @@ def test_cli_rfk_concentric_small(tmp_path):
     assert (out / "parallels.csv").read_text().splitlines()[0] == "delta,L,Ltilde"
 
 
+OFFSET_DOMAIN_SPEC = dict(DOMAIN_SPEC, inner=dict(BALL_SPEC, params={"r": 0.8}),
+                          outer=dict(BALL_SPEC, params={"r": 1.8}), offset=0.2)
+
+
 def test_cli_rfk_reports_the_rays_its_table_used(tmp_path):
     # the rays come from the table's own error estimate: on the benchmark's
     # offset ball 64 settle it, and the manifest and the meta say so
-    offset_ball = dict(DOMAIN_SPEC, inner=dict(BALL_SPEC, params={"r": 0.8}),
-                       outer=dict(BALL_SPEC, params={"r": 1.8}), offset=0.2)
-    dom = write(tmp_path, "dom.json", offset_ball)
+    dom = write(tmp_path, "dom.json", OFFSET_DOMAIN_SPEC)
     out = tmp_path / "o"
     assert run_command(["rfk", "--domain", dom, "--out", str(out)]) == 0
     doc = json.loads((out / "rfk.json").read_text())
@@ -547,6 +578,18 @@ def test_cli_eig_domain(tmp_path):
     dom = write(tmp_path, "dom.json", DOMAIN_SPEC)
     code = run_command(["eig-domain", "--domain", dom, "--h-mesh", "0.03"])
     assert code == 0
+
+
+def test_cli_eig_domain_p2_is_spectral(tmp_path):
+    # P1 at the default h = 0.01 read 1.124078489 here, 1.4e-4 high
+    dom = write(tmp_path, "dom.json", OFFSET_DOMAIN_SPEC)
+    out = tmp_path / "o"
+    assert run_command(["eig-domain", "--domain", dom, "--out", str(out)]) == 0
+    doc = json.loads((out / "eig_domain.json").read_text())
+    res = mixed_eigenpair(load_domain(dom))
+    assert doc["tau1"] == res.value
+    assert doc["residuals"] == {"step": res.step} and res.step <= 1e-11
+    assert doc["meta"] == {"n_theta": res.n_theta, "n_s": res.n_s}
 
 
 def test_cli_hersch(tmp_path):

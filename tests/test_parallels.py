@@ -35,10 +35,10 @@ from oracles import (dense_ray_crossings, grid_distance_field, grid_parallel_len
 
 CONCENTRIC = AnnularDomain2D(inner=make_ball(2, 0.5), outer=make_ball(2, 1.5))
 # 80 petals: some normal rays of the oval hole leave the domain, come back
-# and leave again (the petals need 8192 samples for the outer body's
-# Gauss-Bonnet check in annulus_match)
+# and leave again (the outer body settles at 8192 samples, which its
+# Gauss-Bonnet check in annulus_match needs)
 PETALS = AnnularDomain2D(inner=Body2D(a0=1.0, cos=[0.0, 0.2]),
-                         outer=Body2D(a0=1.8, cos=[0.0] * 79 + [0.35], n_theta=8192))
+                         outer=Body2D(a0=1.8, cos=[0.0] * 79 + [0.35]))
 OFFSET_BALL = AnnularDomain2D(inner=make_ball(2, 0.8), outer=make_ball(2, 1.8), offset=0.2)
 # the oval hole's normal rays are not radial, so each sweeps an arc of angles
 OVAL_HOLE = AnnularDomain2D(inner=Body2D(a0=0.8, cos=[0.0, 0.1]), outer=make_ball(2, 1.8), offset=0.1)

@@ -34,15 +34,6 @@ def test_shell_spec_validation():
             ShellSpec(n=2, p=p, r=r, R=R)
 
 
-def test_shell_eigen_rejects_unusable_tolerance():
-    spec = ShellSpec(n=2, p=2.0, r=0.5, R=1.5)
-    for tol in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(DomainValidationError):
-            shell_eigen(spec, tol=tol)
-    with pytest.raises(DomainValidationError):  # tol * tau_flat underflows to 0
-        shell_eigen(ShellSpec(n=2, p=2.0, r=0.5, R=10.0), tol=5e-324)
-
-
 def test_benchmark_eigenvalue_against_fd_pencil(shell_benchmark):
     spec, res = shell_benchmark
     fd = fd_shell_eigen_p2(2, 0.5, 1.5)
@@ -109,11 +100,15 @@ def test_outer_radius_sweep_decreases_tau():
 
 
 def test_eigenvalue_invariant_under_slope_rescaling(shell_benchmark):
+    # the problem is homogeneous: a shot from slope 2 has the outer flux
+    # signs of the shot from slope 1 around tau_1, so the same root
     spec, res = shell_benchmark
-    res2 = shell_eigen(spec, initial_slope=2.0)
-    assert res2.tau1 == pytest.approx(res.tau1, rel=1e-10)
-    # the profile just rescales
-    assert np.allclose(res2.v, 2.0 * res.v, rtol=1e-6, atol=1e-9)
+    for tau in (0.999 * res.tau1, 1.001 * res.tau1):
+        assert (_outer_flux(_integrate(spec, tau, slope=2.0)) > 0.0) == \
+            (_outer_flux(_integrate(spec, tau)) > 0.0)
+    # and at tau_1 the profile just rescales
+    v2, _ = shell_module._continuous_extension(_integrate(spec, res.tau1, slope=2.0)[2], res.t)
+    assert np.allclose(v2, 2.0 * res.v, rtol=1e-6, atol=1e-9)
 
 
 def test_profile_against_tight_reintegration(shell_benchmark):
@@ -215,10 +210,9 @@ def test_root_tolerance_is_relative(monkeypatch):
         return real(f, a, b, **kwargs)
 
     monkeypatch.setattr(shell_module, "brentq", spy)
-    tol = 1e-12
-    res = shell_eigen(ShellSpec(n=2, p=2.0, r=0.5, R=30.0), tol=tol)
+    res = shell_eigen(ShellSpec(n=2, p=2.0, r=0.5, R=30.0))
     (xtol,) = xtols
-    assert 0.0 < xtol <= tol * res.tau1
+    assert 0.0 < xtol <= shell_module.TAU_RTOL * res.tau1
 
 
 def _solve_ivp_shot(spec, tau, t, scale=1.0):
