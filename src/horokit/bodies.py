@@ -22,9 +22,9 @@ hypothesis rule of the comparisons: convex in H^2, h-convex for n >= 3.
 
 The planar solvers work on one domain type, AnnularDomain2D: a Body2D hole
 inside a second, possibly offset, Body2D or inside the hole's ParallelCurve
-(the insulation shell).  Its polar tables, the chart radii of both
-boundaries as periodic splines of the polar angle, are checked once, when
-the domain is built.
+(the insulation shell).  Its polar tables, both chart radii as periodic
+splines of the polar angle, serve the polar-map solvers and are checked once,
+when the domain is built; outer_gap reads a body outer boundary itself.
 """
 
 import math
@@ -62,14 +62,14 @@ def _as_coeffs(c):
 class _RadialGraph:
     """The radial series and the cached derived data of both representations.
 
-    A subclass gives its series terms as (frequency, coefficient) pairs, its
-    curvature profile at a given sample count, and its volume.
+    A subclass gives its cosine and sine terms, each a cached tuple of the
+    (frequency, coefficient) pairs with nonzero coefficients, its curvature
+    profile at a given sample count, and its volume.
     """
 
     def _check(self, x):
         """Constructor checks on a grid x over the whole parameter range."""
-        cos_terms, sin_terms = self._terms
-        coeffs = [self.a0, *(c for _, c in cos_terms), *(c for _, c in sin_terms)]
+        coeffs = [self.a0, *(c for terms in self._terms for _, c in terms)]
         # before the series, where an infinite coefficient would meet sin 0
         if not all(map(math.isfinite, coeffs)):
             raise DomainValidationError("mean radius and coefficients must be finite")
@@ -87,8 +87,6 @@ class _RadialGraph:
         out = np.full_like(x, self.a0 if derivative == 0 else 0.0)
         cos_terms, sin_terms = self._terms
         for k, a in cos_terms:
-            if a == 0.0:
-                continue
             if derivative == 0:
                 out = out + a * np.cos(k * x)
             elif derivative == 1:
@@ -96,8 +94,6 @@ class _RadialGraph:
             else:
                 out = out - a * k * k * np.cos(k * x)
         for k, b in sin_terms:
-            if b == 0.0:
-                continue
             if derivative == 0:
                 out = out + b * np.sin(k * x)
             elif derivative == 1:
@@ -153,9 +149,10 @@ class Body2D(_RadialGraph):
     def n(self):
         return 2
 
-    @property
+    @cached_property
     def _terms(self):
-        return enumerate(_as_coeffs(self.cos), start=1), enumerate(_as_coeffs(self.sin), start=1)
+        return tuple(tuple((k, c) for k, c in enumerate(_as_coeffs(x), start=1) if c != 0.0)
+                     for x in (self.cos, self.sin))
 
     def _profile_at(self, samples):
         return curvature_2d(self, samples)
@@ -218,9 +215,10 @@ class RevolutionBody(_RadialGraph):
             raise DomainValidationError("revolution bodies need ambient dimension >= 3")
         self._check(np.linspace(0.0, np.pi, 2049))
 
-    @property
+    @cached_property
     def _terms(self):
-        return ((2 * j, c) for j, c in enumerate(_as_coeffs(self.cos_even), start=1)), ()
+        return tuple((2 * j, c) for j, c in enumerate(_as_coeffs(self.cos_even), start=1)
+                     if c != 0.0), ()
 
     def _profile_at(self, samples):
         return curvature_revolution(self, samples)
@@ -619,17 +617,34 @@ class AnnularDomain2D:
         if not np.min(rho_out - self.polar_tables[0](self.polar_angles)) > 1e-9:
             raise DomainValidationError("inner boundary touches or crosses the outer one")
 
+    @property
+    def _shift(self):
+        """Chart point of the outer body's base point."""
+        return chart_radius(self.offset) * np.exp(1j * self.offset_angle)
+
     def outer_chart(self, theta):
         z = self.outer.chart_curve(theta)
-        if self.offset == 0.0:
-            return z
-        c = chart_radius(self.offset) * np.exp(1j * self.offset_angle)
-        return mobius_shift(z, c)
+        return z if self.offset == 0.0 else mobius_shift(z, self._shift)
+
+    def outer_gap(self, w, dw=None):
+        """tanh(r(arg z)/2) - |z| at z = mobius_shift(w, -c), the chart points w
+        pulled back to the frame of the outer body r, c its base point: zero on
+        the outer boundary and positive inside.  Given chart velocities dw at w,
+        also its derivatives along them, dz = (1 - |c|^2) dw / (1 - conj(c) w)^2."""
+        c = self._shift
+        z = mobius_shift(w, -c)
+        angle, radius = np.angle(z), np.abs(z)
+        rho = np.tanh(0.5 * self.outer.radius(angle))
+        if dw is None:
+            return rho - radius
+        dz = (1.0 - abs(c) ** 2) * dw / (1.0 - np.conj(c) * w) ** 2
+        slope = 0.5 * (1.0 - rho ** 2) * self.outer.radius_d1(angle)
+        return rho - radius, slope * (dz / z).imag - (np.conj(z) * dz).real / radius
 
     @cached_property
     def polar_tables(self):
         """Chart radii (rho_in, rho_out) of both boundaries as periodic
-        functions of the polar angle about the origin."""
+        functions of the polar angle about the origin, for the polar maps."""
         theta = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
         return (_periodic_radius_interpolant(self.inner.chart_curve(theta)),
                 _periodic_radius_interpolant(self.outer_chart(theta)))
@@ -646,11 +661,8 @@ class AnnularDomain2D:
 
 
 def _periodic_radius_interpolant(z):
-    """Chart radius as a periodic cubic spline of the polar angle about 0.
-
-    The returned table(a, nu=0) gives the spline's nu-th derivative at the
-    angles a, and table.value_and_slope(a) gives orders 0 and 1 together.
-    """
+    """Chart radius as a periodic cubic spline of the polar angle about 0,
+    evaluated at the angles a by table(a)."""
     ang = np.unwrap(np.angle(z))
     if ang[-1] < ang[0]:
         z = z[::-1]
@@ -663,22 +675,7 @@ def _periodic_radius_interpolant(z):
     rads = np.append(rad, rad[0])
     spline = CubicSpline(angs, rads, bc_type="periodic")
 
-    def wrap(a):
-        return a0 + np.mod(np.asarray(a, dtype=float) - a0, 2.0 * np.pi)
+    def table(a):
+        return spline(a0 + np.mod(np.asarray(a, dtype=float) - a0, 2.0 * np.pi))
 
-    def table(a, nu=0):
-        return spline(wrap(a), nu)
-
-    def value_and_slope(a):
-        # the spline's own periodic wrap and power sums, so bit for bit
-        # table(a) and table(a, 1), from one interval search
-        x = spline.x
-        a = x[0] + (wrap(a) - x[0]) % (x[-1] - x[0])
-        i = np.clip(np.searchsorted(x, a, side="right") - 1, 0, len(x) - 2)
-        s = a - x[i]
-        s2 = s * s
-        c3, c2, c1, c0 = spline.c[::-1, i]
-        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s), c2 + c1 * s * 2.0 + c0 * s2 * 3.0
-
-    table.value_and_slope = value_and_slope
     return table

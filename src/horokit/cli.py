@@ -181,9 +181,14 @@ def cmd_eig_shell(args):
     return 0
 
 
+def _mesh_size(args):
+    """The P1 mesh size, as a resolution, where p != 2 builds that mesh."""
+    return {} if args.p == 2.0 else {"h_mesh": args.h_mesh}
+
+
 def cmd_eig_domain(args):
     manifest = hio.RunManifest("eig-domain", {"domain": args.domain, "p": args.p},
-                               resolutions={"h_mesh": args.h_mesh})
+                               resolutions=_mesh_size(args))
     dom = hio.load_domain(args.domain)
     if args.p == 2.0:
         res = mixed_eigenpair(dom)
@@ -212,8 +217,7 @@ def cmd_hersch(args):
 
 def cmd_rfk(args):
     manifest = hio.RunManifest("rfk", {"domain": args.domain, "p": args.p},
-                               resolutions={"h_mesh": args.h_mesh,
-                                            "n_deltas": args.n_deltas})
+                               resolutions={**_mesh_size(args), "n_deltas": args.n_deltas})
     dom = hio.load_domain(args.domain)
     table = _parallel_table(args, dom, manifest)
     report = rfk_verdict(dom, args.p, table, h_mesh=args.h_mesh)

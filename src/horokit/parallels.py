@@ -11,13 +11,15 @@ hole lies on exactly one normal ray, at parameter delta.  The parallel
 and all the machinery is one-dimensional: the distances at which the normal
 rays cross the outer boundary (every crossing, so a ray that leaves and
 re-enters a non-convex domain counts twice; a scan brackets each and
-bracketed Newton finishes it), the ends of the clipped parallel's arcs,
-bracketed between neighbouring rays and finished the same way, which make
-L exact at any delta, the table of L(delta) on as many rays as its
-every-other-ray error estimate asks for, the reparametrizations M (from L)
-and M-tilde (from the matched annulus), the tabulated comparison functions
-G <= G-tilde, the transplanted test-function upper bound for the first
-mixed eigenvalue, and the end-to-end verdict
+bracketed Newton finishes it, on the outer body itself through the domain's
+outer_gap: the polar tables serve the polar-map solvers), the ends of the
+clipped parallel's arcs, bracketed between neighbouring rays and finished
+the same way, which make L exact at any delta, the table of L(delta) on
+as many rays as its every-other-ray error estimate asks for, the
+reparametrizations M (from L) and M-tilde (from the matched annulus), the
+tabulated comparison functions G <= G-tilde, the transplanted
+test-function upper bound for the first mixed eigenvalue, and the
+end-to-end verdict
 
     tau_1(domain) <= transplant bound <= tau_1(matched annulus).
 """
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .core import ball_perimeter, check_exponent, gauss_legendre_nodes, geodesic_step
-from .bodies import AnnularDomain2D, arc_speed_curvature, boundary_measures, require_convex
+from .bodies import AnnularDomain2D, Body2D, arc_speed_curvature, boundary_measures, require_convex
 from .fem2d import (
     build_mesh,
     eigen_p2,  # not called; bench/tracing.py wraps it here until ROADMAP item 1
@@ -91,14 +93,6 @@ def _ray_velocity(z, nu, w, t):
             / (2.0 * (1.0 - np.abs(z) ** 2)))
 
 
-def _gap(dom, w, dw):
-    """rho_out(arg w) - |w|, positive inside the outer boundary, and its derivative
-    along the chart velocity dw, rho_out'(arg w) Im(dw/w) - Re(conj(w) dw) / |w|."""
-    radius = np.abs(w)
-    rho, slope = dom.polar_tables[1].value_and_slope(np.angle(w))
-    return rho - radius, slope * (dw / w).imag - (np.conj(w) * dw).real / radius
-
-
 def _bracketed_newton(g, t, a, b, a_in):
     """Roots of g in the brackets [a, b], by Newton from t inside each bracket.
 
@@ -150,7 +144,7 @@ def _ray_crossings(dom, theta):
         ray = np.arange(i0, min(i0 + RAY_CHUNK, len(z)))[:, None]
         t = t_hi[ray] * steps
         w = geodesic_step(z[ray], nu[ray], t)
-        ft = dom.polar_tables[1](np.angle(w)) - np.abs(w)
+        ft = dom.outer_gap(w)
         i, j = np.nonzero((ft[:, :-1] > 0.0) != (ft[:, 1:] > 0.0))
         brackets.append((ray[i, 0], t[i, j], t[i, j + 1], ft[i, j], ft[i, j + 1]))
     ray, a, b, fa, fb = (np.concatenate(x) for x in zip(*brackets))
@@ -160,7 +154,7 @@ def _ray_crossings(dom, theta):
 
     def f(k, t):
         w = geodesic_step(z[k], nu[k], t)
-        return _gap(dom, w, _ray_velocity(z[k], nu[k], w, t))
+        return dom.outer_gap(w, _ray_velocity(z[k], nu[k], w, t))
 
     return ray, _bracketed_newton(f, b - fb * (b - a) / (fb - fa), a, b, fa > 0.0)
 
@@ -174,6 +168,13 @@ def _crossing_table(dom, theta):
     return crossings
 
 
+def _require_body_outer(dom):
+    """Refuse all but annular domains with a convex hole and a body outer boundary."""
+    if not (isinstance(dom, AnnularDomain2D) and isinstance(dom.outer, Body2D)):
+        raise DomainValidationError("parallels are built over annular domains with a body outer boundary")
+    require_convex(dom.inner, "hole")
+
+
 def distance_field(dom, grid_res):
     """Boundary crossings of grid_res normal rays, equally spaced in the hole's
     parameter, and of a ray at each local extremum of the last exit.
@@ -185,9 +186,7 @@ def distance_field(dom, grid_res):
     neighbours of the last round's best ray, narrow each to its ray.
     delta0 is the largest exit found, delta0_err what the last round added.
     """
-    if not isinstance(dom, AnnularDomain2D):
-        raise DomainValidationError("distance fields are built over annular domains")
-    require_convex(dom.inner, "hole")
+    _require_body_outer(dom)
     theta = np.linspace(0.0, 2.0 * np.pi, grid_res, endpoint=False)
     crossings = _crossing_table(dom, theta)
     last = np.nanmax(crossings, axis=1)
@@ -285,7 +284,7 @@ def _lengths(dom, fld, deltas, stride=1):
         w = geodesic_step(z, nu, d[q])
         speed, kappa = arc_speed_curvature(hole, s)
         stretch = speed * (np.cosh(d[q]) + kappa * np.sinh(d[q]))
-        return _gap(dom, w, 1j * _ray_velocity(z, nu, w, d[q]) * stretch)
+        return dom.outer_gap(w, 1j * _ray_velocity(z, nu, w, d[q]) * stretch)
 
     end = _bracketed_newton(g, lo + (hi - lo) * u, lo, hi, in_i[k])
     sign = np.where(in_i[k], 1.0, -1.0)  # +1 where the inside set ends
@@ -324,7 +323,7 @@ def annulus_match(dom):
     r satisfies P(B_r) = P(hole) (the planar quermass match); R conserves
     the domain area through |B_R| - |B_r| = |domain|.
     """
-    require_convex(dom.inner, "hole")
+    _require_body_outer(dom)
     hole = boundary_measures(dom.inner)
     outer = boundary_measures(dom.outer)
     area = outer["volume"] - hole["volume"]

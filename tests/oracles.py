@@ -181,20 +181,22 @@ def dense_ray_crossings(dom, theta, n_samples):
 
     Each ray is sampled at n_samples + 1 points over [0, r + reach], r the
     chart distance of its foot and reach 0.01 past the outer boundary's
-    largest distance from the origin, with the Mobius map written out; every
-    sign change of rho_out(arg w) - |w| is bisected until its bracket stops
-    shrinking.  Returns a (rays, max crossings) array, NaN-padded.
+    largest distance from the origin, with the Mobius maps written out: w on
+    the ray, and v, w seen from the outer body's base point c.  Every sign
+    change of tanh(R(arg v)/2) - |v|, R the outer body's radius, is bisected
+    until its bracket stops shrinking.  Returns a (rays, max crossings)
+    array, NaN-padded.
     """
-    rho_out = dom.polar_tables[1]
-    rho = rho_out(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
-    reach = 2.0 * math.atanh(float(np.max(rho))) + 0.01
+    reach = 2.0 * math.atanh(float(np.max(dom.outer_polar_samples))) + 0.01
     z, nu = dom.inner.chart_curve(theta), dom.inner.chart_normal(theta)
     r = 2.0 * np.arctanh(np.abs(z))
+    c = math.tanh(dom.offset / 2.0) * np.exp(1j * dom.offset_angle)
 
     def f(ray, t):
         s = np.tanh(t / 2.0) * nu[ray]
         w = (s + z[ray]) / (1.0 + np.conj(z[ray]) * s)
-        return rho_out(np.angle(w)) - np.abs(w)
+        v = (w - c) / (1.0 - np.conj(c) * w)
+        return np.tanh(dom.outer.radius(np.angle(v)) / 2.0) - np.abs(v)
 
     rays = np.arange(len(z))[:, None]
     t = (r[:, None] + reach) * np.linspace(0.0, 1.0, n_samples + 1)

@@ -362,20 +362,6 @@ def test_parallel_curve_of_ball_is_concentric_circle(r, delta):
     assert np.max(np.abs(np.abs(z) - math.tanh((r + delta) / 2.0))) <= 1e-15
 
 
-def test_polar_table_value_and_slope_match_single_orders():
-    # one interval search gives bit for bit what the two spline calls give,
-    # at the knots, across angle 0 and beyond one period
-    dom = AnnularDomain2D(inner=Body2D(a0=0.5, cos=[0.0, 0.1]),
-                          outer=make_ball(2, 1.4), offset=0.2, offset_angle=0.7)
-    rng = np.random.default_rng(5)
-    for table in dom.polar_tables:
-        a = np.concatenate([rng.uniform(-7.0, 13.0, 5000),
-                            np.linspace(-np.pi, np.pi, 8193), [np.nan]])
-        rho, slope = table.value_and_slope(a)
-        assert np.array_equal(rho, table(a), equal_nan=True)
-        assert np.array_equal(slope, table(a, 1), equal_nan=True)
-
-
 def test_outer_polar_samples_are_taken_once():
     dom = AnnularDomain2D(inner=make_ball(2, 0.5), outer=Body2D(a0=1.5, cos=[0.0, 0.2]))
     samples = dom.outer_polar_samples

@@ -237,7 +237,7 @@ def test_cli_hersch_on_the_petal_domain(tmp_path):
     out = tmp_path / "o"
     assert run_command(["hersch", "--domain", dom, "--n-deltas", "17", "--out", str(out)]) == 0
     doc = json.loads((out / "hersch.json").read_text())
-    assert doc["hersch_bound"] == pytest.approx(2.387868644698622, rel=1e-12)
+    assert doc["hersch_bound"] == pytest.approx(2.387868628835878, rel=1e-12)
 
 
 def test_cli_insulation(tmp_path):
@@ -572,6 +572,20 @@ def test_cli_rfk_reports_the_rays_its_table_used(tmp_path):
     assert run_command(["rfk", "--domain", dom, "--out", str(out)]) == 0
     doc = json.loads((out / "rfk.json").read_text())
     assert doc["manifest"]["resolutions"]["grid_res"] == doc["meta"]["grid_res"] == 64
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_cli_manifests_record_the_mesh_size_only_where_a_mesh_is_built(tmp_path, p):
+    # p = 2 takes the spectral solver, which builds no P1 mesh
+    dom = write(tmp_path, "dom.json", DOMAIN_SPEC)
+    mesh = {} if p == 2.0 else {"h_mesh": 0.03}
+    for command, extra, table in (("eig-domain", [], {}),
+                                  ("rfk", ["--n-deltas", "64"], {"n_deltas": 64, "grid_res": 64})):
+        out = tmp_path / command
+        assert run_command([command, "--domain", dom, "--p", repr(p), "--h-mesh", "0.03",
+                            *extra, "--out", str(out)]) == 0
+        doc = json.loads((out / f"{command.replace('-', '_')}.json").read_text())
+        assert doc["manifest"]["resolutions"] == {**mesh, **table}, command
 
 
 def test_cli_eig_domain(tmp_path):

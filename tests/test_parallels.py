@@ -74,6 +74,16 @@ def test_distance_field_vanishes_on_hole_boundary(rfk_domains, rfk_tables):
         assert np.allclose(dist, dom.inner.radius(theta), atol=1e-12), name
 
 
+def test_parallels_refuse_an_outer_that_is_not_a_body():
+    # the parallel curve of the hole has no radius of its own to pull back to
+    from horokit.bodies import ParallelCurve
+    hole = make_ball(2, 0.5)
+    dom = AnnularDomain2D(inner=hole, outer=ParallelCurve(hole, 1.0))
+    for build in (annulus_match, build_parallel_table, lambda d: distance_field(d, 64)):
+        with pytest.raises(DomainValidationError, match="body outer boundary"):
+            build(dom)
+
+
 def test_distance_field_requires_convex_hole():
     wavy = Body2D(a0=1.0, cos=[0.0, 0.0, 0.0, 0.0, 0.3])
     dom = AnnularDomain2D(inner=wavy, outer=make_ball(2, 2.2))
@@ -147,14 +157,17 @@ def test_parallel_length_offset_ball_oracle(rfk_tables):
     # law of cosines: every row below delta0 within 1e-11 and within L_err;
     # the delta0 row, where L falls like sqrt(delta0 - delta) and its arc is
     # far narrower than the ray spacing, within 1e-6 from the ray at the
-    # farthest point; turned by 0.1234, that point lies between two rays
-    tables = {0.005: build_parallel_table(_offset_ball(0.005)),
-              0.1: rfk_tables["offset_0.1"], 0.2: rfk_tables["offset_0.2"],
-              "turned": build_parallel_table(_offset_ball(0.2, 0.1234))}
-    for key, table in tables.items():
-        offset = 0.2 if key == "turned" else key
-        assert table.delta0 == pytest.approx(1.0 + offset, abs=1e-12), key
-        exact = np.array([offset_ball_parallel_length(0.8, 1.8, offset, d)
+    # farthest point; turned by 0.1234, that point lies between two rays; the
+    # far-offset ball's base point is 2.5 from the hole's, and delta0 = 5.2
+    far = AnnularDomain2D(inner=make_ball(2, 0.3), outer=make_ball(2, 3.0), offset=2.5)
+    cases = {0.005: (build_parallel_table(_offset_ball(0.005)), 0.8, 1.8, 0.005),
+             0.1: (rfk_tables["offset_0.1"], 0.8, 1.8, 0.1),
+             0.2: (rfk_tables["offset_0.2"], 0.8, 1.8, 0.2),
+             "turned": (build_parallel_table(_offset_ball(0.2, 0.1234)), 0.8, 1.8, 0.2),
+             "far": (build_parallel_table(far), 0.3, 3.0, 2.5)}
+    for key, (table, r, R, offset) in cases.items():
+        assert table.delta0 == pytest.approx(R + offset - r, abs=1e-12), key
+        exact = np.array([offset_ball_parallel_length(r, R, offset, d)
                           for d in table.deltas])
         err = np.abs(table.L - exact)
         assert np.max(err[:-1]) <= min(1e-11, table.L_err), key
