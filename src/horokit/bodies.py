@@ -22,9 +22,12 @@ hypothesis rule of the comparisons: convex in H^2, h-convex for n >= 3.
 
 The planar solvers work on one domain type, AnnularDomain2D: a Body2D hole
 inside a second, possibly offset, Body2D or inside the hole's ParallelCurve
-(the insulation shell).  Its polar tables, both chart radii as periodic
-splines of the polar angle, serve the polar-map solvers and are checked once,
-when the domain is built; outer_gap reads a body outer boundary itself.
+(the insulation shell).  It is checked once, when it is built, on
+POLAR_SAMPLES samples of its outer boundary.  polar_radii gives the polar-map
+solvers both chart radii at the polar angles they ask for, exact to
+round-off: in closed form for the hole and a centred body, by bracketed
+Newton on the curve's own parameter otherwise; outer_gap reads a body outer
+boundary itself.
 """
 
 import math
@@ -32,13 +35,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import (
+    _bracketed_newton,
     chart_radius,
     check_dimension,
     gauss_legendre_nodes,
     geodesic_step,
+    geodesic_velocity,
     mobius_shift,
     sphere_measure,
     sinh_power_integral,
@@ -52,7 +56,7 @@ GAUSS_BONNET_RTOL = 1e-8
 BODY_TERMINAL_RTOL = 1e-6
 RESOLUTION_CHECK_RTOL = 1e-6
 SAMPLES = (2048, 4096, 8192, 16384)  # profile sample counts, tried in order
-POLAR_SAMPLES = 4096  # polar angles at which a domain's boundaries are checked
+POLAR_SAMPLES = 4096  # outer-boundary samples of a domain's checks and polar-radius brackets
 
 
 def _as_coeffs(c):
@@ -575,6 +579,19 @@ def parallel_perimeter_direct(body, delta, profile=None):
 # Planar domains between two boundary curves
 
 
+def normal_flow(body, theta, delta):
+    """(w, dw/dtheta) of w = geodesic_step(z, nu, delta): the points at the
+    distances delta along the outward normals nu of a planar body's boundary
+    z(theta), and their velocities, the normal geodesic's velocity at w
+    turned a quarter turn and stretched by the normal flow, speed (cosh delta
+    + kappa sinh delta)."""
+    z, nu = body.chart_curve(theta), body.chart_normal(theta)
+    w = geodesic_step(z, nu, delta)
+    speed, kappa = arc_speed_curvature(body, theta)
+    stretch = speed * (np.cosh(delta) + kappa * np.sinh(delta))
+    return w, 1j * geodesic_velocity(z, nu, w, delta) * stretch
+
+
 @dataclass(frozen=True)
 class ParallelCurve:
     """Outer boundary of the parallel body K_delta of a planar body K."""
@@ -586,6 +603,10 @@ class ParallelCurve:
         """The normal geodesic flow of the body's boundary, run for delta."""
         return geodesic_step(self.body.chart_curve(theta), self.body.chart_normal(theta), self.delta)
 
+    def chart_tangent(self, theta):
+        """d/dtheta of chart_curve, from the normal flow."""
+        return normal_flow(self.body, theta, self.delta)[1]
+
 
 @dataclass(frozen=True)
 class AnnularDomain2D:
@@ -593,8 +614,9 @@ class AnnularDomain2D:
 
     The inner body's base point sits at the chart origin; the outer boundary
     is a body, whose base point is offset by a hyperbolic distance along a
-    fixed direction, or the parallel curve of the hole.  Both boundaries
-    must be star-shaped about the origin.
+    fixed direction, or the parallel curve of the hole.  The outer boundary
+    must be star-shaped about the origin, inside the disk and strictly
+    outside the hole, which is checked on its POLAR_SAMPLES samples.
     """
 
     inner: Body2D
@@ -610,11 +632,14 @@ class AnnularDomain2D:
             raise DomainValidationError("offset and offset_angle must be finite")
         if self.offset < 0.0:
             raise DomainValidationError("offset must be >= 0")
-        rho_out = self.outer_polar_samples
+        _, z, angle = self.outer_samples
+        if np.any(np.diff(np.append(angle, angle[0] + 2.0 * np.pi)) <= 0.0):
+            raise DomainValidationError("boundary curve is not star-shaped about the base point")
+        radius = np.abs(z)
         # negated comparisons, so that a nan radius is refused as well
-        if not np.max(rho_out) < 1.0:
+        if not np.max(radius) < 1.0:
             raise DomainValidationError("outer boundary too far out: chart radius rounds to 1")
-        if not np.min(rho_out - self.polar_tables[0](self.polar_angles)) > 1e-9:
+        if not np.min(radius - np.tanh(0.5 * self.inner.radius(angle))) > 1e-9:
             raise DomainValidationError("inner boundary touches or crosses the outer one")
 
     @property
@@ -642,40 +667,46 @@ class AnnularDomain2D:
         return rho - radius, slope * (dz / z).imag - (np.conj(z) * dz).real / radius
 
     @cached_property
-    def polar_tables(self):
-        """Chart radii (rho_in, rho_out) of both boundaries as periodic
-        functions of the polar angle about the origin, for the polar maps."""
-        theta = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
-        return (_periodic_radius_interpolant(self.inner.chart_curve(theta)),
-                _periodic_radius_interpolant(self.outer_chart(theta)))
+    def outer_samples(self):
+        """(theta, z, angle): the outer boundary's chart points z at
+        POLAR_SAMPLES equally spaced curve parameters theta from 0, and
+        their polar angles about the origin, unwrapped."""
+        theta = np.linspace(0.0, 2.0 * np.pi, POLAR_SAMPLES, endpoint=False)
+        z = self.outer_chart(theta)
+        return theta, z, np.unwrap(np.angle(z))
 
-    @property
-    def polar_angles(self):
-        """POLAR_SAMPLES equally spaced polar angles, from 0."""
-        return np.linspace(0.0, 2.0 * np.pi, POLAR_SAMPLES, endpoint=False)
+    def polar_radii(self, a):
+        """Chart radii (rho_in, rho_out) of both boundaries at the array of
+        polar angles a about the origin, exact to round-off.
 
-    @cached_property
-    def outer_polar_samples(self):
-        """Chart radius of the outer boundary at polar_angles."""
-        return self.polar_tables[1](self.polar_angles)
+        The hole's is tanh(r(a)/2), and so is a centred body outer's.  Any
+        other outer boundary C is solved at each angle for the curve
+        parameter t with arg C(t) = a, by bracketed Newton with slope
+        Im(C'/C) between the two samples whose polar angles enclose a.
+        """
+        a = np.asarray(a, dtype=float)
+        rho_in = np.tanh(0.5 * self.inner.radius(a))
+        if self.offset == 0.0 and isinstance(self.outer, Body2D):
+            return rho_in, np.tanh(0.5 * self.outer.radius(a))
+        theta, z, angle = self.outer_samples
+        theta, angle = np.append(theta, 2.0 * np.pi), np.append(angle, angle[0] + 2.0 * np.pi)
+        a = angle[0] + np.mod(a - angle[0], 2.0 * np.pi)
+        k = np.minimum(np.searchsorted(angle, a, side="right"), len(z)) - 1
+        lo, hi = theta[k], theta[k + 1]
+        turn = a - angle[k]  # from the bracket's first sample
 
+        def g(q, t):
+            w, dw = self._outer_chart_and_tangent(t)
+            return np.angle(w / z[k[q]]) - turn[q], (dw / w).imag
 
-def _periodic_radius_interpolant(z):
-    """Chart radius as a periodic cubic spline of the polar angle about 0,
-    evaluated at the angles a by table(a)."""
-    ang = np.unwrap(np.angle(z))
-    if ang[-1] < ang[0]:
-        z = z[::-1]
-        ang = np.unwrap(np.angle(z))
-    if np.any(np.diff(ang) <= 0.0):
-        raise DomainValidationError("boundary curve is not star-shaped about the base point")
-    rad = np.abs(z)
-    a0 = ang[0]
-    angs = np.append(ang, a0 + 2.0 * np.pi)
-    rads = np.append(rad, rad[0])
-    spline = CubicSpline(angs, rads, bc_type="periodic")
+        t = _bracketed_newton(g, lo + (hi - lo) * turn / (angle[k + 1] - angle[k]), lo, hi,
+                              np.zeros(len(lo), dtype=bool))
+        return rho_in, np.abs(self.outer_chart(t))
 
-    def table(a):
-        return spline(a0 + np.mod(np.asarray(a, dtype=float) - a0, 2.0 * np.pi))
-
-    return table
+    def _outer_chart_and_tangent(self, t):
+        """outer_chart at the curve parameters t and its derivative in t."""
+        z, dz = self.outer.chart_curve(t), self.outer.chart_tangent(t)
+        if self.offset == 0.0:
+            return z, dz
+        c = self._shift
+        return mobius_shift(z, c), (1.0 - abs(c) ** 2) * dz / (1.0 + np.conj(c) * z) ** 2

@@ -6,7 +6,8 @@ curvature-integral recursion and validated by its terminal convention
 W_n = omega_{n-1}/n), inverse radius lookups, and distances in the Poincare
 ball chart.  These functions are the oracles the rest of the toolkit is
 checked against, so they favour closed forms and extended precision over
-generality.
+generality.  The chart plumbing at the end also holds the vectorized
+bracketed Newton with which bodies and parallels find boundary points.
 """
 
 import math
@@ -21,6 +22,10 @@ _LD = np.longdouble
 _TINY = np.finfo(float).tiny  # smallest normal double
 _EPS = np.finfo(float).eps
 _NEWTON_MAX_STEPS = 200  # of quermass_inverse_radius, a convergence guard
+ROOT_MAX_ITER = 100      # passes of _bracketed_newton, a convergence guard
+# relative round-off: a Newton step below it leaves a root's next iterate at
+# round-off, and the parallel tables' error estimates never read below it
+ROUNDOFF_RTOL = 1e-12
 
 # log-space switch-over for sinh/cosh powers, safely under double overflow
 _LOG_SPACE_THRESHOLD = 700.0 * math.log(2.0)
@@ -170,6 +175,8 @@ def sinh_power_integral(m, r, dtype=float):
     r = np.asarray(r, dtype=dtype)
     if np.any(r < 0):
         raise DomainValidationError("upper limit must be >= 0")
+    if r.ndim == 0:
+        return _sinh_power_integral_scalar(m, r[()], dtype)
     out = np.zeros_like(r)
     small = r <= 0.25
     lost = np.zeros_like(small)
@@ -191,6 +198,27 @@ def sinh_power_integral(m, r, dtype=float):
             t = dtype(0.5) * rs[:, None] * (dtype(1.0) + x.astype(dtype))
             out[where] = dtype(0.5) * rs * np.sum(w.astype(dtype) * np.sinh(t) ** m, axis=1)
     return out[()]
+
+
+def _sinh_power_integral_scalar(m, r, dtype):
+    """sinh_power_integral at one upper limit r, a dtype scalar: the same
+    operations in the same order on scalars, so the same result bit for bit,
+    without the masks and one-element arrays of the array path."""
+    n_nodes = 48
+    if r > 0.25:
+        total = size = dtype(0.0)
+        for k in range(m + 1):
+            a = m - 2 * k
+            c = dtype(math.comb(m, k)) * dtype((-1.0) ** k)
+            term = c * r if a == 0 else c * np.expm1(dtype(a) * r) / dtype(a)
+            total += term
+            size += abs(term)
+        if size * np.finfo(dtype).eps <= 4.0 * np.finfo(float).eps * abs(total):
+            return total / dtype(2.0) ** m
+        n_nodes = m + 48
+    x, w = gauss_legendre_nodes(n_nodes)
+    t = dtype(0.5) * r * (dtype(1.0) + x.astype(dtype))
+    return dtype(0.5) * r * np.sum(w.astype(dtype) * np.sinh(t) ** m)
 
 
 def _normal(value, what, n, r):
@@ -427,3 +455,42 @@ def geodesic_step(z0, direction, delta):
     """
     w = np.tanh(delta / 2.0) * direction
     return mobius_shift(w, z0)
+
+
+def geodesic_velocity(z0, direction, w, delta):
+    """Chart velocity at w = geodesic_step(z0, direction, delta) of that
+    unit-speed geodesic: sech^2(delta/2) direction (1 - conj(z0) w)^2 / (2 (1 - |z0|^2))."""
+    return ((1.0 - np.tanh(0.5 * delta) ** 2) * direction * (1.0 - np.conj(z0) * w) ** 2
+            / (2.0 * (1.0 - np.abs(z0) ** 2)))
+
+
+def _bracketed_newton(g, t, a, b, a_in):
+    """Roots of g in the brackets [a, b], by Newton from t inside each bracket.
+
+    g(k, t) gives the values and derivatives of the functions k at t, and
+    a_in says where the value at a is positive.  Each evaluation shrinks its
+    bracket to the side that keeps the sign change; a Newton step that does
+    not land inside the bracket (a zero or tiny derivative) is replaced by
+    bisection, unless it rounds to no step at all.  A function converges,
+    and leaves the active set, once it evaluates to zero, a bisection step
+    falls to round-off, or a Newton step falls below ROUNDOFF_RTOL relative:
+    Newton converges quadratically, so the point after such a step is at
+    round-off.
+    """
+    root = np.empty_like(t)
+    k = np.arange(len(t))
+    for _ in range(ROOT_MAX_ITER):
+        f, df = g(k, t)
+        on_a = (f > 0.0) == a_in
+        a, b = np.where(on_a, t, a), np.where(on_a, b, t)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            nxt = t - f / df
+        bisect = ~((a < nxt) & (nxt < b)) & (nxt != t)
+        nxt = np.where(bisect, 0.5 * (a + b), nxt)
+        step = np.abs(nxt - t)
+        done = (f == 0.0) | np.where(bisect, step <= 4.0 * np.spacing(t), step <= ROUNDOFF_RTOL * t)
+        root[k[done]] = np.where(f == 0.0, t, nxt)[done]
+        if np.all(done):
+            return root
+        k, t, a, b, a_in = (x[~done] for x in (k, nxt, a, b, a_in))
+    raise NumericError("boundary crossings did not converge")

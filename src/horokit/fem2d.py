@@ -31,11 +31,12 @@ sums add element matrices in (element, i, j) order.  Near p = 1 one changed
 rounding moves the inverse power iteration's eigen-residual several-fold.
 
 Meshes are structured polar triangulations between the two boundary curves
-of a domain, read only through its polar tables (rho_in, rho_out), the chart
-radii of both boundaries as functions of the polar angle about the inner
-base point (bodies.AnnularDomain2D builds and checks them); the construction
-is intrinsic (the inner base point is always centred), so hyperbolic
-isometries of the input domain produce identical meshes and eigenvalues.
+of a domain, read only through its polar radii (rho_in, rho_out), the chart
+radii of both boundaries at the polar angles about the inner base point that
+the mesh asks for, exact to round-off (bodies.AnnularDomain2D.polar_radii,
+on a domain checked when it was built); the construction is intrinsic (the
+inner base point is always centred), so hyperbolic isometries of the input
+domain produce identical meshes and eigenvalues.
 """
 
 import functools
@@ -51,6 +52,7 @@ from .shell import EigResult
 from .errors import DomainValidationError, NumericError
 
 MIN_ANGLE_DEG = 20.0
+SIZING_ANGLES = 4096       # polar angles at which the boundaries' gap and arc length are read
 EIG_RESIDUAL_RTOL = 1e-10
 POWER_DECREASE = 1e-13     # inverse power settles below this decrease
 MONOTONE_RTOL = 1e-13      # roundoff allowed in the quotient's decrease
@@ -91,9 +93,9 @@ class Mesh:
         return float(np.min(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))))
 
 
-def _polar_mesh(rho_in_fn, rho_out_fn, n_theta, n_layers):
+def _polar_mesh(dom, n_theta, n_layers):
     a = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    ri, ro = rho_in_fn(a), rho_out_fn(a)
+    ri, ro = dom.polar_radii(a)
     s = np.linspace(0.0, 1.0, n_layers + 1)
     rho = ri[None, :] + s[:, None] * (ro - ri)[None, :]
     verts = np.stack([(rho * np.cos(a)[None, :]).ravel(),
@@ -117,9 +119,9 @@ def build_mesh(dom, h_mesh):
     """Triangulate the domain with chart edges <= h_mesh and angles >= 20 deg."""
     if h_mesh <= 0:
         raise DomainValidationError("h_mesh must be > 0")
-    rho_in_fn, rho_out_fn = dom.polar_tables
-    a, ro = dom.polar_angles, dom.outer_polar_samples
-    gap = ro - rho_in_fn(a)
+    a = np.linspace(0.0, 2.0 * np.pi, SIZING_ANGLES, endpoint=False)
+    ri, ro = dom.polar_radii(a)
+    gap = ro - ri
     # boundary arc element sqrt(rho'^2 + rho^2) governs the angular density
     dro = np.gradient(ro, a)
     arc = float(np.max(np.sqrt(dro ** 2 + ro ** 2)))
@@ -127,7 +129,7 @@ def build_mesh(dom, h_mesh):
     n_theta = int(np.ceil(2.0 * np.pi * arc / target))
     n_layers = max(2, int(np.ceil(gap.max() / target)))
     for _ in range(8):
-        verts, tris, inner, outer = _polar_mesh(rho_in_fn, rho_out_fn, n_theta, n_layers)
+        verts, tris, inner, outer = _polar_mesh(dom, n_theta, n_layers)
         mesh = Mesh(vertices=verts, triangles=tris, inner_nodes=inner,
                     outer_nodes=outer, h_mesh=h_mesh, n_theta=n_theta,
                     n_layers=n_layers)
@@ -322,12 +324,17 @@ class _RayleighP:
         pos[free] = np.arange(nf)
         self.corners = pos[mesh.triangles]  # its transpose gives one row per corner
         # element entry (i, j) -> its slot in the fixed CSC pattern of the
-        # free-node stiffness, or a trailing dummy slot at a hole node
+        # free-node stiffness: the keys col * nf + row in sorted order, each
+        # run of equal keys one slot; an entry at a hole node has the key
+        # nf * nf, past all others, and so the trailing dummy slot
         rows, cols = np.repeat(self.corners.ravel(), 3), np.tile(self.corners, 3).ravel()
-        both = (rows < nf) & (cols < nf)
-        keys, slot = np.unique(cols[both] * nf + rows[both], return_inverse=True)
-        self.slot = np.full(rows.shape, len(keys))
-        self.slot[both] = slot
+        keys = np.where((rows < nf) & (cols < nf), cols * nf + rows, nf * nf)
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.append(True, keys[1:] != keys[:-1])
+        self.slot = np.empty_like(order)
+        self.slot[order] = np.cumsum(first) - 1
+        keys = keys[first & (keys < nf * nf)]
         self.pattern = (keys % nf, np.searchsorted(keys // nf, np.arange(nf + 1)))
         self._kept = {}
         self.border_order = None  # elimination order of the bordered systems

@@ -12,14 +12,13 @@ and all the machinery is one-dimensional: the distances at which the normal
 rays cross the outer boundary (every crossing, so a ray that leaves and
 re-enters a non-convex domain counts twice; a scan brackets each and
 bracketed Newton finishes it, on the outer body itself through the domain's
-outer_gap: the polar tables serve the polar-map solvers), the ends of the
-clipped parallel's arcs, bracketed between neighbouring rays and finished
-the same way, which make L exact at any delta, the table of L(delta) on
-as many rays as its every-other-ray error estimate asks for, the
-reparametrizations M (from L) and M-tilde (from the matched annulus), the
-tabulated comparison functions G <= G-tilde, the transplanted
-test-function upper bound for the first mixed eigenvalue, and the
-end-to-end verdict
+outer_gap), the ends of the clipped parallel's arcs, bracketed between
+neighbouring rays and finished the same way, which make L exact at any
+delta, the table of L(delta) on as many rays as its every-other-ray error
+estimate asks for, the reparametrizations M (from L) and M-tilde (from the
+matched annulus), the tabulated comparison functions G <= G-tilde, the
+transplanted test-function upper bound for the first mixed eigenvalue, and
+the end-to-end verdict
 
     tau_1(domain) <= transplant bound <= tau_1(matched annulus).
 """
@@ -30,8 +29,23 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .core import ball_perimeter, check_exponent, gauss_legendre_nodes, geodesic_step
-from .bodies import AnnularDomain2D, Body2D, arc_speed_curvature, boundary_measures, require_convex
+from .core import (
+    ROUNDOFF_RTOL,
+    _bracketed_newton,
+    ball_perimeter,
+    check_exponent,
+    gauss_legendre_nodes,
+    geodesic_step,
+    geodesic_velocity,
+)
+from .bodies import (
+    AnnularDomain2D,
+    Body2D,
+    arc_speed_curvature,
+    boundary_measures,
+    normal_flow,
+    require_convex,
+)
 from .fem2d import (
     build_mesh,
     eigen_p2,  # not called; bench/tracing.py wraps it here until ROADMAP item 1
@@ -46,12 +60,8 @@ DEFAULT_N_DELTAS = 384
 MIN_N_DELTAS = 2
 SCAN_STEPS = 128           # samples per ray that bracket its boundary crossings
 BAND_MARGIN = 0.01         # pads the outer boundary's largest distance from the origin
-ROOT_MAX_ITER = 100
 RAY_CHUNK = 1024           # rays scanned at once, bounding the scan's memory
 ARC_NODES = 8              # Gauss-Legendre nodes per ray interval of the arc integrals
-# relative round-off: the error estimates never read below it, and a Newton
-# step below it leaves a root's next iterate at round-off
-ROUNDOFF_RTOL = 1e-12
 PEAK_RAYS = 65             # rays per round of each extremum's refinement
 PEAK_ROUNDS = 3            # each round narrows to the best ray's neighbours
 # the last row sits this far inside delta0: above the crossings' round-off,
@@ -86,44 +96,6 @@ class DistanceField:
         return np.column_stack([self.values, self.reentries])
 
 
-def _ray_velocity(z, nu, w, t):
-    """Chart velocity at w = geodesic_step(z, nu, t) of that unit-speed geodesic:
-    sech^2(t/2) nu (1 - conj(z) w)^2 / (2 (1 - |z|^2))."""
-    return ((1.0 - np.tanh(0.5 * t) ** 2) * nu * (1.0 - np.conj(z) * w) ** 2
-            / (2.0 * (1.0 - np.abs(z) ** 2)))
-
-
-def _bracketed_newton(g, t, a, b, a_in):
-    """Roots of g in the brackets [a, b], by Newton from t inside each bracket.
-
-    g(k, t) gives the values and derivatives of the functions k at t, and
-    a_in says where the value at a is positive.  Each evaluation shrinks its
-    bracket to the side that keeps the sign change; a Newton step that does
-    not land inside the bracket (a zero or tiny derivative) is replaced by
-    bisection.  A function converges, and leaves the active set, once it
-    evaluates to zero, a bisection step falls to round-off, or a Newton step
-    falls below ROUNDOFF_RTOL relative: Newton converges quadratically, so
-    the point after such a step is at round-off.
-    """
-    root = np.empty_like(t)
-    k = np.arange(len(t))
-    for _ in range(ROOT_MAX_ITER):
-        f, df = g(k, t)
-        on_a = (f > 0.0) == a_in
-        a, b = np.where(on_a, t, a), np.where(on_a, b, t)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            nxt = t - f / df
-        bisect = ~((a < nxt) & (nxt < b))
-        nxt = np.where(bisect, 0.5 * (a + b), nxt)
-        step = np.abs(nxt - t)
-        done = (f == 0.0) | np.where(bisect, step <= 4.0 * np.spacing(t), step <= ROUNDOFF_RTOL * t)
-        root[k[done]] = np.where(f == 0.0, t, nxt)[done]
-        if np.all(done):
-            return root
-        k, t, a, b, a_in = (x[~done] for x in (k, nxt, a, b, a_in))
-    raise NumericError("boundary crossings did not converge")
-
-
 def _ray_crossings(dom, theta):
     """(ray index, distance) of every outer-boundary crossing of the rays at theta.
 
@@ -137,7 +109,7 @@ def _ray_crossings(dom, theta):
     """
     hole, theta = dom.inner, np.atleast_1d(theta)
     z, nu, r = hole.chart_curve(theta), hole.chart_normal(theta), hole.radius(theta)
-    t_hi = r + 2.0 * math.atanh(float(np.max(dom.outer_polar_samples))) + BAND_MARGIN
+    t_hi = r + 2.0 * math.atanh(float(np.max(np.abs(dom.outer_samples[1])))) + BAND_MARGIN
     steps = np.linspace(0.0, 1.0, SCAN_STEPS + 1)
     brackets = []
     for i0 in range(0, len(z), RAY_CHUNK):
@@ -154,7 +126,7 @@ def _ray_crossings(dom, theta):
 
     def f(k, t):
         w = geodesic_step(z[k], nu[k], t)
-        return dom.outer_gap(w, _ray_velocity(z[k], nu[k], w, t))
+        return dom.outer_gap(w, geodesic_velocity(z[k], nu[k], w, t))
 
     return ray, _bracketed_newton(f, b - fb * (b - a) / (fb - fa), a, b, fa > 0.0)
 
@@ -237,19 +209,19 @@ def _lengths(dom, fld, deltas, stride=1):
     delta.  Rays i and i + 1 differ on [e1, e2), [e3, e4), ... of their
     merged, sorted crossings, and there an arc of the clipped parallel ends
     between them, at the root s of the gap at w(s) = geodesic_step(z(s),
-    nu(s), delta).  Newton finds it from the linear interpolant of the
-    pair's crossings (the middle, where both are one ray's), with dw/ds =
-    i w_t speed (cosh delta + kappa sinh delta): the ray's velocity turned
-    a quarter turn and stretched by the normal flow.  With A(s) and B(s)
-    the integrals of speed and speed kappa from 0 to s (ARC_NODES-point
-    Gauss-Legendre on each ray interval and on the part up to each end), L
-    sums cosh delta A + sinh delta B over the ends where the inside set
-    ends, less over those where it starts, plus the whole parallel where
-    ray 0 is inside.
+    nu(s), delta).  Newton finds it, with dw/ds from bodies.normal_flow,
+    from the linear interpolant of the pair's crossings, or its square root
+    next to an extremum ray, where the crossings fold (the middle, where
+    both are one ray's).  With A(s) and B(s) the integrals of speed and
+    speed kappa from 0 to s (ARC_NODES-point Gauss-Legendre on each ray
+    interval and on the part up to each end), L sums cosh delta A + sinh
+    delta B over the ends where the inside set ends, less over those where
+    it starts, plus the whole parallel where ray 0 is inside.
     """
     theta = np.append(fld.theta[::stride], fld.extremum_theta)
     order = np.argsort(theta, kind="stable")
     theta, c = theta[order], np.vstack([fld.crossings[::stride], fld.extremum_crossings])[order]
+    peak = np.isin(theta, fld.extremum_theta)  # the extremum rays, and uniform rays at their angles
     ends = np.append(theta[1:], 2.0 * np.pi)  # so that the intervals tile [0, 2 pi] exactly
     deltas = np.asarray(deltas, dtype=float)
     hole = dom.inner
@@ -277,14 +249,15 @@ def _lengths(dom, fld, deltas, stride=1):
     row, k = _cuts(deltas, near, far)
     d, lo, hi = deltas[row], theta[interval[k]], ends[interval[k]]
     frac = (d - near[k]) / (far[k] - near[k])  # 0 at ray i, 1 at ray i + 1 where near is ray i's
-    u = np.where(near_next[k] == far_next[k], 0.5, np.abs(near_next[k] - frac))
+    u = np.abs(near_next[k] - frac)
+    # at an extremum ray the crossings fold, delta - e ~ (s - s_e)^2, so the
+    # end's distance from that ray is the square root of the linear one
+    u = np.where(peak[(interval[k] + 1) % len(theta)], 1.0 - np.sqrt(1.0 - u),
+                 np.where(peak[interval[k]], np.sqrt(u), u))
+    u = np.where(near_next[k] == far_next[k], 0.5, u)
 
     def g(q, s):
-        z, nu = hole.chart_curve(s), hole.chart_normal(s)
-        w = geodesic_step(z, nu, d[q])
-        speed, kappa = arc_speed_curvature(hole, s)
-        stretch = speed * (np.cosh(d[q]) + kappa * np.sinh(d[q]))
-        return dom.outer_gap(w, 1j * _ray_velocity(z, nu, w, d[q]) * stretch)
+        return dom.outer_gap(*normal_flow(hole, s, d[q]))
 
     end = _bracketed_newton(g, lo + (hi - lo) * u, lo, hi, in_i[k])
     sign = np.where(in_i[k], 1.0, -1.0)  # +1 where the inside set ends

@@ -2,7 +2,8 @@
 
 Every domain the mesher accepts is the image of the periodic strip
 [0, 2 pi) x [0, 1] under (theta, s) -> (rho_in + s (rho_out - rho_in)) e^{i theta}
-with rho_in, rho_out the polar tables of its two boundaries.  Pulled back,
+with rho_in, rho_out the chart radii of its two boundaries at the polar
+angle theta (AnnularDomain2D.polar_radii, exact to round-off).  Pulled back,
 the conformally invariant Dirichlet integral is
 
     int c1 u_s^2 + c2 (u_theta - a u_s)^2 ds dtheta,
@@ -117,10 +118,9 @@ class _PolarOperator:
     """
 
     def __init__(self, dom, n_theta, n_s):
-        rho_in_fn, rho_out_fn = dom.polar_tables
         theta, self.Dt = _fourier(n_theta)
         self.s, ws, self.Ds, _ = _lobatto(n_s)
-        rho_in, rho_out = rho_in_fn(theta), rho_out_fn(theta)
+        rho_in, rho_out = dom.polar_radii(theta)
         w = rho_out - rho_in
         # boundary derivatives by the same Fourier differentiation as u
         d_in, d_out = self.Dt @ rho_in, self.Dt @ rho_out

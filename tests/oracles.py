@@ -187,7 +187,7 @@ def dense_ray_crossings(dom, theta, n_samples):
     until its bracket stops shrinking.  Returns a (rays, max crossings)
     array, NaN-padded.
     """
-    reach = 2.0 * math.atanh(float(np.max(dom.outer_polar_samples))) + 0.01
+    reach = 2.0 * math.atanh(float(np.max(np.abs(dom.outer_samples[1])))) + 0.01
     z, nu = dom.inner.chart_curve(theta), dom.inner.chart_normal(theta)
     r = 2.0 * np.arctanh(np.abs(z))
     c = math.tanh(dom.offset / 2.0) * np.exp(1j * dom.offset_angle)
@@ -215,6 +215,31 @@ def dense_ray_crossings(dom, theta, n_samples):
     out = np.full((len(z), column.max() + 1), np.nan)
     out[ray, column] = 0.5 * (a + b)
     return out
+
+
+def bisected_polar_radii(dom, a, n_samples=1 << 16):
+    """Chart radius of a domain's outer boundary at the polar angles a, by
+    bisection on its curve parameter.
+
+    The boundary dom.outer_chart is sampled at n_samples + 1 parameters over
+    [0, 2 pi]; between the two whose unwrapped polar angles enclose an angle,
+    the parameter is halved until its bracket stops shrinking, and the
+    radius is read at the bracket's middle.
+    """
+    t = np.linspace(0.0, 2.0 * np.pi, n_samples + 1)
+    z = dom.outer_chart(t)
+    angle = np.unwrap(np.angle(z))
+    a = angle[0] + np.mod(np.asarray(a, dtype=float) - angle[0], 2.0 * np.pi)
+    k = np.searchsorted(angle, a, side="right") - 1
+    lo, hi = t[k], t[k + 1]
+    while True:
+        m = 0.5 * (lo + hi)
+        moving = (lo < m) & (m < hi)
+        if not np.any(moving):
+            break
+        beyond = angle[k] + np.angle(dom.outer_chart(m) / z[k]) > a
+        lo, hi = np.where(moving & ~beyond, m, lo), np.where(moving & beyond, m, hi)
+    return np.abs(dom.outer_chart(0.5 * (lo + hi)))
 
 
 def planar_polar_curvature(r, rp, rpp):
@@ -268,7 +293,9 @@ def _min_chord_to_curve(dom, theta, bxy, b2, px, py, p2):
 
 def grid_distance_field(dom, grid_res, n_boundary=256):
     """Distance to the hole boundary on a grid_res^2 chart grid over the domain."""
-    rho_in_fn, rho_out_fn = dom.polar_tables
+    def rho_out_fn(a):
+        return dom.polar_radii(a)[1]
+
     a = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     b = min(float(np.max(rho_out_fn(a))) * 1.005 + 2e-3, 0.999)
     gx = np.linspace(-b, b, grid_res)
@@ -290,7 +317,7 @@ def grid_distance_field(dom, grid_res, n_boundary=256):
         if len(idx):
             q = _min_chord_to_curve(dom, theta, bxy, b2, px[idx], py[idx], p2[idx])
             dist[idx] = 2.0 * np.arcsinh(np.sqrt(q))
-    inside_hole = np.sqrt(p2) < rho_in_fn(np.arctan2(py, px))
+    inside_hole = np.sqrt(p2) < np.tanh(0.5 * dom.inner.radius(np.arctan2(py, px)))
     signed = np.where(inside_hole, -dist, dist)
     return GridField(gx=gx, gy=gx, values=signed.reshape(grid_res, grid_res),
                      cell=float(gx[1] - gx[0]), rho_out=rho_out_fn)
@@ -421,6 +448,18 @@ def broadcast_assemble_p2(mesh):
     nv = mesh.vertices.shape[0]
     return (coo_matrix((ke.ravel(), (ii, jj)), shape=(nv, nv)).tocsr(),
             coo_matrix((me.ravel(), (ii, jj)), shape=(nv, nv)).tocsr())
+
+
+def unique_stiffness_pattern(corners, nf):
+    """(slot, pattern) of fem2d._RayleighP from np.unique: the slot of every
+    element entry (i, j) in the CSC pattern (indices, indptr) of the
+    free-node stiffness, len(indices) at a hole node (corner index nf)."""
+    rows, cols = np.repeat(corners.ravel(), 3), np.tile(corners, 3).ravel()
+    both = (rows < nf) & (cols < nf)
+    keys, slot = np.unique(cols[both] * nf + rows[both], return_inverse=True)
+    slots = np.full(rows.shape, len(keys))
+    slots[both] = slot
+    return slots, (keys % nf, np.searchsorted(keys // nf, np.arange(nf + 1)))
 
 
 class BroadcastRayleighP:

@@ -255,6 +255,47 @@ def test_sinh_power_integral_positive_and_increasing(m, r):
                           [sinh_power_integral(m, x) for x in radii])
 
 
+def test_sinh_power_integral_scalar_path_is_the_array_path(monkeypatch):
+    # a scalar r runs scalar arithmetic in the array path's order: the same
+    # result bit for bit on each branch, told apart by the Gauss-Legendre
+    # rule it asks for (48 nodes at r <= 0.25, none for the binomial sum,
+    # m + 48 where its cancellation loses the result)
+    gauss_legendre = horokit.core.gauss_legendre_nodes
+    rules = []
+
+    def spy(n_nodes):
+        rules.append(n_nodes)
+        return gauss_legendre(n_nodes)
+
+    monkeypatch.setattr(horokit.core, "gauss_legendre_nodes", spy)
+    radii = (0.0, 1e-3, 0.1, 0.25, 0.2500001, 0.6, 1.0, 2.0, 3.0, 5.0)
+    branches = set()
+    for dtype, powers in ((np.longdouble, (0, 1, 2, 3, 4, 7, 30, 100, 255)), (float, (0, 1, 4, 30, 100))):
+        for m in powers:
+            array = sinh_power_integral(m, np.array(radii), dtype=dtype)
+            for r, ref in zip(radii, array):
+                rules.clear()
+                got = sinh_power_integral(m, r, dtype=dtype)
+                assert type(got) is type(ref) and got == ref, (dtype, m, r)
+                branches.add("binomial" if not rules else "small" if rules == [48] else "lost")
+    assert branches == {"small", "binomial", "lost"}
+
+
+def test_bracketed_newton_stops_on_a_step_below_round_off():
+    # t - 0.1 + 1e-18 is 1e-18 at t = 0.1, where the Newton step rounds to
+    # no step and lands on the bracket's end: a converged root, which took
+    # 50 more bisections when that step counted as leaving the bracket
+    passes = []
+
+    def g(k, t):
+        passes.append(len(k))
+        return t - 0.1 + 1e-18, np.ones_like(t)
+
+    root = horokit.core._bracketed_newton(g, np.array([0.3]), np.array([0.0]), np.array([1.0]),
+                                          np.array([False]))
+    assert root[0] == 0.1 and len(passes) == 2
+
+
 @pytest.mark.parametrize("n,w_rtol", [(5, 1e-12), (48, 1e-11), (384, 2e-12),
                                       (1024, 1e-11), (2048, 1e-10)])
 def test_gauss_legendre_nodes_match_numpy(n, w_rtol):

@@ -17,7 +17,7 @@ from horokit.fem2d import (
 from horokit.shell import ShellSpec, shell_eigen
 from horokit.errors import DomainValidationError, NumericError
 
-from oracles import BroadcastRayleighP, broadcast_assemble_p2
+from oracles import BroadcastRayleighP, broadcast_assemble_p2, unique_stiffness_pattern
 
 ANNULUS = AnnularDomain2D(inner=make_ball(2, 0.5), outer=make_ball(2, 1.5))
 OVAL_HOLE = AnnularDomain2D(inner=Body2D(a0=0.8, cos=[0.0, 0.1], sin=[0.0, 0.05]),
@@ -138,6 +138,20 @@ def test_element_kernels_match_broadcast_reference(dom, p):
                               ref.denominator_hessian_elements(x))
 
 
+@pytest.mark.parametrize("dom, h_mesh", [
+    (ANNULUS, 0.04),
+    # the hole mesh of the benchmark's general_p round, 3834 free nodes
+    (AnnularDomain2D(inner=Body2D(a0=0.8, cos=[0.0, 0.1]), outer=make_ball(2, 1.8)), 0.03),
+], ids=["annulus", "general_p_hole"])
+def test_stiffness_pattern_matches_unique_reference(dom, h_mesh):
+    # the sorted build of the free-node pattern and the element entries'
+    # slots is np.unique's, bit for bit and in its dtypes
+    rq = fem2d._RayleighP(build_mesh(dom, h_mesh), 1.5)
+    slot, pattern = unique_stiffness_pattern(rq.corners, len(rq.free))
+    for new, ref in zip((rq.slot, *rq.pattern), (slot, *pattern)):
+        assert new.dtype == ref.dtype and np.array_equal(new, ref)
+
+
 def _spy_splu(monkeypatch):
     factored = []
 
@@ -185,8 +199,9 @@ def test_eigen_p_general_runs_one_start(monkeypatch):
 
 # tau at h = 0.04 from the Armijo-descent solver this one replaced
 DESCENT_TAU_H004 = {1.5: 0.992003224741169, 3.0: 1.986552913160455}
-# tau and eigen-residual at p = 1.2, h = 0.04 from power steps alone
-POWER_TAU_P12_H004, POWER_RESIDUAL_P12_H004 = 0.7111100872466675, 1.9246338344300553e-05
+# tau and eigen-residual at p = 1.2, h = 0.04 from power steps alone, on the
+# mesh between the boundaries' exact polar radii
+POWER_TAU_P12_H004, POWER_RESIDUAL_P12_H004 = 0.7111100872466675, 2.6387398652531355e-05
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -209,10 +224,15 @@ def test_eigen_p_general_eigen_residual(p):
     assert res.residuals["eig_residual"] <= 1e-10
 
 
-def test_eigen_p_general_bordered_steps_keep_p12():
+def test_eigen_p_general_bordered_steps_keep_p12(monkeypatch):
     # at p = 1.2 the |g|^{p-2} weights make bordered steps lower the quotient
-    # while raising the residual; they must not be kept
-    res = eigen_p_general(build_mesh(ANNULUS, 0.04), 1.2)
+    # while raising the residual; they must not be kept, so the run ends
+    # where power steps alone end
+    mesh = build_mesh(ANNULUS, 0.04)
+    res = eigen_p_general(mesh, 1.2)
+    monkeypatch.setattr(fem2d, "_bordered_step", lambda rq, u, value: None)
+    power = eigen_p_general(mesh, 1.2)
+    assert (res.tau1, res.residuals["eig_residual"]) == (power.tau1, power.residuals["eig_residual"])
     assert res.tau1 == pytest.approx(POWER_TAU_P12_H004, rel=1e-9)
     assert res.residuals["eig_residual"] <= POWER_RESIDUAL_P12_H004
 

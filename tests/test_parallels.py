@@ -126,6 +126,30 @@ def test_newton_passes_are_few(monkeypatch, dom, cap):
     assert max(passes) <= cap and passes[1:] == [3] * parallels.PEAK_ROUNDS
 
 
+def test_arc_end_newton_passes_are_few(monkeypatch):
+    # at the delta0 row of the offset ball the arc ends sit about 3e-6 from
+    # the extremum ray, at a near-double root of the gap; started from the
+    # square-root interpolant next to that ray, both length passes of the
+    # table finish in four Newton passes (from the linear one, 22)
+    newton = parallels._bracketed_newton
+    passes = []
+
+    def counting_newton(g, *args):
+        passes.append(0)
+
+        def counted(k, t):
+            passes[-1] += 1
+            return g(k, t)
+
+        return newton(counted, *args)
+
+    monkeypatch.setattr(parallels, "_bracketed_newton", counting_newton)
+    table = build_parallel_table(OFFSET_BALL)
+    assert table.grid_res == RAY_COUNTS[0]
+    assert len(passes) == 1 + parallels.PEAK_ROUNDS + 2
+    assert max(passes[-2:]) <= 4
+
+
 def test_bracketed_newton_survives_a_zero_derivative():
     # cos t - 1/2 on [-1, 1.5] from t = 0, where the derivative vanishes: the
     # step bisects instead, and Newton then finishes; (1 - t)^3 from its root
