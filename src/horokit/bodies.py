@@ -542,7 +542,7 @@ def parallel_perimeter(body, delta):
     return steiner_polynomial(curvature_integrals(body).v, delta)
 
 
-def parallel_perimeter_direct(body, delta, profile=None):
+def parallel_perimeter_direct(body, delta):
     """Perimeter of the outer parallel body at distance delta, or at every
     entry of an array of distances (returned in its shape).
 
@@ -554,9 +554,8 @@ def parallel_perimeter_direct(body, delta, profile=None):
     reference that parallel_perimeter is checked against.
     """
     deltas = _checked_distances(delta)
-    if profile is None:
-        require_convex(body, "body")
-        profile = curvature_profile(body)
+    require_convex(body, "body")
+    profile = curvature_profile(body)
     flat = deltas.ravel()
     c = np.array([math.cosh(d) for d in flat])[:, None]
     s = np.array([math.sinh(d) for d in flat])[:, None]

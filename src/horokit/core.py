@@ -3,11 +3,13 @@
 Everything here is about the hyperbolic space of curvature -1: measures of
 geodesic balls, the quermassintegral vector of a ball (computed through the
 curvature-integral recursion and validated by its terminal convention
-W_n = omega_{n-1}/n), inverse radius lookups, and distances in the Poincare
-ball chart.  These functions are the oracles the rest of the toolkit is
-checked against, so they favour closed forms and extended precision over
-generality.  The chart plumbing at the end also holds the vectorized
-bracketed Newton with which bodies and parallels find boundary points.
+W_n = omega_{n-1}/n), each W_m(B_r) on its own as a sum of positive terms,
+inverse radius lookups, and distances in the Poincare ball chart.  These
+functions are the oracles the rest of the toolkit is checked against, so
+they favour closed forms and extended precision over generality.  The one
+scalar and vectorized root finder, a bracketed Newton, sits with the chart
+plumbing at the end: it inverts W_m(B_r), and bodies and parallels find
+boundary points with it.
 """
 
 import math
@@ -20,8 +22,6 @@ from .errors import DomainValidationError, ConsistencyError, NumericError, Searc
 
 _LD = np.longdouble
 _TINY = np.finfo(float).tiny  # smallest normal double
-_EPS = np.finfo(float).eps
-_NEWTON_MAX_STEPS = 200  # of quermass_inverse_radius, a convergence guard
 ROOT_MAX_ITER = 100      # passes of _bracketed_newton, a convergence guard
 # relative round-off: a Newton step below it leaves a root's next iterate at
 # round-off, and the parallel tables' error estimates never read below it
@@ -31,8 +31,8 @@ ROUNDOFF_RTOL = 1e-12
 _LOG_SPACE_THRESHOLD = 700.0 * math.log(2.0)
 # largest ambient dimension: of 160 radii in [0.01, 5], ball_quermass accepts
 # some ball up to n = 271 and none from 272 to 319; at n = 256, of r = 0.20-2.0
-# in steps of 0.01, it accepts 0.25-0.29 (smaller radii underflow, larger ones
-# fail the terminal check), and it refuses the unit ball from n = 37 on
+# in steps of 0.01, it accepts 0.25-0.29, and it refuses the unit ball from
+# n = 37 on; ball_quermassintegral takes no recursion and has no such window
 MAX_DIMENSION = 256
 
 
@@ -45,7 +45,7 @@ _J0_ZEROS = np.array([
     52.624051841115, 55.76551075501998, 58.90698392608094, 62.048469190227166,
 ])
 # cap on the recurrence passes of gauss_legendre_nodes, a convergence guard:
-# it takes one from n = 45 on, two for 3 <= n <= 44 and three at n = 2
+# it takes one from n = 83 on, two for 3 <= n <= 82 and three at n = 2
 _GL_MAX_PASSES = 5
 
 
@@ -57,7 +57,7 @@ def _legendre(n, x):
     return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=256)
 def gauss_legendre_nodes(n_nodes):
     """Gauss-Legendre nodes and weights on [-1, 1], read-only and cached.
 
@@ -71,13 +71,14 @@ def gauss_legendre_nodes(n_nodes):
     three-term recurrence, which gives P_n and P_n', and its Newton step
     land within round-off.  The same pass gives the weights
     2 / ((1 - x^2) P_n'(x)^2): P_n' is moved to the corrected node by a
-    Taylor step, with P_n'' from Legendre's equation
-    (1 - x^2) P'' = 2x P' - n(n+1) P.  Passes repeat until the quadratic
-    error bound |P''/P'| dx^2 of every Newton step is below 1e-17: one pass
-    from n = 45 on, two or three below.  The positive nodes and their
-    weights are mirror images.  The weights are within 9e-13 relative at
-    n = 384, 5e-12 at n = 1024 and 4e-11 at n = 2048; numpy's leggauss
-    loses two to three more digits.
+    Taylor step, with P_n'' and P_n''' from Legendre's equation
+    (1 - x^2) P'' = 2x P' - n(n+1) P and its derivative.  Passes repeat
+    until, at every node, the Newton step's error bound |P''/P'| dx^2 is
+    below 1e-17 and the weight's, |P'''/P'| dx^2, below 1e-15: one pass from
+    n = 83 on, two or three below.  The positive nodes and their weights are
+    mirror images.  The weights sum to 2 within 1.6e-15 for n <= 400, and
+    are within 9e-13 relative at n = 384, 5e-12 at n = 1024 and 4e-11 at
+    n = 2048; numpy's leggauss loses two to three more digits.
     """
     n = n_nodes
     if not isinstance(n, (int, np.integer)) or n < 1:
@@ -95,10 +96,12 @@ def gauss_legendre_nodes(n_nodes):
         p, dp = _legendre(n, x)
         dx = -p / dp
         ddp = (2.0 * x * dp - n * (n + 1) * p) / (1.0 - x * x)
-        bound = np.abs(ddp / dp) * dx * dx
+        dddp = (4.0 * x * ddp - (n * (n + 1) - 2) * dp) / (1.0 - x * x)
+        settled = (np.all(np.abs(ddp / dp) * dx * dx < 1e-17)
+                   and np.all(np.abs(dddp / dp) * dx * dx < 1e-15))
         x += dx
         dp += ddp * dx
-        if np.all(bound < 1e-17):
+        if settled:
             break
     else:
         raise NumericError(f"Gauss-Legendre nodes for n = {n} did not converge")
@@ -167,8 +170,8 @@ def sinh_power_integral(m, r, dtype=float):
     four float64 epsilons of the result (a NaN sum, inf - inf, is not).
     Elsewhere Gauss-Legendre on the positive integrand takes over with
     m + 48 nodes, as it does with 48 at r <= 0.25, where the result scales
-    like r^{m+1}.  In long double this is within 3.5e-14 of the binomial sum
-    in 900-digit arithmetic for m <= 255 and 0.01 <= r <= 5.
+    like r^{m+1}.  In long double it is within 4.4e-14 of 700-digit sums at
+    24 powers m <= 255 and 42 radii in [0.01, 5], and 8.8e-18 for m <= 1.
     """
     if m < 0:
         raise DomainValidationError("power must be >= 0")
@@ -347,67 +350,63 @@ def ball_quermass(n, r):
     return QuermassVector(n=n, w=w)
 
 
-def quermass_inverse_radius(n, m, w):
-    """Radius r with W_m(B_r) = w, for 0 <= m <= n-1.
+def ball_quermassintegral(n, m, r):
+    """W_m(B_r) and its slope, for 0 <= m <= n-1, in long double.
 
-    r -> W_m(B_r) is strictly increasing and convex, with slope
-    dW_m/dr = ((n-m)/n) omega_{n-1} sinh^{n-1-m} r cosh^m r, so the root is
-    unique.  A geometric bracket expansion locates it; safeguarded Newton
-    steps then start from the upper end, a step that leaves the bracket is
-    replaced by bisection, and every evaluation shrinks the bracket.  Once
-    a Newton step is within eps r, its end is evaluated too, and the one
-    of the two radii with the smaller residual is returned; that
-    evaluation is residual-checked.
+    W_m(B_r) = ((n-m)/n) omega_{n-1} int_0^r sinh^{n-1-m} t cosh^m t dt as a
+    sum of positive terms, with no recursion to cancel or to fail a terminal
+    check: for odd m the polynomial sum_k C((m-1)/2, k) s^{n-m+2k} / (n-m+2k)
+    in s = sinh r, and for even m, by cosh^m = (1 + sinh^2)^{m/2},
+    sum_k C(m/2, k) sinh_power_integral(n-1-m+2k, r).
     """
     n = check_dimension(n)
     if not 0 <= m <= n - 1:
         raise DomainValidationError(f"index m must be in 0..{n - 1}, got {m}")
-    if w <= 0:
-        raise DomainValidationError(f"target quermassintegral must be > 0, got {w}")
+    if r <= 0:
+        raise DomainValidationError(f"ball radius must be > 0, got {r}")
+    rl, a, half = _LD(r), n - 1 - m, m // 2
+    scale = _LD(n - m) / _LD(n) * _LD(sphere_measure(n - 1))
+    if m % 2:
+        s = np.sinh(rl)
+        integral = sum(_LD(math.comb(half, k)) * s ** (a + 1 + 2 * k) / _LD(a + 1 + 2 * k)
+                       for k in range(half + 1))
+    else:
+        integral = sum(_LD(math.comb(half, k)) * sinh_power_integral(a + 2 * k, rl, dtype=_LD)
+                       for k in range(half + 1))
+    return scale * integral, scale * np.sinh(rl) ** a * np.cosh(rl) ** m
 
-    def f(r):
-        return ball_quermass(n, r)[m] - w
 
-    lo, hi = 1e-8, 1.0
-    for _ in range(80):
-        if f(lo) < 0.0:
-            break
-        lo *= 1e-2
-    else:
-        raise SearchError("could not bracket quermass inverse from below")
-    for _ in range(60):
-        f_hi = f(hi)
-        if f_hi > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise SearchError("could not bracket quermass inverse from above")
-    # the slope in long double, whose range holds every power ball_quermass took
-    scale = _LD((n - m) / n * sphere_measure(n - 1))
-    r, resid = hi, f_hi
-    for _ in range(_NEWTON_MAX_STEPS):
-        rl = _LD(r)
-        step = float(resid / (scale * np.sinh(rl) ** (n - 1 - m) * np.cosh(rl) ** m))
-        settled = abs(step) <= _EPS * r
-        new = r - step
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        if new == r:
-            break
-        new_resid = f(new)
-        if settled:  # r is within round-off of the root: keep the closer of r and new
-            if abs(new_resid) < abs(resid):
-                r, resid = new, new_resid
-            break
-        r, resid = new, new_resid
-        if resid < 0.0:
-            lo = r
-        else:
-            hi = r
-    else:
-        raise SearchError(f"quermass inverse did not settle in {_NEWTON_MAX_STEPS} Newton steps")
-    if abs(resid) > 1e-12 * w:
-        raise SearchError(f"inverse radius residual {abs(resid):.3e} exceeds 1e-12 relative")
+def quermass_inverse_radius(n, m, w):
+    """Radius r with W_m(B_r) = w, for 0 <= m <= n-1.
+
+    _bracketed_newton zeroes the increasing log(W_m(B_r) / w) of
+    ball_quermassintegral from hi on [0, hi], hi the smaller of two bounds
+    on the root: W_m(B_r) >= omega_{n-1} r^{n-m} / n (sinh t >= t,
+    cosh t >= 1), tight for small balls, and W_m(B_r) >= ((n-m)/n)
+    omega_{n-1} sinh^{n-1}(r - 1) (the integrand on [r - 1, r]).  Of the
+    root and its two neighbouring doubles the one with the smallest
+    long-double residual is returned, and that residual is checked.
+    """
+    n = check_dimension(n)
+    if not 0 <= m <= n - 1:
+        raise DomainValidationError(f"index m must be in 0..{n - 1}, got {m}")
+    if not _TINY <= w < math.inf:
+        raise DomainValidationError(f"target quermassintegral must be a normal double > 0, got {w}")
+    log_w = math.log(w) - math.log(sphere_measure(n - 1))
+    hi = 1.0 + math.asinh(math.exp((math.log(n / (n - m)) + log_w) / (n - 1)))
+    # the small-ball bound is within round-off of tiny roots: pad it past its own rounding
+    hi = math.exp(min((math.log(n) + log_w) / (n - m), math.log(hi)) + ROUNDOFF_RTOL)
+
+    def g(k, t):
+        value, slope = ball_quermassintegral(n, m, t[0])
+        return np.array([float(np.log(value / _LD(w)))]), np.array([float(slope / value)])
+
+    root = _bracketed_newton(g, np.array([hi]), np.array([0.0]), np.array([hi]),
+                             np.array([False]))[0]
+    candidates = (root, np.nextafter(root, 0.0), np.nextafter(root, math.inf))
+    resid, r = min((abs(ball_quermassintegral(n, m, x)[0] - _LD(w)), x) for x in candidates)
+    if resid > 1e-12 * w:
+        raise SearchError(f"inverse radius residual {float(resid):.3e} exceeds 1e-12 relative")
     return float(r)
 
 
@@ -493,4 +492,4 @@ def _bracketed_newton(g, t, a, b, a_in):
         if np.all(done):
             return root
         k, t, a, b, a_in = (x[~done] for x in (k, nxt, a, b, a_in))
-    raise NumericError("boundary crossings did not converge")
+    raise NumericError("bracketed Newton did not converge")

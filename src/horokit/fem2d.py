@@ -280,7 +280,7 @@ def eigen_p2(mesh):
         u = -u
     full = np.zeros(nv)
     full[free] = u
-    residuals = {"eig_residual": res, "dirichlet_trace": float(np.max(np.abs(full[mesh.inner_nodes])))}
+    residuals = {"eig_residual": res}
     meta = {"n_vertices": nv, "n_triangles": mesh.triangles.shape[0],
             "h_mesh": mesh.h_mesh, "iterations": solves, "p": 2.0}
     return EigResult(tau1=tau, residuals=residuals, meta=meta, u=full)
@@ -520,7 +520,7 @@ def eigen_p_general(mesh, p):
     if not settled:
         raise NumericError("inverse power iteration stalled or hit the iteration limit without settling")
     u = rq.full(u)
-    residuals = {"eig_residual": res, "dirichlet_trace": float(np.max(np.abs(u[mesh.inner_nodes])))}
+    residuals = {"eig_residual": res}
     meta = {"n_vertices": rq.nv, "h_mesh": mesh.h_mesh, "p": p,
             "iterations": outer, "newton_steps": newton, "upper_bound_only": True}
     return EigResult(tau1=float(value), residuals=residuals, meta=meta, u=u)

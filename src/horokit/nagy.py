@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ball_curvature_integrals, ball_quermass, quermass_inverse_radius
+from .core import ball_curvature_integrals, ball_quermassintegral, quermass_inverse_radius
 from .bodies import (
     Body2D,
     boundary_measures,
@@ -114,8 +114,7 @@ def af_check(body, i, j, force=False):
         raise DomainValidationError(f"need 0 <= i < j <= {n - 1}, got ({i}, {j})")
     check_hypotheses(body, force=force)
     w = quermassintegrals(body)
-    r_i = quermass_inverse_radius(n, i, w[i])
-    predicted = ball_quermass(n, r_i)[j]
+    predicted, _ = ball_quermassintegral(n, j, quermass_inverse_radius(n, i, w[i]))
     return float(w[j] - predicted)
 
 

@@ -298,7 +298,6 @@ def shell_eigen(spec):
     v_loose, _ = _continuous_extension(_integrate(spec, tau1, rtol=1e-9, atol=1e-11)[2], t)
     ode_max = float(np.max(np.abs(v_loose - v)))
     residuals = {
-        "bc_inner": float(abs(v[0])),
         "bc_outer": float(abs(dv[-1])),
         "flux_outer": float(abs(W[-1]) / np.max(np.abs(W))),
         "ode_max": ode_max,

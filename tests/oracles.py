@@ -3,8 +3,10 @@
 Everything here deliberately avoids the code paths under test: quadrature
 instead of closed forms, finite differences in the conformal chart instead
 of the radial curvature formulas, a finite-element generalized eigenproblem
-instead of shooting, circle-circle trigonometry instead of normal flow, a
-dense bisected scan of every normal ray instead of the windowed one, and
+instead of shooting, circle-circle trigonometry instead of normal flow,
+the second variation of the eigenvalue under an offset hole by 1-D
+shooting instead of the 2-D solver, a dense bisected scan of every normal
+ray instead of the windowed one, and
 the signed distance on a chart grid with marching-squares level lengths as
 the general-domain cross-check of the normal-flow parallel lengths, the
 whole 4-D spectral stiffness as a dense matrix against the matrix-free
@@ -23,8 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45, quad
+from scipy.integrate import RK45, quad, solve_ivp
 from scipy.linalg import eigh
+from scipy.optimize import brentq
 from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 
@@ -154,6 +157,41 @@ def fd_shell_eigen_p2(n, r, R, n_cells=6000):
     vals = eigsh(K, k=1, M=M, sigma=0.0, which="LM", v0=v0,
                  return_eigenvectors=False)
     return float(vals[0])
+
+
+def second_variation_coefficient(r, R):
+    """(tau_0, c) of the concentric planar annulus B_R minus B_r at p = 2.
+
+    Offsetting the hole by eps lowers the mixed eigenvalue to
+    tau_0 (1 - c eps^2 + O(eps^4)).  tau_0 and u_0 (u_0'' + coth t u_0' +
+    tau_0 u_0 = 0, u_0(r) = 0, u_0'(R) = 0) come from shooting with
+    solve_ivp's DOP853 and brentq on u_0'(R), independent of shell's
+    stepper; the first-order mode f cos(theta) solves
+    f'' + coth t f' - f / sinh^2 t + tau_0 f = 0, f(r) = 0,
+    f'(R) = tau_0 u_0(R), and c = u_0(R) f(R) sinh R / (2 int_r^R u_0^2 sinh t dt).
+    """
+    def shoot(tau):
+        sol = solve_ivp(lambda t, y: [y[1], -y[1] / math.tanh(t) - tau * y[0]], (r, R),
+                        [0.0, 1.0], method="DOP853", rtol=1e-13, atol=1e-15)
+        return sol.y[1, -1]
+
+    # u_0'(R) > 0 below tau_0, where the shot from u_0'(r) = 1 has not turned yet
+    lo, hi = 0.0, 0.25
+    while shoot(hi) > 0.0:
+        lo, hi = hi, 1.5 * hi
+    tau = brentq(shoot, lo, hi, xtol=1e-15, rtol=8.9e-16)
+
+    def rhs(t, y):
+        u, du, f, df, _ = y
+        coth, s = 1.0 / math.tanh(t), math.sinh(t)
+        return [du, -coth * du - tau * u, df, -coth * df + f / (s * s) - tau * f, u * u * s]
+
+    # f is a multiple of the solution phi with phi(r) = 0, phi'(r) = 1
+    sol = solve_ivp(rhs, (r, R), [0.0, 1.0, 0.0, 1.0, 0.0], method="DOP853",
+                    rtol=1e-13, atol=1e-15)
+    u, _, phi, dphi, mass = sol.y[:, -1]
+    f = tau * u / dphi * phi
+    return tau, u * f * math.sinh(R) / (2.0 * mass)
 
 
 def offset_ball_parallel_length(hole_r, outer_R, offset, delta):

@@ -205,6 +205,23 @@ def test_cli_af_check_all_pairs(tmp_path, capsys):
     assert "(0,2)" in capsys.readouterr().out
 
 
+# revolution bodies whose matched balls the inverse refused: its probes at
+# r = 1, 2 or 8 failed ball_quermass's terminal check (n <= 37), and at
+# r = 1e-8 underflowed (n = 38, 40), so every command below exited 1
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, a0", [(3, 8.5), (4, 4.5), (5, 4.3), (20, 1.2), (37, 1.0),
+                                   (38, 0.3), (40, 0.3)])
+def test_cli_matched_ball_commands_accept_revolution_bodies(tmp_path, capsys, n, a0):
+    body = write(tmp_path, "rev.json", {"schema": 1, "kind": "revolution", "n": n,
+                                        "params": {"a0": a0, "cos_even": [0.01]}})
+    # all n(n-1)/2 pairs of af-check take 3-5 s at n >= 37; its last pair reads
+    # W_{n-1} of a ball that ball_quermass refuses from n = 37 on
+    pairs = [] if n <= 20 else ["--i", "0", "--j", str(n - 1)]
+    for argv in (["nagy"], ["af-check", *pairs], ["insulation", "--delta", "0.5", "--beta", "1"]):
+        assert run_command([*argv, "--body", body]) == 0, argv
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_quermass(tmp_path):
     body = write(tmp_path, "ball.json", BALL_SPEC)
     out = tmp_path / "o"

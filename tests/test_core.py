@@ -13,6 +13,7 @@ from horokit.core import (
     MAX_DIMENSION,
     ball_perimeter,
     ball_quermass,
+    ball_quermassintegral,
     ball_volume,
     check_dimension,
     gauss_legendre_nodes,
@@ -21,7 +22,7 @@ from horokit.core import (
     sphere_measure,
     sinh_power_integral,
 )
-from horokit.errors import DomainValidationError, NumericError
+from horokit.errors import DomainValidationError, HorokitError, NumericError
 
 from oracles import gauss_legendre_reference, quad_ball_volume
 
@@ -209,6 +210,45 @@ def test_quermass_inverse_radius_is_relative_for_small_balls():
                 assert quermass_inverse_radius(n, m, qv[m]) == pytest.approx(r, rel=4e-16, abs=0.0)
 
 
+# the grid of dimensions and radii on which the inverse used to be refused:
+# its probes at r = 1e-8, 1, 2 and 8 underflowed (n = 40, 60, 100) or failed
+# ball_quermass's terminal check (n = 4, 5, 20, 36) on 119 of the 344 targets
+_INVERSE_DIMENSIONS = (2, 3, 4, 5, 10, 20, 36, 40, 60, 100)
+_INVERSE_RADII = (0.01, 0.2, 0.25, 0.29, 0.5, 0.9, 1.0, 1.7, 3.0, 4.0, 4.5)
+
+
+def _accepted_balls(dimensions, radii):
+    for n in dimensions:
+        for r in radii:
+            try:
+                yield n, r, ball_quermass(n, r)
+            except HorokitError:
+                pass
+
+
+def test_quermass_inverse_radius_round_trips_wherever_ball_quermass_accepts():
+    targets = 0
+    for n, r, qv in _accepted_balls(_INVERSE_DIMENSIONS, _INVERSE_RADII):
+        for m in sorted({0, 1, n // 2, n - 2, n - 1}):
+            assert abs(quermass_inverse_radius(n, m, qv[m]) - r) <= 4e-16 * r, (n, r, m)
+            targets += 1
+    assert targets == 344
+
+
+def test_ball_quermassintegral_matches_the_recursion():
+    # each W_m(B_r) as a sum of positive terms against the recursion's entry;
+    # at n = 256 its even-m sums are limited by sinh_power_integral's 48-node
+    # rule at powers near 255 (1.2e-14 there): over every m, measured 4.4e-16
+    # for n <= 10, 7.5e-15 for n <= 100 and 2.2e-14 at n = 256
+    for n, r, qv in _accepted_balls((*_INVERSE_DIMENSIONS, 256), _INVERSE_RADII):
+        rtol = 1e-15 if n <= 10 else 3e-14
+        for m in (*range(0, n - 1, max(1, n // 16)), n - 1):
+            value, _ = ball_quermassintegral(n, m, r)
+            assert abs(float(value) / qv[m] - 1.0) <= rtol, (n, r, m)
+        slope = ball_quermassintegral(n, 0, r)[1]
+        assert abs(float(slope) / ball_perimeter(n, r) - 1.0) <= rtol, (n, r)
+
+
 def test_core_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(horokit.core.__file__).parents[1]))
     code = "import sys, horokit.core; print(any(m.startswith('scipy') for m in sys.modules))"
@@ -310,10 +350,7 @@ def test_gauss_legendre_nodes_match_numpy(n, w_rtol):
     assert not x.flags.writeable and not w.flags.writeable
 
 
-@pytest.mark.parametrize("n", [48, 49, 96, 384, 1024, 2048])
-def test_gauss_legendre_nodes_take_one_recurrence_pass(monkeypatch, n):
-    # the asymptotic starts are close enough that one Newton step from one
-    # recurrence pass meets the stopping bound, and the weights come from it
+def _recurrence_passes(monkeypatch, n):
     import horokit.core as core
     calls = []
 
@@ -323,8 +360,41 @@ def test_gauss_legendre_nodes_take_one_recurrence_pass(monkeypatch, n):
 
     monkeypatch.setattr(core, "_legendre", counted)
     x, w = gauss_legendre_nodes.__wrapped__(n)  # past the cache
-    assert calls == [n]
     assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 1e-15
+    assert set(calls) == {n}
+    return len(calls)
+
+
+@pytest.mark.parametrize("n", [96, 384, 1024, 2048])
+def test_gauss_legendre_nodes_take_one_recurrence_pass(monkeypatch, n):
+    # the asymptotic starts are close enough that one Newton step from one
+    # recurrence pass meets both stopping bounds, and the weights come from it
+    assert _recurrence_passes(monkeypatch, n) == 1
+
+
+@pytest.mark.parametrize("n", [45, 48, 49, 58])
+def test_gauss_legendre_nodes_take_two_recurrence_passes(monkeypatch, n):
+    # one pass put the nodes at round-off, but the Taylor step that moves P_n'
+    # to them left the weights summing to 2 only within 2.3e-14 (n = 45) to
+    # 2.3e-15 (n = 58); a second pass takes them to round-off too
+    assert _recurrence_passes(monkeypatch, n) == 2
+
+
+def test_gauss_legendre_weights_sum_to_two():
+    # measured: within 1.6e-15 for every n <= 400
+    for n in range(1, 401):
+        assert abs(math.fsum(gauss_legendre_nodes(n)[1]) - 2.0) <= 2e-15, n
+
+
+def test_sinh_power_integral_low_powers_on_the_small_ball_rule():
+    # the 48-node rule integrates 1 and sinh to round-off in long double:
+    # 8.9e-18 relative, where its weights summed to 2 only within 1.3e-14
+    # and left both 6.3e-15 low
+    for r in (1e-6, 1e-3, 0.2):
+        rl = np.longdouble(r)
+        assert abs(sinh_power_integral(0, r, dtype=np.longdouble) / rl - 1) <= 2e-17
+        expect = 2 * np.sinh(rl / 2) ** 2
+        assert abs(sinh_power_integral(1, r, dtype=np.longdouble) / expect - 1) <= 2e-17
 
 
 def test_bessel_zero_table_matches_scipy():

@@ -20,7 +20,12 @@ from horokit.insulation import (
 from horokit.shell import ShellSpec, shell_eigen
 
 from conftest import rfk_domain_specs
-from oracles import dense_eigenpair, dense_mixed_eigenpair, dense_polar_stiffness
+from oracles import (
+    dense_eigenpair,
+    dense_mixed_eigenpair,
+    dense_polar_stiffness,
+    second_variation_coefficient,
+)
 
 EIGEN_DOMAINS = {
     **rfk_domain_specs(),
@@ -60,6 +65,25 @@ def test_concentric_matches_shell_eigen(r, R):
     tau = shell_eigen(ShellSpec(n=2, p=2.0, r=r, R=R)).tau1
     assert abs(result.value - tau) <= 1e-11 * tau
     assert result.step <= spectral.STEP_RTOL
+
+
+# measured: the Richardson value is 1.5e-7 (0.8/1.8) and 9.2e-9 (0.5/1.5)
+# below c, the raw quotient at eps = 1e-4 1.4e-6 and 3.7e-7 below it
+@pytest.mark.parametrize("r, R", [(0.8, 1.8), (0.5, 1.5)])
+def test_offset_hole_lowers_tau_by_the_second_variation(r, R):
+    # the annulus's local form of the theorem: tau(eps) = tau_A (1 - c eps^2 + O(eps^4))
+    tau_0, c = second_variation_coefficient(r, R)
+    tau = {eps: spectral.mixed_eigenpair(AnnularDomain2D(make_ball(2, r), make_ball(2, R),
+                                                         offset=eps)).value
+           for eps in (0.0, 1e-4, 1e-3, 2e-3)}
+    assert abs(tau[0.0] - tau_0) <= 1e-12 * tau_0
+    quotient = {eps: (tau[0.0] - tau[eps]) / (tau[0.0] * eps * eps) for eps in (1e-4, 1e-3, 2e-3)}
+    assert abs((4.0 * quotient[1e-3] - quotient[2e-3]) / 3.0 - c) <= 1e-6 * c
+    assert abs(quotient[1e-4] - c) <= 1e-5 * c
+
+
+def test_second_variation_oracle_pin():
+    assert second_variation_coefficient(0.8, 1.8)[1] == pytest.approx(19.8403534228, rel=1e-10)
 
 
 @pytest.mark.parametrize("r, delta, beta", [(1.0, 1.0, 1.0), (0.8, 0.8, 1.0), (0.5, 1.2, 3.0)])
