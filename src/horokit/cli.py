@@ -148,8 +148,7 @@ def cmd_af_check(args):
         [(i, j) for i in range(n) for j in range(i + 1, n)]
     results = []
     ok = True
-    for i, j in pairs:
-        margin = af_check(body, i, j, force=args.force)
+    for (i, j), margin in zip(pairs, af_check(body, pairs, force=args.force)):
         results.append({"i": i, "j": j, "margin": margin})
         ok = ok and margin >= -1e-8
         print(f"({i},{j}): margin = {margin:.6e}")

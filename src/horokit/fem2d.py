@@ -14,11 +14,11 @@ Newton step on the eigen-system (g_num(u) - tau g_den(u), den(u) - 1), full
 and then halved, from one sparse LU of the stiffness pattern bordered by
 g_den; a trial is kept only if it keeps the iterate positive, lowers the
 eigen-residual and does not raise the quotient, and otherwise the step is a
-power step, which converges only linearly.  Every bordered system of one
-solve is assembled in place on the elimination order of the first and
-factored on it: its entries are written straight into the CSC pattern of
-the permuted matrix, and each iterate is differentiated once for its
-quotient, its residual and its Jacobian.
+power step, which converges only linearly.  Every bordered system is
+assembled in place on the p = 2 stiffness factor's elimination order, the
+border last, and factored on it, never ordered itself: its entries are
+written straight into the CSC pattern of the permuted matrix, and each
+iterate is differentiated once for its quotient, residual and Jacobian.
 
 The element kernels work on per-corner columns: every per-element quantity
 (gradient coefficients, mass weights, corner values, element-matrix
@@ -75,6 +75,11 @@ class Mesh:
     h_mesh: float
     n_theta: int
     n_layers: int
+
+    @functools.cached_property
+    def free_nodes(self):
+        """The free (non-hole) nodes in increasing order: free index k is node free_nodes[k]."""
+        return np.setdiff1d(np.arange(self.vertices.shape[0]), self.inner_nodes)
 
     def _corner_coordinates(self):
         """Chart coordinates (x, y) of the corners, one row per corner."""
@@ -247,11 +252,12 @@ def eigen_p2(mesh):
     Shift-invert Lanczos (ARPACK, shift 0) on the sparse LU of K on the free
     (non-hole) nodes, started from the constant vector so that repeated runs
     agree to the last bit; the eigenpair must satisfy
-    ||K u - tau M u|| <= 1e-10 ||M u||.
+    ||K u - tau M u|| <= 1e-10 ||M u||.  Its order is that factor's column
+    elimination order, on which general p lays out its bordered systems.
     """
     K, M = assemble_p2(mesh)
     nv = mesh.vertices.shape[0]
-    free = np.setdiff1d(np.arange(nv), mesh.inner_nodes)
+    free = mesh.free_nodes
     Kf = K[np.ix_(free, free)].tocsc()
     Mf = M[np.ix_(free, free)].tocsr()
     lu = _factor(Kf)
@@ -283,7 +289,8 @@ def eigen_p2(mesh):
     residuals = {"eig_residual": res}
     meta = {"n_vertices": nv, "n_triangles": mesh.triangles.shape[0],
             "h_mesh": mesh.h_mesh, "iterations": solves, "p": 2.0}
-    return EigResult(tau1=tau, residuals=residuals, meta=meta, u=full)
+    # argsort copies: a view of perm_c would keep the factor alive
+    return EigResult(tau1=tau, residuals=residuals, meta=meta, u=full, order=np.argsort(lu.perm_c))
 
 
 def _keep_last(method):
@@ -307,11 +314,12 @@ class _RayleighP:
     nu_T |g_T|^p over element gradients g_T, den is the edge-midpoint
     quadrature of |u|^p lambda^2.  Per-element data is held one row per
     corner, midpoint or matrix entry, and every float operation is the one
-    of the (element, corner) layout, in the same order."""
+    of the (element, corner) layout, in the same order.  Bordered systems are
+    laid out on self.order: order, eigen_p2's of the free nodes, the border last."""
 
-    def __init__(self, mesh, p):
+    def __init__(self, mesh, p, order):
         self.p, self.nv = p, mesh.vertices.shape[0]
-        self.free = free = np.setdiff1d(np.arange(self.nv), mesh.inner_nodes)
+        self.free = free = mesh.free_nodes
         area, self.b, self.c, lam = _element_quadrature(mesh)
         weights = lam ** (2.0 - p)
         self.nu = area / 3.0 * (weights[0] + weights[1] + weights[2])
@@ -320,6 +328,7 @@ class _RayleighP:
         # the free index of every corner, nf at a hole node, where vectors
         # read an appended zero and scatters drop a trailing bin
         nf = len(free)
+        self.order = np.append(order, nf)
         pos = np.full(self.nv, nf)
         pos[free] = np.arange(nf)
         self.corners = pos[mesh.triangles]  # its transpose gives one row per corner
@@ -337,31 +346,20 @@ class _RayleighP:
         keys = keys[first & (keys < nf * nf)]
         self.pattern = (keys % nf, np.searchsorted(keys // nf, np.arange(nf + 1)))
         self._kept = {}
-        self.border_order = None  # elimination order of the bordered systems
-        self._border = None  # their CSC layout in that order, once laid out
-
-    def order_border(self, perm_c):
-        """Lay every later bordered system out on the column order perm_c of
-        a factor of the first.  The layout is built with the next system,
-        when that factor is freed."""
-        self.border_order = np.argsort(perm_c)
-        self._border = None
+        self._border = self._border_layout()
 
     def _border_layout(self):
         """(source, indices, indptr) of the bordered matrix B[order][:, order]
-        (B itself before border_order is set) in canonical CSC: its data is
-        [free-pattern slots, g_den, -g_den][source].  Found once by permuting
-        a matrix of source numbers, counted from 1 so that no entry is an
-        explicit zero."""
+        in canonical CSC: its data is [free-pattern slots, g_den, -g_den][source].
+        Found by placing source numbers at their permuted positions, counted
+        from 1 so that no entry is an explicit zero."""
         indices, indptr = self.pattern
         nf, ns = len(self.free), len(indices)
         rows = np.concatenate([indices, np.full(nf, nf), np.arange(nf)])
         cols = np.concatenate([np.repeat(np.arange(nf), np.diff(indptr)), np.arange(nf), np.full(nf, nf)])
+        position = np.argsort(self.order)
         source = np.arange(1, ns + 2 * nf + 1, dtype=np.int32)
-        marker = csc_matrix((source, (rows, cols)), shape=(nf + 1, nf + 1))
-        if self.border_order is not None:
-            marker = marker[self.border_order][:, self.border_order]
-            marker.sort_indices()
+        marker = csc_matrix((source, (position[rows], position[cols])), shape=(nf + 1, nf + 1))
         return marker.data - 1, marker.indices, marker.indptr
 
     def full(self, x):
@@ -446,15 +444,13 @@ class _RayleighP:
 
     def bordered_jacobian(self, x, tau):
         """[p H_num - tau H_den, -g_den; g_den^T, 0] at x, filled straight into
-        the CSC pattern of that matrix in border_order.  p H_num and tau H_den
+        the CSC pattern of that matrix in self.order.  p H_num and tau H_den
         are combined slot by slot, as the sum of the two assembled matrices
         would be."""
         n = len(self.free) + 1
         g_den = self.denominator(x)[1]
         leading = (self.p * self._slots(self._hessian_elements(x))
                    - tau * self._slots(self._denominator_hessian_elements(x)))
-        if self._border is None:
-            self._border = self._border_layout()
         source, indices, indptr = self._border
         data = np.concatenate([leading, g_den, -g_den])[source]
         return csc_matrix((data, indices, indptr), shape=(n, n))
@@ -508,8 +504,9 @@ def eigen_p_general(mesh, p):
     quality the radial cross-checks establish.
     """
     check_exponent(p)
-    rq = _RayleighP(mesh, p)
-    start = np.abs(eigen_p2(mesh).u[rq.free])
+    p2 = eigen_p2(mesh)
+    rq = _RayleighP(mesh, p, p2.order)
+    start = np.abs(p2.u[rq.free])
     # Python floats raise where the quotient leaves the double range, and so
     # do numpy arrays here, instead of warning and going on with inf or nan
     try:
@@ -574,24 +571,17 @@ def _bordered_step(rq, u, value):
     MONOTONE_RTOL and whose eigen-residual is below u's; None if neither is.
     More halvings would accept tiny steps that raise the residual at p = 1.2.
 
-    The first bordered system of rq is factored under SPLU_OPTIONS, whose
-    minimum degree puts the dense border last; every later one reuses that
-    column order, since ordering a matrix with a dense row costs more than
-    factoring it.  rq.bordered_jacobian fills each system straight into the
-    CSC pattern of the matrix in that order (the identity before the first
-    factor), from the element gradients and g_den that _normalized formed
-    at u."""
+    Every system is factored in NATURAL column order on rq.order, the p = 2
+    stiffness factor's elimination order with the dense border last, since
+    ordering a matrix with a dense row costs more than factoring it.
+    rq.bordered_jacobian fills it straight into the CSC pattern of the
+    matrix in that order, from the element gradients and g_den that
+    _normalized formed at u."""
     g_num, g_den = rq.numerator(u)[1], rq.denominator(u)[1]
     res = float(np.linalg.norm(g_num - value * g_den) / np.linalg.norm(g_den))
     rhs = np.append(value * g_den - g_num, 0.0)
-    order = rq.border_order
-    if order is None:
-        lu = _factor(rq.bordered_jacobian(u, value))
-        rq.order_border(lu.perm_c)
-        du = lu.solve(rhs)
-    else:
-        du = np.empty_like(rhs)
-        du[order] = _factor(rq.bordered_jacobian(u, value), "NATURAL").solve(rhs[order])
+    du = np.empty_like(rhs)
+    du[rq.order] = _factor(rq.bordered_jacobian(u, value), "NATURAL").solve(rhs[rq.order])
     for t in (1.0, 0.5):
         v = u + t * du[:-1]
         if np.all(v > 0.0):

@@ -188,7 +188,7 @@ def fem_energy_p2(body, delta, beta, h_mesh=0.01):
     B = boundary_mass_outer(mesh)
     A = (K + beta * B).tocsr()
     nv = mesh.vertices.shape[0]
-    free = np.setdiff1d(np.arange(nv), mesh.inner_nodes)
+    free = mesh.free_nodes
     g = np.zeros(nv)
     g[mesh.inner_nodes] = 1.0
     rhs = -(A @ g)[free]

@@ -102,20 +102,23 @@ def nagy_table(body, delta_grid=None, force=False, match="quermass"):
                       match=match)
 
 
-def af_check(body, i, j, force=False):
-    """Quermassintegral comparison margin W_j(K) - f_j(f_i^{-1}(W_i(K))).
+def af_check(body, pairs, force=False):
+    """Quermassintegral comparison margins W_j(K) - f_j(f_i^{-1}(W_i(K))) of
+    the index pairs (i, j), in their order; each radius f_i^{-1}(W_i(K)) is
+    found once, however many pairs share i.
 
     Nonnegative for bodies satisfying the hypotheses (h-convex when n >= 3;
     for n = 2 only the pair (0, 1) is covered, through the isoperimetric
     inequality), zero exactly on balls.
     """
     n = body.n
-    if not (0 <= i < j <= n - 1):
-        raise DomainValidationError(f"need 0 <= i < j <= {n - 1}, got ({i}, {j})")
+    for i, j in pairs:
+        if not (0 <= i < j <= n - 1):
+            raise DomainValidationError(f"need 0 <= i < j <= {n - 1}, got ({i}, {j})")
     check_hypotheses(body, force=force)
     w = quermassintegrals(body)
-    predicted, _ = ball_quermassintegral(n, j, quermass_inverse_radius(n, i, w[i]))
-    return float(w[j] - predicted)
+    radii = {i: quermass_inverse_radius(n, i, w[i]) for i in dict.fromkeys(i for i, _ in pairs)}
+    return [float(w[j] - ball_quermassintegral(n, j, radii[i])[0]) for i, j in pairs]
 
 
 def isoperimetric_check_2d(body):

@@ -74,7 +74,8 @@ class EigResult:
     """Eigenvalue with a sampled eigenfunction and solver diagnostics.
 
     Radial solves fill (t, v, dv) and steps, the accepted steps of the shot
-    at tau_1 as _dopri45 returns them; mesh solves fill u with nodal values.
+    at tau_1 as _dopri45 returns them; mesh solves fill u with nodal values,
+    and at p = 2 order, their stiffness factor's order of Mesh.free_nodes.
     """
 
     tau1: float
@@ -83,6 +84,7 @@ class EigResult:
     dv: np.ndarray = None
     steps: np.ndarray = None
     u: np.ndarray = None
+    order: np.ndarray = None
     residuals: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 

@@ -507,7 +507,7 @@ class BroadcastRayleighP:
 
     def __init__(self, mesh, p):
         self.p, self.t, self.nv = p, mesh.triangles, mesh.vertices.shape[0]
-        self.free = np.setdiff1d(np.arange(self.nv), mesh.inner_nodes)
+        self.free = mesh.free_nodes
         area, self.b, self.c, lam = _broadcast_element_quadrature(mesh)
         self.nu = area / 3.0 * np.sum(lam ** (2.0 - p), axis=1)
         self.mass_w = (area / 3.0)[:, None] * lam ** 2

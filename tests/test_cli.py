@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horokit.bodies import Body2D, boundary_measures, curvature_2d
+from horokit.bodies import Body2D, boundary_measures, curvature_2d, quermassintegrals
 import horokit
+from horokit import core, nagy
 from horokit.cli import make_parser, run_command
 from horokit.errors import DataFormatError, DomainValidationError
 from horokit.spectral import mixed_eigenpair
@@ -203,6 +204,35 @@ def test_cli_af_check_all_pairs(tmp_path, capsys):
     body = write(tmp_path, "rev.json", spec)
     assert run_command(["af-check", "--body", body]) == 0
     assert "(0,2)" in capsys.readouterr().out
+
+
+def test_cli_af_check_inverts_each_index_once(tmp_path, monkeypatch):
+    # all n(n-1)/2 pairs read the n - 1 radii f_i^{-1}(W_i(K)), each found
+    # once; every margin is, bit for bit, the one that inverting W_i again
+    # for each pair gives (the pinned values were printed that way)
+    n = 20
+    path = write(tmp_path, "rev.json", {"schema": 1, "kind": "revolution", "n": n,
+                                        "params": {"a0": 1.2, "cos_even": [0.01]}})
+    inverted = []
+
+    def counted(n, m, w):
+        inverted.append(m)
+        return core.quermass_inverse_radius(n, m, w)
+
+    monkeypatch.setattr(nagy, "quermass_inverse_radius", counted)
+    out = tmp_path / "o"
+    assert run_command(["af-check", "--body", path, "--out", str(out)]) == 0
+    assert inverted == list(range(n - 1))
+    rows = json.loads((out / "af_check.json").read_text())["margins"]
+    assert len(rows) == n * (n - 1) // 2
+    w = quermassintegrals(load_body(path)[0])
+    for row in rows:
+        i, j = row["i"], row["j"]
+        r = core.quermass_inverse_radius(n, i, w[i])
+        assert row["margin"] == float(w[j] - core.ball_quermassintegral(n, j, r)[0])
+    pinned = {(0, 1): 0.0004354826306139613, (0, 19): 0.012322752434613185,
+              (18, 19): 0.000653917338430017}
+    assert {(row["i"], row["j"]): row["margin"] for row in rows if (row["i"], row["j"]) in pinned} == pinned
 
 
 # revolution bodies whose matched balls the inverse refused: its probes at

@@ -24,6 +24,11 @@ OVAL_HOLE = AnnularDomain2D(inner=Body2D(a0=0.8, cos=[0.0, 0.1], sin=[0.0, 0.05]
                             outer=make_ball(2, 1.8))
 
 
+def _quotient(mesh, p):
+    """The general-p quotient that eigen_p_general builds on mesh."""
+    return fem2d._RayleighP(mesh, p, eigen_p2(mesh).order)
+
+
 def test_build_mesh_structure():
     mesh = build_mesh(ANNULUS, 0.05)
     assert mesh.triangles.shape[1] == 3
@@ -117,7 +122,7 @@ def test_element_kernels_match_broadcast_reference(dom, p):
     # corner) broadcast forms in their order; one changed rounding on the
     # p = 1.2 power path moves its eigen-residual past the pin below
     mesh = build_mesh(dom, 0.04)
-    rq, ref = fem2d._RayleighP(mesh, p), BroadcastRayleighP(mesh, p)
+    rq, ref = _quotient(mesh, p), BroadcastRayleighP(mesh, p)
     rng = np.random.default_rng(1)
     nf = len(rq.free)
     positive, zeros = 1.0 + rng.random(nf), rng.random(nf)
@@ -146,7 +151,7 @@ def test_element_kernels_match_broadcast_reference(dom, p):
 def test_stiffness_pattern_matches_unique_reference(dom, h_mesh):
     # the sorted build of the free-node pattern and the element entries'
     # slots is np.unique's, bit for bit and in its dtypes
-    rq = fem2d._RayleighP(build_mesh(dom, h_mesh), 1.5)
+    rq = _quotient(build_mesh(dom, h_mesh), 1.5)
     slot, pattern = unique_stiffness_pattern(rq.corners, len(rq.free))
     for new, ref in zip((rq.slot, *rq.pattern), (slot, *pattern)):
         assert new.dtype == ref.dtype and np.array_equal(new, ref)
@@ -192,8 +197,7 @@ def test_eigen_p_general_runs_one_start(monkeypatch):
     mesh = build_mesh(ANNULUS, 0.05)
     res = eigen_p_general(mesh, 1.7)
     (u0,) = starts
-    free = np.setdiff1d(np.arange(mesh.vertices.shape[0]), mesh.inner_nodes)
-    assert np.array_equal(u0, np.abs(eigen_p2(mesh).u[free]))
+    assert np.array_equal(u0, np.abs(eigen_p2(mesh).u[mesh.free_nodes]))
     assert "start" not in res.meta
 
 
@@ -297,37 +301,58 @@ def test_eigen_p_general_factorization_count(monkeypatch, p, most):
 
 
 def test_bordered_factors_reuse_one_order(monkeypatch):
-    # every bordered system after the first is factored on the first one's
-    # minimum-degree column order; the factor must be no fuller than a fresh
-    # minimum-degree factor of the same system, and solve it alike
+    # every bordered system is factored in NATURAL column order on the p = 2
+    # stiffness factor's elimination order, the border last: its leading
+    # block has the pattern of the free stiffness in that order and its last
+    # row and column are the dense border; the factor must be no fuller
+    # than a fresh minimum-degree factor of the same system (55 773 against
+    # 58 114 entries at the first system), and solve it alike
     factored = _spy_splu(monkeypatch)
     mesh = build_mesh(ANNULUS, 0.04)
+    free, order = mesh.free_nodes, eigen_p2(mesh).order
+    stiffness = assemble_p2(mesh)[0][np.ix_(free, free)].tocsc()[order][:, order]
+    stiffness.sort_indices()
     eigen_p_general(mesh, 1.5)
-    n = len(np.setdiff1d(np.arange(mesh.vertices.shape[0]), mesh.inner_nodes)) + 1
+    n = len(free) + 1
     bordered = [(A, options, lu) for A, options, lu in factored if A.shape == (n, n)]
-    assert [options["permc_spec"] for _, options, _ in bordered] == (
-        ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(bordered) - 1))
+    assert [options["permc_spec"] for _, options, _ in bordered] == ["NATURAL"] * len(bordered)
     assert len(bordered) >= 3
     rhs = np.random.default_rng(0).standard_normal(n)
-    for A, _, lu in bordered[1:]:
+    for A, _, lu in bordered:
+        lead = A[:-1, :-1]
+        assert np.array_equal(lead.indptr, stiffness.indptr)
+        assert np.array_equal(lead.indices, stiffness.indices)
+        assert np.count_nonzero(A[-1, :-1].toarray()) == np.count_nonzero(A[:-1, -1].toarray()) == n - 1
+        assert A[-1, -1] == 0.0
         fresh = scipy.sparse.linalg.splu(A, **fem2d.SPLU_OPTIONS)
         assert lu.nnz <= fresh.nnz
         x = fresh.solve(rhs)
         assert np.linalg.norm(lu.solve(rhs) - x) <= 1e-12 * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_eigen_p_general_orders_only_the_stiffness(monkeypatch, p):
+    # minimum degree runs once per solve, on the p = 2 stiffness in
+    # eigen_p2; no bordered system, whose border row is dense, is ordered
+    # (here no power step runs, whose Hessians would be)
+    factored = _spy_splu(monkeypatch)
+    mesh = build_mesh(ANNULUS, 0.04)
+    eigen_p_general(mesh, p)
+    ordered = [A.shape for A, options, _ in factored if options["permc_spec"] == "MMD_AT_PLUS_A"]
+    assert ordered == [(len(mesh.free_nodes),) * 2]
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0, 5.0])
 def test_bordered_systems_match_bmat_assembly(monkeypatch, p):
     # every factored bordered system is, bit for bit, the matrix bmat builds
-    # from the assembled Hessians, laid out on the order then in use; splu
-    # sorts its input's indices in place, so the reference is sorted too
+    # from the assembled Hessians, laid out on rq.order; splu sorts its
+    # input's indices in place, so the reference is sorted too
     factored = _spy_splu(monkeypatch)
     steps = []
     bordered_step = fem2d._bordered_step
 
     def recorded(rq, u, value):
-        order = rq.border_order
-        steps.append((rq, u, value, np.arange(len(u) + 1) if order is None else order))
+        steps.append((rq, u, value))
         return bordered_step(rq, u, value)
 
     monkeypatch.setattr(fem2d, "_bordered_step", recorded)
@@ -335,10 +360,10 @@ def test_bordered_systems_match_bmat_assembly(monkeypatch, p):
     n = len(steps[0][1]) + 1
     bordered = [A for A, _, _ in factored if A.shape == (n, n)]
     assert len(bordered) == len(steps) >= 2
-    for A, (rq, u, value, order) in zip(bordered, steps):
+    for A, (rq, u, value) in zip(bordered, steps):
         g = rq.denominator(u)[1]
         jac = p * rq.hessian(u) - value * rq.denominator_hessian(u)
-        ref = scipy.sparse.bmat([[jac, -g[:, None]], [g[None, :], None]], format="csc")[order][:, order]
+        ref = scipy.sparse.bmat([[jac, -g[:, None]], [g[None, :], None]], format="csc")[rq.order][:, rq.order]
         ref.sort_indices()
         for field in ("indices", "indptr", "data"):
             assert np.array_equal(getattr(A, field), getattr(ref, field))
@@ -366,7 +391,7 @@ def test_constant_start_stall_is_not_settled():
     # halvings (quotient 36368 against 3.128 at p = 5); that start used to
     # count its zero decrease as settled
     mesh = build_mesh(ANNULUS, 0.04)
-    rq = fem2d._RayleighP(mesh, 5.0)
+    rq = _quotient(mesh, 5.0)
     ref = eigen_p_general(mesh, 5.0)
     value, _, _, _, settled, _ = fem2d._inverse_power(rq, np.ones(len(rq.free)))
     assert value == pytest.approx(ref.tau1, rel=1e-9) or not settled
@@ -387,7 +412,7 @@ def test_damped_newton_reports_a_stall():
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_denominator_hessian_matches_gradient_differences(p):
-    rq = fem2d._RayleighP(build_mesh(ANNULUS, 0.05), p)
+    rq = _quotient(build_mesh(ANNULUS, 0.05), p)
     rng = np.random.default_rng(0)
     x = 1.0 + rng.random(len(rq.free))
     dx = 1e-6 * rng.standard_normal(len(rq.free))
